@@ -1,4 +1,4 @@
-.PHONY: verify test build vet race fmt lint lint-fix telemetry-demo daemon-smoke bench-daemon bench-trace
+.PHONY: verify test build vet race fmt lint lint-fix telemetry-demo daemon-smoke
 
 verify: ## gofmt + vet + build + wpmlint + race-enabled tests
 	./scripts/verify.sh
@@ -12,12 +12,6 @@ lint-fix: ## apply wpmlint's mechanical autofixes, then gofmt the result
 
 daemon-smoke: ## wpmd end-to-end: start, submit, cache hit, metrics, drain
 	go run ./cmd/wpmd -smoke -dir $$(mktemp -d)/state
-
-bench-daemon: ## cold vs warm job latency + saturation rejection rate
-	./scripts/bench_daemon.sh
-
-bench-trace: ## span tracing overhead: disabled vs enabled vs SSE-streamed
-	./scripts/bench_trace.sh
 
 telemetry-demo: ## quickstart crawl with metrics + span trace on stdout
 	go run ./examples/quickstart -telemetry - -trace -

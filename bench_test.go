@@ -67,7 +67,7 @@ func BenchmarkScanCrawl(b *testing.B) {
 
 // BenchmarkScanCrawlTelemetry is BenchmarkScanCrawl with full telemetry
 // (metrics, spans, no log sink) enabled; the delta between the two is the
-// instrumentation overhead budget asserted in BENCH_telemetry.json.
+// instrumentation overhead.
 func BenchmarkScanCrawlTelemetry(b *testing.B) {
 	world := websim.New(websim.Options{Seed: 9, NumSites: 100000})
 	tm := openwpm.NewTaskManager(openwpm.CrawlConfig{
@@ -84,7 +84,7 @@ func BenchmarkScanCrawlTelemetry(b *testing.B) {
 
 // BenchmarkScanCrawlTraceDisabled is BenchmarkScanCrawlTelemetry with the
 // flight recorder detached (metrics stay on, Spans nil): the tracing-off
-// baseline that BENCH_trace.json prices span recording against.
+// baseline that span recording is priced against.
 func BenchmarkScanCrawlTraceDisabled(b *testing.B) {
 	world := websim.New(websim.Options{Seed: 9, NumSites: 100000})
 	tm := openwpm.NewTaskManager(openwpm.CrawlConfig{
@@ -123,9 +123,8 @@ func BenchmarkScanCrawlTraceStreamed(b *testing.B) {
 }
 
 // BenchmarkScanWorkers measures whole-scan throughput (crawl + analysis) at
-// several sharding widths; scripts/bench_scan.sh renders the sites/s metric
-// into BENCH_scan.json. On a single-core runner the worker counts tie —
-// sharding buys wall-clock only when GOMAXPROCS grants real parallelism.
+// several sharding widths. Sharding buys wall-clock only when GOMAXPROCS
+// grants real cores; the repo benchmark (cmd/wpmbench) measures 1…nproc.
 func BenchmarkScanWorkers(b *testing.B) {
 	const sites = 500
 	counts := []int{1, 4}
@@ -368,14 +367,14 @@ func BenchmarkAttackSuiteVanilla(b *testing.B) {
 // BenchmarkInterpreter measures raw minjs throughput on a small fingerprint
 // -style workload.
 func BenchmarkInterpreter(b *testing.B) {
-	prog := minjs.MustParse(`
+	prog := minjs.Compile(minjs.MustParse(`
 		var out = [];
 		for (var i = 0; i < 100; i++) {
 			out.push("k" + i);
 		}
 		var s = 0;
 		for (var j = 0; j < out.length; j++) { s += out[j].length; }
-		s`, "bench.js")
+		s`, "bench.js"))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		it := minjs.New()

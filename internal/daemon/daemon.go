@@ -354,13 +354,12 @@ func (d *Daemon) Submit(spec JobSpec, tenant string) (JobStatus, error) {
 	}
 
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.draining {
-		d.mu.Unlock()
 		return JobStatus{}, fmt.Errorf("daemon: draining, not accepting jobs")
 	}
 	if j, ok := d.jobs[addr]; ok {
 		// identical request already in flight: coalesce onto it
-		d.mu.Unlock()
 		d.tel.Counter("daemon_jobs_coalesced_total").Inc()
 		return j.Status(), nil
 	}
@@ -370,22 +369,25 @@ func (d *Daemon) Submit(spec JobSpec, tenant string) (JobStatus, error) {
 		Seq: d.submitSeq, state: JobQueued, done: make(chan struct{}),
 		events: newEventHub(d.tel.Counter("daemon_event_drops_total")),
 	}
-	d.mu.Unlock()
-
+	// Register, persist, then admit, all under d.mu (Queue methods never
+	// take it): no coalescing submit, drain or executor can see a job that
+	// is half admitted. The snapshot is taken before Admit hands the job
+	// to the executors, so the caller always sees it queued.
+	d.jobs[addr] = j
+	st := j.Status()
+	if err := d.persistQueued(j); err != nil {
+		// a job we cannot persist would vanish on restart; refuse it
+		delete(d.jobs, addr)
+		return JobStatus{}, err
+	}
 	if err := d.queue.Admit(j, false); err != nil {
+		delete(d.jobs, addr)
+		d.removePersisted(addr)
 		d.tel.Counter("daemon_jobs_rejected_total", telemetry.L("reason", rejectReason(err))).Inc()
 		return JobStatus{}, err
 	}
-	if err := d.persistQueued(j); err != nil {
-		// a job we cannot persist would vanish on restart; refuse it
-		d.queue.Release(j)
-		return JobStatus{}, err
-	}
-	d.mu.Lock()
-	d.jobs[addr] = j
-	d.mu.Unlock()
 	d.tel.Gauge("daemon_queue_depth").Set(int64(d.queue.Depth()))
-	return j.Status(), nil
+	return st, nil
 }
 
 func rejectReason(err error) string {

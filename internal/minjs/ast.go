@@ -19,7 +19,6 @@ type Program struct {
 	Name   string // script URL or name, used in stack traces
 
 	// compiled is the bytecode produced by Compile; nil until compiled.
-	// RunProgram executes it instead of tree-walking unless Interp.NoVM.
 	compiled *Code
 }
 

@@ -257,6 +257,9 @@ func installArray(it *Interp) {
 		})))
 	}
 	def("push", func(it *Interp, arr *Object, args []Value) (Value, error) {
+		if err := it.reserveElems(len(arr.Elems), len(arr.Elems)+len(args)); err != nil {
+			return Undefined(), err
+		}
 		arr.Elems = append(arr.Elems, args...)
 		return Int(len(arr.Elems)), nil
 	})
@@ -300,10 +303,15 @@ func installArray(it *Interp) {
 			sep = args[0].ToString()
 		}
 		parts := make([]string, len(arr.Elems))
+		size := len(sep) * (len(parts) - 1)
 		for i, e := range arr.Elems {
 			if !e.IsNullish() {
 				parts[i] = e.ToString()
+				size += len(parts[i])
 			}
+		}
+		if err := it.checkStrLen(size); err != nil {
+			return Undefined(), err
 		}
 		return String(strings.Join(parts, sep)), nil
 	})
@@ -312,6 +320,17 @@ func installArray(it *Interp) {
 		return ObjectValue(it.NewArrayP(arr.Elems[start:end]...)), nil
 	})
 	def("concat", func(it *Interp, arr *Object, args []Value) (Value, error) {
+		n := len(arr.Elems)
+		for _, a := range args {
+			if a.IsObject() && a.Obj.Class == "Array" {
+				n += len(a.Obj.Elems)
+			} else {
+				n++
+			}
+		}
+		if err := it.reserveElems(0, n); err != nil {
+			return Undefined(), err
+		}
 		out := append([]Value(nil), arr.Elems...)
 		for _, a := range args {
 			if a.IsObject() && a.Obj.Class == "Array" {
@@ -398,6 +417,9 @@ func installArray(it *Interp) {
 	arrayCtor := it.NewNative("Array", func(it *Interp, this Value, args []Value) (Value, error) {
 		if len(args) == 1 && args[0].Kind == KindNumber {
 			n := int(args[0].Num)
+			if err := it.reserveElems(0, n); err != nil {
+				return Undefined(), err
+			}
 			elems := make([]Value, n)
 			return ObjectValue(it.NewArrayP(elems...)), nil
 		}
@@ -425,12 +447,8 @@ func sliceBounds(n int, args []Value) (int, int) {
 			end += n
 		}
 	}
-	if start < 0 {
-		start = 0
-	}
-	if end > n {
-		end = n
-	}
+	start = min(max(start, 0), n)
+	end = min(max(end, 0), n)
 	if start > end {
 		start = end
 	}
@@ -472,7 +490,11 @@ func installString(it *Interp) {
 		if sepV.IsUndefined() {
 			return ObjectValue(it.NewArrayP(String(s))), nil
 		}
-		parts := strings.Split(s, sepV.ToString())
+		sep := sepV.ToString()
+		if strings.Count(s, sep) >= maxArrayLen {
+			return Undefined(), it.ThrowError("RangeError", "invalid array length")
+		}
+		parts := strings.Split(s, sep)
 		vals := make([]Value, len(parts))
 		for i, p := range parts {
 			vals[i] = String(p)
@@ -480,10 +502,18 @@ func installString(it *Interp) {
 		return ObjectValue(it.NewArrayP(vals...)), nil
 	})
 	def("replace", func(it *Interp, s string, args []Value) (Value, error) {
-		return String(strings.Replace(s, arg(args, 0).ToString(), arg(args, 1).ToString(), 1)), nil
+		repl := arg(args, 1).ToString()
+		if err := it.checkStrLen(len(s) + len(repl)); err != nil {
+			return Undefined(), err
+		}
+		return String(strings.Replace(s, arg(args, 0).ToString(), repl, 1)), nil
 	})
 	def("replaceAll", func(it *Interp, s string, args []Value) (Value, error) {
-		return String(strings.ReplaceAll(s, arg(args, 0).ToString(), arg(args, 1).ToString())), nil
+		old, repl := arg(args, 0).ToString(), arg(args, 1).ToString()
+		if err := it.checkStrLen(len(s) + strings.Count(s, old)*len(repl)); err != nil {
+			return Undefined(), err
+		}
+		return String(strings.ReplaceAll(s, old, repl)), nil
 	})
 	def("toLowerCase", func(it *Interp, s string, args []Value) (Value, error) {
 		return String(strings.ToLower(s)), nil
@@ -513,6 +543,9 @@ func installString(it *Interp) {
 		b.WriteString(s)
 		for _, a := range args {
 			b.WriteString(a.ToString())
+			if err := it.checkStrLen(b.Len()); err != nil {
+				return Undefined(), err
+			}
 		}
 		return String(b.String()), nil
 	})
@@ -520,6 +553,9 @@ func installString(it *Interp) {
 		n := int(arg(args, 0).ToNumber())
 		if n < 0 || n > 1<<20 {
 			return Undefined(), it.ThrowError("RangeError", "invalid repeat count")
+		}
+		if err := it.checkStrLen(len(s) * n); err != nil {
+			return Undefined(), err
 		}
 		return String(strings.Repeat(s, n)), nil
 	})
@@ -744,22 +780,11 @@ func installGlobalsMisc(it *Interp) {
 		if it.EvalHook != nil {
 			it.EvalHook(src.Str)
 		}
-		// indirect-eval semantics: run at global scope
+		// indirect-eval semantics: run at global scope, sharing the
+		// caller's step budget
 		frame := it.pushFrame(Frame{FnName: "eval", Script: "eval", Line: 1})
 		defer it.popFrame()
-		it.hoist(prog.Body, it.root)
-		var last Value
-		for _, st := range prog.Body {
-			v, err := it.evalStmt(st, it.root, frame)
-			if err != nil {
-				if rs, ok := err.(*returnSignal); ok {
-					return rs.val, nil
-				}
-				return Undefined(), err
-			}
-			last = v
-		}
-		return last, nil
+		return it.runToplevel(Compile(prog).compiled, frame)
 	})))
 
 	// console.log collecting into it.ConsoleLog (the host may replace it).

@@ -1,14 +1,15 @@
 package minjs
 
+import "fmt"
+
 // This file lowers minjs ASTs to the flat bytecode executed by vm.go. The
-// contract with the tree-walker in eval.go is strict observational parity:
-// identical values, identical error strings, identical step and alloc
-// counts, identical PropAccessHook sequences and identical stack traces.
-// Each opcode below therefore maps to a specific slice of the tree-walker's
-// behaviour, including its quirks (switch bodies never hoist function
-// declarations, `delete x` does not evaluate x, and so on). If you change
-// eval.go, change the corresponding opcode handler — the differential tests
-// in vm_test.go will hold you to it.
+// engine's observable behaviour — values, error strings, step and alloc
+// counts, PropAccessHook sequences and stack traces — is frozen in
+// testdata/engine.golden.json, recorded from the reference tree-walking
+// interpreter this VM replaced. Each opcode below maps to a specific slice
+// of that behaviour, including its quirks (switch bodies never hoist
+// function declarations, `delete x` does not evaluate x, and so on); any
+// change that moves a golden channel is a semantics change.
 
 // Op is a bytecode opcode.
 type Op uint8
@@ -142,35 +143,15 @@ type Code struct {
 	poolScope bool
 }
 
-// bailout aborts compilation from deep inside the emitter when an AST shape
-// the compiler does not understand appears; Compile recovers it and leaves
-// the program uncompiled (the tree-walker remains correct for everything).
-type bailout struct{ n Node }
-
-// Compile lowers prog and every function literal it contains to bytecode.
-// It is idempotent, must not race with execution of the same Program, and
-// never fails: unsupported ASTs simply stay tree-walked.
+// Compile lowers prog and every function literal it contains to bytecode
+// and returns prog. It is idempotent and must not race with execution of
+// the same Program. The compiler is total on parser output; an AST shape
+// it does not know is an internal error and panics.
 func Compile(prog *Program) *Program {
 	if prog.compiled != nil {
 		return prog
 	}
 	pc := &progCompiler{atoms: newAtomTable()}
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(bailout); ok {
-				// leave every Code unset: partial compilation of nested
-				// literals is harmless (their codes are discarded with the
-				// program flag unset) — but wipe them so the mixed state
-				// cannot dispatch half-compiled.
-				for _, lit := range pc.lits {
-					lit.compiled = nil
-				}
-				return
-			}
-			panic(r)
-		}
-		prog.compiled = pc.finish()
-	}()
 	c := &Code{}
 	cp := &compiler{p: pc, c: c}
 	cp.hoistOps(prog.Body)
@@ -179,20 +160,15 @@ func Compile(prog *Program) *Program {
 	}
 	pc.codes = append(pc.codes, c)
 	pc.top = c
+	prog.compiled = pc.finish()
 	return prog
 }
-
-// MustCompile is Compile; the name documents call sites that rely on the
-// program actually being compiled (Compile never errors, it only bails out
-// to tree-walking on unsupported input).
-func MustCompile(prog *Program) *Program { return Compile(prog) }
 
 // progCompiler holds per-program compilation state shared by all function
 // bodies: the interned atom table and the list of produced Codes.
 type progCompiler struct {
 	atoms *atomTable
 	codes []*Code
-	lits  []*FuncLit
 	top   *Code
 }
 
@@ -218,7 +194,6 @@ func (p *progCompiler) compileFn(lit *FuncLit) {
 		cp.stmt(st, false)
 	}
 	p.codes = append(p.codes, c)
-	p.lits = append(p.lits, lit)
 	lit.compiled = c
 }
 
@@ -285,11 +260,10 @@ func (cp *compiler) fnIndex(lit *FuncLit) int32 {
 	return int32(len(cp.c.fns) - 1)
 }
 
-// hoistOps emits the function-declaration hoisting preamble mirroring
-// Interp.hoist: one closure + declare per FuncDecl, in source order. Only
-// program bodies, function bodies and scoped blocks hoist — switch case
-// bodies deliberately do not (the tree-walker never hoists them, so a
-// FuncDecl there is dead code; bug-compat demands we keep it that way).
+// hoistOps emits the function-declaration hoisting preamble: one closure +
+// declare per FuncDecl, in source order. Only program bodies, function
+// bodies and scoped blocks hoist — switch case bodies deliberately do not
+// (a FuncDecl there is dead code; a frozen quirk).
 func (cp *compiler) hoistOps(body []Node) {
 	for _, st := range body {
 		if fd, ok := st.(*FuncDecl); ok {
@@ -304,8 +278,8 @@ func (cp *compiler) hoistOps(body []Node) {
 // ---- statement compilation ----
 
 // stmt compiles one statement. wantLast is true only for program-toplevel
-// statement positions, where the tree-walker tracks the completion value
-// returned by RunProgram; everywhere else statement values are discarded.
+// statement positions, which track the completion value returned by
+// RunProgram and eval; everywhere else statement values are discarded.
 func (cp *compiler) stmt(n Node, wantLast bool) {
 	line := int32(n.nodeLine())
 	switch st := n.(type) {
@@ -424,9 +398,8 @@ func (cp *compiler) stmt(n Node, wantLast bool) {
 
 	case *ForStmt:
 		cp.emit(opStmt, line, 0)
-		// The tree-walker always allocates the for scope; the VM elides it
-		// when nothing can ever declare into it (an empty scope is invisible
-		// to lookups, so this is unobservable).
+		// The for scope is elided when nothing can ever declare into it (an
+		// empty scope is invisible to lookups, so this is unobservable).
 		needScope := (st.Init != nil && declaresInto(st.Init)) || declaresInto(st.Body)
 		if needScope {
 			pool := boolToI32(!hasFuncNode(st.Init) && !hasFuncNode(st.Cond) &&
@@ -665,7 +638,7 @@ func (cp *compiler) stmt(n Node, wantLast bool) {
 		}
 
 	default:
-		panic(bailout{n})
+		unsupported(n)
 	}
 }
 
@@ -745,7 +718,7 @@ func (cp *compiler) expr(n Node) {
 		cp.expr(x.R)
 		code, ok := binOpCodes[x.Op]
 		if !ok {
-			panic(bailout{n})
+			unsupported(n)
 		}
 		cp.emit(opBinary, code, 0)
 		cp.pop(1)
@@ -762,7 +735,7 @@ func (cp *compiler) expr(n Node) {
 		case "??":
 			jop = opNullishJump
 		default:
-			panic(bailout{n})
+			unsupported(n)
 		}
 		j := cp.emit(jop, -1, 0)
 		cp.pop(1)
@@ -791,7 +764,7 @@ func (cp *compiler) expr(n Node) {
 			cp.expr(x.Val)
 			code, ok := binOpCodes[x.Op[:len(x.Op)-1]]
 			if !ok {
-				panic(bailout{n})
+				unsupported(n)
 			}
 			cp.emit(opBinary, code, 0)
 			cp.pop(1)
@@ -858,7 +831,7 @@ func (cp *compiler) expr(n Node) {
 		cp.push(1)
 
 	default:
-		panic(bailout{n})
+		unsupported(n)
 	}
 }
 
@@ -887,7 +860,7 @@ func (cp *compiler) unary(x *UnaryExpr) {
 		cp.emit(opStep, 0, 0)
 		m, ok := x.X.(*MemberExpr)
 		if !ok {
-			// `delete x` yields true without evaluating x (tree-walker quirk)
+			// `delete x` yields true without evaluating x (frozen quirk)
 			cp.emit(opConst, cp.konst(Boolean(true)), 0)
 			cp.push(1)
 			return
@@ -928,7 +901,7 @@ func (cp *compiler) unary(x *UnaryExpr) {
 		cp.expr(x.X)
 		cp.emit(opUnary, unBitNot, 0)
 	default:
-		panic(bailout{x})
+		unsupported(x)
 	}
 }
 
@@ -1039,6 +1012,12 @@ func anyHasFunc(body []Node) bool {
 		}
 	}
 	return false
+}
+
+// unsupported reports an AST shape the compiler does not know. The parser
+// never builds one, so reaching this is an internal error.
+func unsupported(n Node) {
+	panic(fmt.Sprintf("minjs: compile: unsupported node %T", n))
 }
 
 func boolToI32(b bool) int32 {

@@ -59,13 +59,11 @@ type InterruptError struct{ Reason string }
 
 func (e *InterruptError) Error() string { return "script interrupted: " + e.Reason }
 
-// control-flow signals (never escape RunProgram/CallFunction).
+// errBreak/errContinue surface when a break or continue appears outside any
+// loop or switch: the statement leaks out of RunProgram/CallFunction as an
+// error (a frozen quirk, pinned by the engine golden).
 var errBreak = errors.New("minjs: break")
 var errContinue = errors.New("minjs: continue")
-
-type returnSignal struct{ val Value }
-
-func (*returnSignal) Error() string { return "minjs: return" }
 
 // Protos holds the intrinsic prototype objects of a realm.
 type Protos struct {
@@ -84,8 +82,8 @@ type Interp struct {
 	Global *Object
 	Protos Protos
 
-	// StepLimit bounds the number of AST nodes evaluated per RunProgram /
-	// host CallFunction entry; 0 means the default of 5 million.
+	// StepLimit bounds the number of AST nodes evaluated per RunProgram
+	// entry; 0 means the default of 5 million.
 	StepLimit int64
 
 	// PropAccessHook, when set, observes every successful property read on
@@ -98,10 +96,6 @@ type Interp struct {
 
 	// ConsoleLog collects console.log/warn/error output.
 	ConsoleLog []string
-
-	// NoVM forces tree-walking evaluation even for compiled programs —
-	// the `-vm=off` escape hatch used by the differential parity tests.
-	NoVM bool
 
 	stack    []Frame // preallocated; never reallocates (maxDepth bound)
 	steps    int64
@@ -302,59 +296,26 @@ func (it *Interp) CurrentScript() string {
 	return ""
 }
 
-func (it *Interp) step() error {
-	it.steps++
-	limit := it.StepLimit
-	if limit == 0 {
-		limit = 5_000_000
-	}
-	if it.steps > limit {
-		return &InterruptError{Reason: "step limit exceeded"}
-	}
-	return nil
-}
-
-// RunProgram executes a parsed program at the top level of the realm.
-// It resets the step counter, so each program gets a fresh budget.
+// RunProgram executes a program at the top level of the realm. It resets
+// the step counter, so each program gets a fresh budget. A program that was
+// not compiled yet is compiled first; programs shared between goroutines
+// must be compiled before they are shared (see Compile).
 func (it *Interp) RunProgram(prog *Program) (Value, error) {
-	if prog.compiled != nil && !it.NoVM {
-		return it.runProgramVM(prog)
-	}
+	c := Compile(prog).compiled
 	it.steps = 0
 	frame := it.pushFrame(Frame{FnName: "<toplevel>", Script: prog.Name, Line: 1})
-	defer it.popFrame()
-	it.hoist(prog.Body, it.root)
-	var last Value
-	for _, st := range prog.Body {
-		v, err := it.evalStmt(st, it.root, frame)
-		if err != nil {
-			if rs, ok := err.(*returnSignal); ok {
-				return rs.val, nil
-			}
-			return Undefined(), err
-		}
-		last = v
-	}
-	return last, nil
+	v, err := it.runToplevel(c, frame)
+	it.popFrame()
+	return v, err
 }
 
-// RunScript parses and executes src.
+// RunScript parses, compiles and executes src.
 func (it *Interp) RunScript(src, name string) (Value, error) {
 	prog, err := Parse(src, name)
 	if err != nil {
 		return Undefined(), err
 	}
 	return it.RunProgram(prog)
-}
-
-// hoist pre-declares function declarations in a statement list.
-func (it *Interp) hoist(body []Node, sc *Scope) {
-	for _, st := range body {
-		if fd, ok := st.(*FuncDecl); ok {
-			fn := it.makeFunction(fd.Fn, sc)
-			sc.declare(fd.Fn.Name, ObjectValue(fn))
-		}
-	}
 }
 
 // makeFunction instantiates a function object closing over sc. The "name",
@@ -423,35 +384,7 @@ func (it *Interp) CallFunction(fn *Object, this Value, args []Value) (Value, err
 	if lit.Arrow || fd.HasThisVal {
 		this = fd.ThisVal
 	}
-	if lit.compiled != nil && !it.NoVM {
-		return it.callCompiled(lit, fn, this, args)
-	}
-	sc := it.newScopeIn(fd.Env, len(lit.Params)+2)
-	for i, p := range lit.Params {
-		if i < len(args) {
-			sc.declare(p, args[i])
-		} else {
-			sc.declare(p, Undefined())
-		}
-	}
-	if lit.UsesArguments {
-		sc.declare("arguments", ObjectValue(it.NewArrayP(args...)))
-	}
-	frame := it.pushFrame(Frame{FnName: lit.Name, Script: lit.Script, Line: lit.Line})
-	defer it.popFrame()
-	it.hoist(lit.Body, sc)
-	savedThis := it.curThis
-	it.curThis = this
-	defer func() { it.curThis = savedThis }()
-	for _, st := range lit.Body {
-		if _, err := it.evalStmt(st, sc, frame); err != nil {
-			if rs, ok := err.(*returnSignal); ok {
-				return rs.val, nil
-			}
-			return Undefined(), err
-		}
-	}
-	return Undefined(), nil
+	return it.callCompiled(lit, fn, this, args)
 }
 
 // Construct implements `new fn(args)`.
@@ -473,6 +406,3 @@ func (it *Interp) Construct(fn *Object, args []Value) (Value, error) {
 	}
 	return ObjectValue(obj), nil
 }
-
-// curThis tracks the dynamic this for non-arrow script functions.
-// (Field kept on Interp because evaluation is single-threaded per realm.)

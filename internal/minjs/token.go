@@ -5,9 +5,10 @@
 // getters and setters, prototype chains, closures, Function.prototype.toString,
 // for…in enumeration, try/catch with Error stack traces, eval, and a host
 // function bridge through which a browser object model (package jsdom) is
-// exposed. It is a tree-walking interpreter: scripts are parsed into an AST
-// once (ASTs are safe for reuse across interpreter instances) and evaluated
-// against a Realm holding the global object.
+// exposed. Scripts are parsed into an AST, compiled once to bytecode (a
+// compiled Program is immutable and safe to share across interpreter
+// instances) and executed by a stack VM against a realm holding the global
+// object.
 package minjs
 
 import "fmt"

@@ -152,30 +152,62 @@ func (v Value) ToString() string {
 		if o.fnd != nil && (o.fnd.Fn != nil || o.fnd.Native != nil) {
 			return o.FunctionSource()
 		}
-		switch o.Class {
-		case "Array":
-			parts := make([]string, len(o.Elems))
-			for i, e := range o.Elems {
-				if !e.IsNullish() {
-					parts[i] = e.ToString()
-				}
-			}
-			return strings.Join(parts, ",")
-		case "Error":
-			name := "Error"
-			if n, ok := o.lookupOwn("name"); ok && n.Value.Kind == KindString {
-				name = n.Value.Str
-			}
-			msg := ""
-			if m, ok := o.lookupOwn("message"); ok {
-				msg = m.Value.ToString()
-			}
-			if msg == "" {
-				return name
-			}
-			return name + ": " + msg
+		if isComposite(o) {
+			var b strings.Builder
+			writeComposite(&b, o, nil)
+			return b.String()
 		}
 		return "[object " + o.Class + "]"
+	}
+}
+
+func isComposite(o *Object) bool { return o.Class == "Array" || o.Class == "Error" }
+
+// writeComposite renders an array (elements joined with commas) or an Error
+// ("name: message") into b. Like real engines it renders a reference back
+// into the object being rendered as the empty string, and it stops once b
+// passes maxStringLen, so neither a cycle nor a self-similar nesting can
+// exhaust the stack or memory.
+func writeComposite(b *strings.Builder, o *Object, stack []*Object) {
+	for _, s := range stack {
+		if s == o {
+			return
+		}
+	}
+	stack = append(stack, o)
+	part := func(b *strings.Builder, v Value) {
+		if v.Kind == KindObject && v.Obj != nil && !v.IsFunction() && isComposite(v.Obj) {
+			writeComposite(b, v.Obj, stack)
+		} else {
+			b.WriteString(v.ToString())
+		}
+	}
+	if o.Class == "Array" {
+		for i, e := range o.Elems {
+			if b.Len() > maxStringLen {
+				return
+			}
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			if !e.IsNullish() {
+				part(b, e)
+			}
+		}
+		return
+	}
+	name := "Error"
+	if n, ok := o.lookupOwn("name"); ok && n.Value.Kind == KindString {
+		name = n.Value.Str
+	}
+	var msg strings.Builder
+	if m, ok := o.lookupOwn("message"); ok {
+		part(&msg, m.Value)
+	}
+	b.WriteString(name)
+	if msg.Len() > 0 {
+		b.WriteString(": ")
+		b.WriteString(msg.String())
 	}
 }
 

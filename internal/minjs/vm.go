@@ -5,8 +5,7 @@ import "math"
 // Completion signals threaded between exec levels. Loops compiled as jumps
 // handle break/continue locally; where a construct's body runs in a
 // recursive exec call (try, for-in, switch), break/continue surface as
-// signals and the construct's handler routes or propagates them — the
-// bytecode equivalent of the tree-walker's errBreak/errContinue sentinels.
+// signals and the construct's handler routes or propagates them.
 const (
 	sigNone byte = iota
 	sigBreak
@@ -14,21 +13,17 @@ const (
 	sigReturn
 )
 
-// runProgramVM executes a compiled program's toplevel code. Behaviour is
-// bit-identical to the tree-walking RunProgram: same step accounting, same
-// completion value, and the same quirk that a stray toplevel break leaks
-// errBreak to the host.
-func (it *Interp) runProgramVM(prog *Program) (Value, error) {
-	c := prog.compiled
-	it.steps = 0
-	frame := it.pushFrame(Frame{FnName: "<toplevel>", Script: prog.Name, Line: 1})
-	savedLast := it.lastVal // reentrant: timers/events can nest program runs
+// runToplevel executes a compiled program's toplevel code at global scope
+// under frame, returning the program's completion value. It does not touch
+// the step counter: RunProgram resets it, eval deliberately does not. A
+// stray toplevel break/continue leaks errBreak/errContinue to the caller.
+func (it *Interp) runToplevel(c *Code, frame *Frame) (Value, error) {
+	savedLast := it.lastVal // reentrant: eval, timers and events nest runs
 	it.lastVal = Undefined()
 	it.ensureStack(int(c.maxStack))
 	rv, sig, err := it.exec(c, 0, int32(len(c.ins)), it.root, frame)
 	last := it.lastVal
 	it.lastVal = savedLast
-	it.popFrame()
 	if err != nil {
 		return Undefined(), err
 	}
@@ -80,7 +75,7 @@ func (it *Interp) callCompiled(lit *FuncLit, fn *Object, this Value, args []Valu
 	case sigReturn:
 		return rv, nil
 	case sigBreak:
-		// bug-compat with the tree-walker: break outside a loop leaks
+		// a break outside any loop leaks (frozen quirk)
 		return Undefined(), errBreak
 	case sigContinue:
 		return Undefined(), errContinue
@@ -394,7 +389,7 @@ run:
 			}
 			it.vsp = sp
 			// lookup failures (including interrupts raised by accessor
-			// globals) yield "undefined", exactly like the tree-walker
+			// globals) yield "undefined"
 			if v, err := it.lookupIdent(c.atoms[in.a], sc); err == nil {
 				it.vs[sp] = String(v.TypeOf())
 			} else {
@@ -518,8 +513,9 @@ run:
 				idx := int(f)
 				if float64(idx) == f && idx >= 0 && !(f == 0 && math.Signbit(f)) {
 					o := objV.Obj
-					for len(o.Elems) <= idx {
-						o.Elems = append(o.Elems, Undefined())
+					if err := it.growElems(o, idx+1); err != nil {
+						rerr = err
+						break run
 					}
 					o.Elems[idx] = val
 					continue
@@ -826,8 +822,8 @@ func (it *Interp) execValue(c *Code, lo, hi int32, sc *Scope, frame *Frame) (Val
 	return it.vs[at], nil
 }
 
-// execTry mirrors the tree-walker's TryStmt evaluation: catch handles only
-// *Throw, and any abnormal finally completion overrides the pending one.
+// execTry runs a try statement: catch handles only *Throw, and any abnormal
+// finally completion overrides the pending one.
 func (it *Interp) execTry(c *Code, aux *tryAux, sc *Scope, frame *Frame) (Value, byte, error) {
 	rv, rsig, rerr := it.exec(c, aux.body[0], aux.body[1], sc, frame)
 	if thr, ok := rerr.(*Throw); ok && aux.catch[0] >= 0 {
@@ -855,10 +851,10 @@ func (it *Interp) execTry(c *Code, aux *tryAux, sc *Scope, frame *Frame) (Value,
 	return rv, rsig, nil
 }
 
-// execForIn mirrors the tree-walker's ForInStmt evaluation, including its
-// quirks: assignment to an existing global swallows setter errors, for-of
-// array iteration snapshots the element slice header, and primitives other
-// than strings iterate nothing.
+// execForIn runs a for-in/for-of loop, including its frozen quirks:
+// assignment to an existing global swallows setter errors, for-of array
+// iteration snapshots the element slice header, and primitives other than
+// strings iterate nothing.
 func (it *Interp) execForIn(c *Code, aux *forInAux, objV Value, sc *Scope, frame *Frame) (Value, byte, error) {
 	var inner *Scope
 	if aux.pool {
@@ -943,10 +939,10 @@ func (it *Interp) execForIn(c *Code, aux *forInAux, objV Value, sc *Scope, frame
 	return done(Undefined(), sigNone, nil)
 }
 
-// execSwitch mirrors the tree-walker's SwitchStmt evaluation: strict-equals
-// matching in source order, fallthrough across case bodies with the default
-// interleaved at its source position, break consumed, and — bug-compat —
-// no hoisting of function declarations in case bodies.
+// execSwitch runs a switch statement: strict-equals matching in source
+// order, fallthrough across case bodies with the default interleaved at its
+// source position, break consumed, and — a frozen quirk — no hoisting of
+// function declarations in case bodies.
 func (it *Interp) execSwitch(c *Code, aux *switchAux, tag Value, sc *Scope, frame *Frame) (Value, byte, error) {
 	inner := sc
 	if !aux.elide {

@@ -197,7 +197,7 @@ const vanillaInstrumentJS = `(function () {
 
 // vanillaProgram is parsed and bytecode-compiled once at init; every realm
 // of every visit reuses the same immutable compiled program.
-var vanillaProgram = minjs.MustCompile(minjs.MustParse(vanillaInstrumentJS, InstrumentScriptName))
+var vanillaProgram = minjs.Compile(minjs.MustParse(vanillaInstrumentJS, InstrumentScriptName))
 
 // Instrumentor is a pluggable JS instrumentation strategy; the vanilla
 // JSInstrument and stealth's hardened instrument both implement it.

@@ -97,11 +97,6 @@ type CrawlConfig struct {
 	// the content table (internal/analysis provides TamperRecorder).
 	Tamper TamperFunc
 
-	// DisableVM runs page scripts on the minjs tree-walking interpreter
-	// instead of the bytecode VM. Artifacts are byte-identical either way;
-	// this is the escape hatch and the differential-crawl control.
-	DisableVM bool
-
 	// --- observability ---------------------------------------------------
 
 	// Telemetry, when non-nil, instruments the whole pipeline: crawl/visit
@@ -298,7 +293,6 @@ func HoneyNames(seed string, n int) []string {
 // default OpenWPM crawl is stateless across sites).
 func (tm *TaskManager) NewBrowser() *browser.Browser {
 	cfg := jsdom.StandardConfig(tm.Cfg.OS, tm.Cfg.Mode, tm.firefoxVersion(), tm.browserNo)
-	cfg.DisableVM = tm.Cfg.DisableVM
 	tm.browserNo++
 	b := browser.New(browser.Options{
 		Config:          cfg,

@@ -27,8 +27,7 @@ func benchCall(i int) openwpm.JSCall {
 // BenchmarkBackendAppend measures records/sec through each storage backend:
 // the in-memory no-op baseline, and the WAL at each fsync policy (real files,
 // real fsync — the checkpoint variant commits every 50 records the way a
-// crawl checkpoints every site). scripts/bench_wal.sh renders the results
-// into BENCH_wal.json.
+// crawl checkpoints every site).
 func BenchmarkBackendAppend(b *testing.B) {
 	run := func(b *testing.B, make func(b *testing.B) openwpm.Backend) {
 		for i := 0; i < b.N; i++ {

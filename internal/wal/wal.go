@@ -48,7 +48,7 @@ const (
 	// power loss can lose everything since the last rotation.
 	SyncOff
 	// SyncAlways fsyncs after every record — maximum durability, maximum
-	// cost (BENCH_wal.json tracks the gap).
+	// cost (BenchmarkBackendAppend measures the gap).
 	SyncAlways
 )
 
