@@ -81,20 +81,16 @@ func cmdRecord(args []string) error {
 	meta := map[string]string{
 		"tool": "wpmbundle", "worldSeed": fmt.Sprint(*seed), "faults": *faultMode,
 	}
-	switch *faultMode {
-	case "off":
-	case "default", "heavy":
-		p := faults.DefaultProfile()
-		if *faultMode == "heavy" {
-			p = faults.HeavyProfile()
-		}
-		inj := faults.NewInjector(*faultSeed, p, world)
+	p, err := faults.ProfileNamed(*faultMode)
+	if err != nil {
+		return err
+	}
+	if p != nil {
+		inj := faults.NewInjector(*faultSeed, *p, world)
 		inj.RankOf = func(u string) int { return websim.RankOf(httpsim.Host(u)) }
 		cfg.Transport = inj
 		cfg = cfg.Hardened()
 		meta["faultSeed"] = fmt.Sprint(*faultSeed)
-	default:
-		return fmt.Errorf("unknown -faults mode %q (want off|default|heavy)", *faultMode)
 	}
 
 	b, rep, _, err := bundle.RecordCrawl(cfg, websim.Tranco(*sites), meta)

@@ -134,16 +134,8 @@ func main() {
 		opts.ReplayBundle = b
 		opts.MissPolicy = policy
 	}
-	switch *faultMode {
-	case "off":
-	case "default":
-		p := faults.DefaultProfile()
-		opts.FaultProfile = &p
-	case "heavy":
-		p := faults.HeavyProfile()
-		opts.FaultProfile = &p
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -faults mode %q (want off|default|heavy)\n", *faultMode)
+	if opts.FaultProfile, err = faults.ProfileNamed(*faultMode); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -193,7 +185,7 @@ func main() {
 	world := websim.New(websim.Options{Seed: *seed, NumSites: *sites})
 	start := time.Now()
 	fmt.Fprintf(os.Stderr, "scanning %d sites (subpages ≤ %d, faults %s)...\n", *sites, *subpages, *faultMode)
-	r, err := experiments.RunScanObserved(world, *sites, opts, experiments.ProgressFunc(func(done, total int) {
+	r, err := experiments.RunScanObserved(world, *sites, opts, func(done, total int) {
 		if tel.Enabled() {
 			// Live progress straight from the registry: the same counters the
 			// snapshot will report, read mid-crawl.
@@ -206,7 +198,7 @@ func main() {
 			return
 		}
 		fmt.Fprintf(os.Stderr, "  %d/%d sites (%.0fs elapsed)\n", done, total, time.Since(start).Seconds())
-	}))
+	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "scan: %v\n", err)
 		os.Exit(1)

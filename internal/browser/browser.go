@@ -127,7 +127,6 @@ type Browser struct {
 	timerSeq     int
 
 	csp        CSP
-	visitURL   string
 	finalURL   string
 	links      []string
 	cspReports int
@@ -177,7 +176,6 @@ func (b *Browser) Now() float64 { return b.clockMS }
 // Visit loads url, executes the page, idles for the configured dwell time,
 // and returns a summary. The cookie jar and clock persist across visits.
 func (b *Browser) Visit(url string) (*VisitResult, error) {
-	b.visitURL = url
 	b.finalURL = url
 	b.links = nil
 	b.cspReports = 0
@@ -262,7 +260,7 @@ func (b *Browser) fetch(url string, rtype httpsim.ResourceType, method, body str
 	}
 	if b.budgetExhausted() {
 		b.abortErr = ErrVisitBudget
-		b.noteWatchdogFire(url)
+		b.mWatchdogFires.Inc()
 		return nil, ErrVisitBudget
 	}
 	var span int64
@@ -309,7 +307,7 @@ func (b *Browser) fetch(url string, rtype httpsim.ResourceType, method, body str
 		if b.budgetExhausted() {
 			// the response arrived only after the watchdog gave up
 			b.abortErr = ErrVisitBudget
-			b.noteWatchdogFire(url)
+			b.mWatchdogFires.Inc()
 			if span != 0 {
 				b.tel.End(span, "http-exchange", b.clockMS, telemetry.L("status", "watchdog"))
 			}
@@ -333,15 +331,6 @@ func (b *Browser) fetch(url string, rtype httpsim.ResourceType, method, body str
 		b.tel.End(span, "http-exchange", b.clockMS, telemetry.L("status", fmt.Sprint(resp.Status)))
 	}
 	return resp, nil
-}
-
-// noteWatchdogFire records the visit watchdog aborting the current visit.
-func (b *Browser) noteWatchdogFire(url string) {
-	b.mWatchdogFires.Inc()
-	if b.tel.Enabled() {
-		b.tel.Event(telemetry.LevelWarn, "watchdog-fire", b.clockMS,
-			telemetry.L("url", url), telemetry.L("visit", b.visitURL))
-	}
 }
 
 // chargeSeconds advances the virtual clock by server latency, clamped so a

@@ -2,10 +2,12 @@ package bundle
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"gullible/internal/openwpm"
 	"gullible/internal/telemetry"
+	"gullible/internal/trace"
 )
 
 // traceBytes renders a flight recording in the -trace wire format for
@@ -75,8 +77,8 @@ func TestReplayReproducesTelemetry(t *testing.T) {
 		}
 	}
 
-	// Per-visit extraction: the first visit span's subtree must be present
-	// and identical on both sides.
+	// Per-visit extraction: the first visit span's subtree, rebuilt by the
+	// trace package, must be present and identical on both sides.
 	var visitSpan int64
 	for _, ev := range telLive.Spans.Events() {
 		if ev.Kind == "B" && ev.Name == "visit" {
@@ -87,19 +89,13 @@ func TestReplayReproducesTelemetry(t *testing.T) {
 	if visitSpan == 0 {
 		t.Fatal("no visit span recorded")
 	}
-	liveVisit, replayVisit := telLive.Spans.Trace(visitSpan), telReplay.Spans.Trace(visitSpan)
-	if len(liveVisit) == 0 {
-		t.Fatal("visit trace extraction returned nothing")
+	liveVisit := trace.Build(telLive.Spans.Events()).ByID[visitSpan]
+	replayVisit := trace.Build(telReplay.Spans.Events()).ByID[visitSpan]
+	if liveVisit == nil || replayVisit == nil {
+		t.Fatal("visit span missing from a rebuilt span tree")
 	}
-	var lb, rb bytes.Buffer
-	if err := telemetry.WriteTrace(&lb, liveVisit); err != nil {
-		t.Fatal(err)
-	}
-	if err := telemetry.WriteTrace(&rb, replayVisit); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(lb.Bytes(), rb.Bytes()) {
-		t.Fatal("per-visit traces diverged between record and replay")
+	if !reflect.DeepEqual(liveVisit, replayVisit) {
+		t.Fatal("per-visit span trees diverged between record and replay")
 	}
 }
 

@@ -551,19 +551,6 @@ func (d *Daemon) execute(j *Job) (artifact []byte, meta ArtifactMeta, interrupte
 	return artifact, meta, false, err
 }
 
-// faultProfile resolves a canonical spec's fault profile.
-func faultProfile(name string) *faults.Profile {
-	switch name {
-	case "default":
-		p := faults.DefaultProfile()
-		return &p
-	case "heavy":
-		p := faults.HeavyProfile()
-		return &p
-	}
-	return nil
-}
-
 // bundleMeta labels a job's recorded bundle. Deterministic content only —
 // derived from the canonical spec, so an interrupted-and-recovered run seals
 // the same manifest as a cold one.
@@ -586,6 +573,10 @@ func (d *Daemon) executeCrawl(j *Job) ([]byte, ArtifactMeta, bool, error) {
 	jdir := filepath.Join(d.cfg.Dir, "jobs", j.Addr)
 	walOpts := wal.Options{Sync: d.cfg.Fsync, Telemetry: d.tel}
 	meta := bundleMeta(j)
+	profile, err := faults.ProfileNamed(spec.Faults)
+	if err != nil {
+		return nil, ArtifactMeta{}, false, err
+	}
 
 	opts := experiments.ScanOptions{
 		Sites:           spec.Sites,
@@ -593,7 +584,7 @@ func (d *Daemon) executeCrawl(j *Job) ([]byte, ArtifactMeta, bool, error) {
 		Workers:         d.cfg.CrawlWorkers,
 		MaxVisitSeconds: spec.MaxVisitSeconds,
 		FaultSeed:       spec.FaultSeed,
-		FaultProfile:    faultProfile(spec.Faults),
+		FaultProfile:    profile,
 		RecordBundle:    true,
 		BundleMeta:      meta,
 		Telemetry:       d.tel,
@@ -629,18 +620,19 @@ func (d *Daemon) executeCrawl(j *Job) ([]byte, ArtifactMeta, bool, error) {
 	}
 
 	world := websim.New(websim.Options{Seed: spec.Seed, NumSites: spec.NumSites})
-	r, err := experiments.RunScanObserved(world, spec.NumSites, opts,
-		experiments.ProgressFunc(func(done, total int) {
-			j.events.publish(JobEvent{Type: "progress", Done: done, Total: total})
-		}))
+	r, err := experiments.RunScanObserved(world, spec.NumSites, opts, func(done, total int) {
+		j.events.publish(JobEvent{Type: "progress", Done: done, Total: total})
+	})
 	if err != nil {
 		return nil, ArtifactMeta{}, false, err
 	}
 	if r.Interrupted {
 		if r.Checkpoint != nil {
-			if cerr := r.Checkpoint.CloseBackends(); cerr != nil && d.tel.Enabled() {
-				d.tel.Event(telemetry.LevelWarn, "wpmd-seal-failed", 0,
-					telemetry.L("job", j.Addr), telemetry.L("error", cerr.Error()))
+			// the drained job still resumes from its checkpoint, so a log
+			// that fails to seal is counted rather than failing the job;
+			// the series exists only once a seal failed
+			if cerr := r.Checkpoint.CloseBackends(); cerr != nil {
+				d.tel.Counter("daemon_wal_seal_failures_total").Inc()
 			}
 		}
 		return nil, ArtifactMeta{}, true, nil
@@ -721,7 +713,6 @@ func (d *Daemon) executeReplay(j *Job) ([]byte, ArtifactMeta, error) {
 		rtel = &telemetry.Telemetry{
 			Metrics: d.tel.Metrics,
 			Spans:   telemetry.NewFlight(telemetry.DefaultFlightCapacity),
-			Logs:    d.tel.Logs,
 		}
 	}
 	rep, tm, _ := bundle.ReplayCrawl(src, policy, func(c *openwpm.CrawlConfig) {
@@ -768,11 +759,15 @@ func reportArtifact(kind string, doc any) ([]byte, ArtifactMeta, error) {
 // seals the per-visit divergence report.
 func (d *Daemon) executeDiff(j *Job) ([]byte, ArtifactMeta, error) {
 	spec := j.Spec
+	profile, err := faults.ProfileNamed(spec.Faults)
+	if err != nil {
+		return nil, ArtifactMeta{}, err
+	}
 	r, err := experiments.RunBundleDiff(spec.Seed, experiments.BundleDiffOptions{
 		NumSites:     spec.NumSites,
 		MaxSubpages:  spec.MaxSubpages,
 		Variant:      spec.Variant,
-		FaultProfile: faultProfile(spec.Faults),
+		FaultProfile: profile,
 		FaultSeed:    spec.FaultSeed,
 	})
 	if err != nil {

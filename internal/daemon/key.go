@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"strings"
 
+	"gullible/internal/faults"
 	"gullible/internal/websim"
 )
 
@@ -100,9 +101,6 @@ type JobSpec struct {
 	// re-execution. Replay and diff.
 	Variant string `json:"variant,omitempty"`
 }
-
-// validFaults are the accepted fault profile names.
-var validFaults = map[string]bool{"off": true, "default": true, "heavy": true}
 
 // validMiss are the accepted replay miss policies.
 var validMiss = map[string]bool{"fail": true, "passthrough": true, "synthesize-404": true}
@@ -200,8 +198,8 @@ func Canonicalize(s JobSpec) (JobSpec, error) {
 	if c.Faults == "" {
 		c.Faults = DefaultFaults
 	}
-	if !validFaults[c.Faults] {
-		return c, fmt.Errorf("daemon: unknown fault profile %q (want off, default or heavy)", s.Faults)
+	if _, err := faults.ProfileNamed(c.Faults); err != nil {
+		return c, fmt.Errorf("daemon: %w", err)
 	}
 	if c.Faults == "off" {
 		c.FaultSeed = 0 // unused seed must not split the cache

@@ -143,6 +143,13 @@ func TestCanonicalizeErrors(t *testing.T) {
 	}
 }
 
+func TestUnknownFaultProfileListsNames(t *testing.T) {
+	_, err := Canonicalize(JobSpec{Kind: KindCrawl, NumSites: 5, Faults: "catastrophic"})
+	if err == nil || !strings.Contains(err.Error(), "off, default or heavy") {
+		t.Fatalf("unknown fault profile error = %v; want it to list the valid names", err)
+	}
+}
+
 func TestDiffRejectsCustomSiteList(t *testing.T) {
 	sites := websim.Tranco(3)
 	// the exact ranked prefix is fine...

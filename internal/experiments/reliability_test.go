@@ -21,12 +21,16 @@ func TestFaultedScanAccountingAndDeterminism(t *testing.T) {
 	run := func() *ScanResult {
 		world := websim.New(websim.Options{Seed: 42, NumSites: sites})
 		p := faults.DefaultProfile()
-		return RunScanOpts(world, sites, ScanOptions{
+		r, err := RunScanObserved(world, sites, ScanOptions{
 			MaxSubpages:     0,
 			FaultProfile:    &p,
 			FaultSeed:       9,
 			MaxVisitSeconds: 90,
 		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
 	a := run()
 	rep := a.Report

@@ -14,24 +14,6 @@ import (
 	"gullible/internal/websim"
 )
 
-// ProgressObserver receives scan progress. The scan also keeps the
-// crawl_progress_done/crawl_progress_total gauges current when running with
-// telemetry, so registry consumers see progress without a callback.
-type ProgressObserver interface {
-	OnProgress(done, total int)
-}
-
-// ProgressFunc adapts the legacy progress callback signature to
-// ProgressObserver; a nil func observes nothing.
-type ProgressFunc func(done, total int)
-
-// OnProgress implements ProgressObserver.
-func (f ProgressFunc) OnProgress(done, total int) {
-	if f != nil {
-		f(done, total)
-	}
-}
-
 // ScanResult carries the Sec. 4 scan of the synthetic Tranco list plus the
 // derived per-site classifications used by Tables 5–7 and 11–12 and
 // Figures 3–5.
@@ -177,17 +159,11 @@ type ScanOptions struct {
 // OpenWPM client (regular mode, JS+HTTP instruments, honey properties,
 // subpage crawling) and derives all detector classifications. Sites are
 // sharded across GOMAXPROCS parallel browsers — OpenWPM, too, runs multiple
-// browsers against the same measurement database.
+// browsers against the same measurement database. RunScan panics if the
+// scan fails; callers that need scan options or the error use
+// RunScanObserved.
 func RunScan(world *websim.World, numSites, maxSubpages int, progress func(done, total int)) *ScanResult {
-	return RunScanOpts(world, numSites, ScanOptions{MaxSubpages: maxSubpages}, progress)
-}
-
-// RunScanOpts is RunScan with fault injection and hardening options; the
-// legacy callback signature adapts onto RunScanObserved. Callers that record
-// bundles should use RunScanObserved directly — this wrapper has no error
-// path, so an archive-layer failure (bundle finalisation or merge) panics.
-func RunScanOpts(world *websim.World, numSites int, opts ScanOptions, progress func(done, total int)) *ScanResult {
-	r, err := RunScanObserved(world, numSites, opts, ProgressFunc(progress))
+	r, err := RunScanObserved(world, numSites, ScanOptions{MaxSubpages: maxSubpages}, progress)
 	if err != nil {
 		panic(err)
 	}
@@ -196,14 +172,14 @@ func RunScanOpts(world *websim.World, numSites int, opts ScanOptions, progress f
 
 // RunScanObserved is the primary scan entry point: the crawl is sharded
 // across opts.Workers parallel TaskManagers by the scheduler (contiguous
-// rank slices, merged back in shard order), progress flows through a
-// ProgressObserver — intermediate ticks every 1000 sites plus always a final
-// (total, total) event — and, when opts.Telemetry is set, through the
-// registry's progress gauges updated on every visit. Each worker gets its
-// own injector (same seed), recorder and replay cursor, so fault sequencing,
-// recording and replay all stay deterministic per shard; merged storage,
-// report and bundle bytes are identical at any worker count.
-func RunScanObserved(world *websim.World, numSites int, opts ScanOptions, obs ProgressObserver) (*ScanResult, error) {
+// rank slices, merged back in shard order). A non-nil progress callback gets
+// a tick every 1000 sites plus always a final (total, total) call; when
+// opts.Telemetry is set, the crawl_progress_done/crawl_progress_total gauges
+// also track every visit. Each worker gets its own injector (same seed),
+// recorder and replay cursor, so fault sequencing, recording and replay all
+// stay deterministic per shard; merged storage, report and bundle bytes are
+// identical at any worker count.
+func RunScanObserved(world *websim.World, numSites int, opts ScanOptions, progress func(done, total int)) (*ScanResult, error) {
 	urls := opts.Sites
 	if len(urls) == 0 {
 		urls = websim.Tranco(numSites)
@@ -219,6 +195,7 @@ func RunScanObserved(world *websim.World, numSites int, opts ScanOptions, obs Pr
 		Backend:       opts.Backend,
 		Stop:          opts.Stop,
 		Resume:        opts.Resume,
+		OnProgress:    progress,
 		Config: func(sh sched.Shard) openwpm.CrawlConfig {
 			cfg := scanCrawlConfig(world, opts.MaxSubpages)
 			cfg.MaxVisitSeconds = opts.MaxVisitSeconds
@@ -247,9 +224,6 @@ func RunScanObserved(world *websim.World, numSites int, opts ScanOptions, obs Pr
 			cfg.Telemetry = opts.Telemetry
 			return cfg
 		},
-	}
-	if obs != nil {
-		crawl.OnProgress = obs.OnProgress
 	}
 	res, err := sched.Run(crawl)
 	if err != nil {

@@ -18,12 +18,11 @@ func TestScanAlwaysReportsCompletion(t *testing.T) {
 	world := websim.New(websim.Options{Seed: 7, NumSites: n})
 	var mu sync.Mutex
 	var events [][2]int
-	_, err := RunScanObserved(world, n, ScanOptions{MaxSubpages: 1, Workers: 2},
-		ProgressFunc(func(done, total int) {
-			mu.Lock()
-			events = append(events, [2]int{done, total})
-			mu.Unlock()
-		}))
+	_, err := RunScanObserved(world, n, ScanOptions{MaxSubpages: 1, Workers: 2}, func(done, total int) {
+		mu.Lock()
+		events = append(events, [2]int{done, total})
+		mu.Unlock()
+	})
 	if err != nil {
 		t.Fatalf("RunScanObserved: %v", err)
 	}

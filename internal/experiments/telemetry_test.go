@@ -17,13 +17,16 @@ func instrumentedScan(t *testing.T) ([]byte, *ScanResult) {
 	profile := faults.DefaultProfile()
 	world := websim.New(websim.Options{Seed: 7, NumSites: 60})
 	tel := telemetry.New()
-	r := RunScanOpts(world, 60, ScanOptions{
+	r, err := RunScanObserved(world, 60, ScanOptions{
 		MaxSubpages:     3,
 		FaultProfile:    &profile,
 		FaultSeed:       3,
 		MaxVisitSeconds: 30,
 		Telemetry:       tel,
 	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Metrics == nil {
 		t.Fatal("instrumented scan returned no metrics snapshot")
 	}
@@ -86,23 +89,13 @@ func mustSnapshot(t *testing.T, data []byte) *telemetry.Snapshot {
 // Telemetry-free scans must behave exactly as before: no snapshot attached.
 func TestScanWithoutTelemetryHasNoMetrics(t *testing.T) {
 	world := websim.New(websim.Options{Seed: 7, NumSites: 30})
-	r := RunScanOpts(world, 30, ScanOptions{MaxSubpages: 1}, nil)
+	r, err := RunScanObserved(world, 30, ScanOptions{MaxSubpages: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Metrics != nil || r.Report.Metrics != nil {
 		t.Fatal("uninstrumented scan attached a metrics snapshot")
 	}
-}
-
-// The legacy progress callback signature must keep working through the
-// ProgressObserver adapter, including a nil callback.
-func TestProgressFuncAdapter(t *testing.T) {
-	calls := 0
-	var obs ProgressObserver = ProgressFunc(func(done, total int) { calls++ })
-	obs.OnProgress(1, 2)
-	if calls != 1 {
-		t.Fatalf("adapter forwarded %d calls, want 1", calls)
-	}
-	var nilFunc ProgressFunc
-	nilFunc.OnProgress(1, 2) // must not panic
 }
 
 // RunReliability with telemetry gives each pipeline its own registry, so the

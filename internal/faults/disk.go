@@ -95,7 +95,6 @@ type DiskInjector struct {
 	stallMS float64
 	counts  map[DiskKind]int
 
-	tel        *telemetry.Telemetry
 	kindMeters [numDiskKinds]*telemetry.Counter
 }
 
@@ -105,25 +104,20 @@ func NewDiskInjector(seed int64, p DiskProfile) *DiskInjector {
 }
 
 // SetTelemetry wires the injector into a telemetry registry
-// (disk_faults_total{kind=...} plus a disk-fault event per injection).
+// (disk_faults_total{kind=...}).
 func (d *DiskInjector) SetTelemetry(tel *telemetry.Telemetry) {
 	if !tel.Enabled() {
 		return
 	}
-	d.tel = tel
 	for k := DiskKind(0); k < numDiskKinds; k++ {
 		d.kindMeters[k] = tel.Counter("disk_faults_total", telemetry.L("kind", k.String()))
 	}
 }
 
 // tally records one injected disk fault (caller holds d.mu).
-func (d *DiskInjector) tally(k DiskKind, name string) {
+func (d *DiskInjector) tally(k DiskKind) {
 	d.counts[k]++
 	d.kindMeters[k].Inc()
-	if d.tel.Enabled() {
-		d.tel.Event(telemetry.LevelWarn, "disk-fault", 0,
-			telemetry.L("kind", k.String()), telemetry.L("file", name))
-	}
 }
 
 // BeforeWrite decides the fate of one n-byte write to name. It returns how
@@ -141,7 +135,7 @@ func (d *DiskInjector) BeforeWrite(name string, n int) (allow int, err error) {
 	p := d.Profile
 	if p.WriteLatencyPerMille > 0 && fnvHash(d.Seed, "disk-latency", d.seq)%1000 < uint64(p.WriteLatencyPerMille) {
 		d.stallMS += p.LatencyMS
-		d.tally(DiskWriteLatency, name)
+		d.tally(DiskWriteLatency)
 	}
 	if p.ByteBudget > 0 && d.written+int64(n) > p.ByteBudget {
 		allow = int(p.ByteBudget - d.written)
@@ -149,13 +143,13 @@ func (d *DiskInjector) BeforeWrite(name string, n int) (allow int, err error) {
 			allow = 0
 		}
 		d.written = p.ByteBudget
-		d.tally(DiskENOSPC, name)
+		d.tally(DiskENOSPC)
 		return allow, &DiskError{Kind: DiskENOSPC, Name: name}
 	}
 	if p.ShortWritePerMille > 0 && n > 0 && fnvHash(d.Seed, "disk-short", d.seq)%1000 < uint64(p.ShortWritePerMille) {
 		allow = int(fnvHash(d.Seed, "disk-cut", d.seq) % uint64(n))
 		d.written += int64(allow)
-		d.tally(DiskShortWrite, name)
+		d.tally(DiskShortWrite)
 		return allow, &DiskError{Kind: DiskShortWrite, Name: name}
 	}
 	d.written += int64(n)
@@ -171,7 +165,7 @@ func (d *DiskInjector) OnSync(name string) error {
 	defer d.mu.Unlock()
 	d.seq++
 	if p := d.Profile.FsyncFailPerMille; p > 0 && fnvHash(d.Seed, "disk-fsync", d.seq)%1000 < uint64(p) {
-		d.tally(DiskFsyncFail, name)
+		d.tally(DiskFsyncFail)
 		return &DiskError{Kind: DiskFsyncFail, Name: name}
 	}
 	return nil

@@ -220,6 +220,25 @@ func HeavyProfile() Profile {
 	}
 }
 
+// ProfileNamed resolves a fault profile by the name the CLIs and the daemon
+// accept: "off" is nil (no injection), "default" and "heavy" are
+// DefaultProfile and HeavyProfile. Any other name is an error listing the
+// valid ones.
+func ProfileNamed(name string) (*Profile, error) {
+	var p Profile
+	switch name {
+	case "off":
+		return nil, nil
+	case "default":
+		p = DefaultProfile()
+	case "heavy":
+		p = HeavyProfile()
+	default:
+		return nil, fmt.Errorf("faults: unknown profile %q (want off, default or heavy)", name)
+	}
+	return &p, nil
+}
+
 // bucketFor selects the fault mix for a rank (0 = unknown rank → tail).
 func (p Profile) bucketFor(rank int) Bucket {
 	var tail Bucket

@@ -3,6 +3,8 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"gullible/internal/httpsim"
@@ -261,5 +263,26 @@ func TestInjectorDeterministicAcrossRuns(t *testing.T) {
 	}
 	if kinds < 2 {
 		t.Fatalf("default profile injected only %d kinds over the trace: %v", kinds, c1)
+	}
+}
+
+func TestProfileNamed(t *testing.T) {
+	if p, err := ProfileNamed("off"); p != nil || err != nil {
+		t.Fatalf(`ProfileNamed("off") = %v, %v; want nil, nil`, p, err)
+	}
+	for name, want := range map[string]Profile{"default": DefaultProfile(), "heavy": HeavyProfile()} {
+		p, err := ProfileNamed(name)
+		if err != nil || p == nil || !reflect.DeepEqual(*p, want) {
+			t.Fatalf("ProfileNamed(%q) = %v, %v", name, p, err)
+		}
+	}
+	_, err := ProfileNamed("catastrophic")
+	if err == nil {
+		t.Fatal("unknown profile name accepted")
+	}
+	for _, name := range []string{"off", "default", "heavy"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Fatalf("error %q does not list valid name %q", err, name)
+		}
 	}
 }

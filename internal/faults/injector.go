@@ -31,31 +31,18 @@ type Injector struct {
 	crashes      map[string]int // top URL → crashes already fired
 	counts       map[Kind]int
 	storageSeq   map[string]int // table → write sequence number
-	tel          *telemetry.Telemetry
 	kindMeters   [numKinds]*telemetry.Counter
 }
 
 // SetTelemetry wires the injector into a telemetry registry: one counter per
-// fault kind (faults_injected_total{kind=...}) plus a fault-inject event per
-// injection. Call before crawling; nil leaves telemetry off.
+// fault kind (faults_injected_total{kind=...}). Call before crawling; nil
+// leaves telemetry off.
 func (in *Injector) SetTelemetry(tel *telemetry.Telemetry) {
 	if !tel.Enabled() {
 		return
 	}
-	in.tel = tel
 	for k := Kind(0); k < numKinds; k++ {
 		in.kindMeters[k] = tel.Counter("faults_injected_total", telemetry.L("kind", k.String()))
-	}
-}
-
-// tally records one injected fault in the telemetry layer. The counters are
-// nil-safe, so the disabled path is a nil check; the event is guarded because
-// it builds labels.
-func (in *Injector) tally(k Kind, url string, atMS float64) {
-	in.kindMeters[k].Inc()
-	if in.tel.Enabled() {
-		in.tel.Event(telemetry.LevelWarn, "fault-inject", atMS,
-			telemetry.L("kind", k.String()), telemetry.L("url", url))
 	}
 }
 
@@ -110,7 +97,7 @@ func (in *Injector) RoundTrip(req *httpsim.Request) (*httpsim.Response, error) {
 			in.crashes[req.TopURL]++
 			in.counts[KindCrash]++
 			in.mu.Unlock()
-			in.tally(KindCrash, req.URL, req.Time)
+			in.kindMeters[KindCrash].Inc()
 			return nil, &FaultError{Kind: KindCrash, URL: req.URL}
 		}
 		in.armed[req.TopURL] = n
@@ -123,7 +110,7 @@ func (in *Injector) RoundTrip(req *httpsim.Request) (*httpsim.Response, error) {
 		if in.Profile.HangRecoverAfter == 0 || in.hangAttempts[k] <= in.Profile.HangRecoverAfter {
 			in.counts[KindHang]++
 			in.mu.Unlock()
-			in.tally(KindHang, req.URL, req.Time)
+			in.kindMeters[KindHang].Inc()
 			return nil, &FaultError{Kind: KindHang, URL: req.URL, Seconds: in.Profile.HangSeconds}
 		}
 	}
@@ -134,7 +121,7 @@ func (in *Injector) RoundTrip(req *httpsim.Request) (*httpsim.Response, error) {
 		if in.Profile.TransientRecoverAfter == 0 || in.attempts[k] <= in.Profile.TransientRecoverAfter {
 			in.counts[KindTransport]++
 			in.mu.Unlock()
-			in.tally(KindTransport, req.URL, req.Time)
+			in.kindMeters[KindTransport].Inc()
 			return nil, &FaultError{Kind: KindTransport, URL: req.URL}
 		}
 	}
@@ -160,7 +147,7 @@ func (in *Injector) RoundTrip(req *httpsim.Request) (*httpsim.Response, error) {
 		slowed.DelaySeconds += in.Profile.TarpitSeconds
 		resp = &slowed
 		in.bump(KindTarpit)
-		in.tally(KindTarpit, req.URL, req.Time)
+		in.kindMeters[KindTarpit].Inc()
 	}
 
 	// Malformed body: truncate and garble successful payloads.
@@ -170,7 +157,7 @@ func (in *Injector) RoundTrip(req *httpsim.Request) (*httpsim.Response, error) {
 		garbled.Body = resp.Body[:cut] + "\x00\x1f<truncated"
 		resp = &garbled
 		in.bump(KindMalformed)
-		in.tally(KindMalformed, req.URL, req.Time)
+		in.kindMeters[KindMalformed].Inc()
 	}
 	return resp, nil
 }
@@ -188,7 +175,7 @@ func (in *Injector) StorageFault(table string) bool {
 	hit := fnvHash(in.Seed, "storage", table, in.storageSeq[table])%1000 < uint64(in.Profile.StoragePerMille)
 	if hit {
 		in.counts[KindStorage]++
-		in.tally(KindStorage, table, 0)
+		in.kindMeters[KindStorage].Inc()
 	}
 	return hit
 }

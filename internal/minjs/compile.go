@@ -20,7 +20,7 @@ const (
 	opConst                   // push consts[a] (no step)
 	opConstStep               // step + push consts[a] (fused literal)
 	opUndefined               // push undefined (no step)
-	opLoadName                // step + lookupIdent(atoms[a]); push; b = inline-cache site
+	opLoadName                // step + lookupIdentVM(atoms[a]); push; b = inline-cache site
 	opThis                    // step + push curThis (or global)
 	opArray                   // step was separate; pop a elems, push new array
 	opObject                  // pop b values, push object with shape shapes[a]

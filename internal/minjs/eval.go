@@ -18,40 +18,15 @@ func lookupSlot(sc *Scope, name string) *Value {
 	return nil
 }
 
-func (it *Interp) lookupIdent(name string, sc *Scope) (Value, error) {
-	for cur := sc; cur != nil; cur = cur.parent {
-		if p := cur.slot(name); p != nil {
-			return *p, nil
-		}
-		if cur.global != nil {
-			// resolve on the global object directly — one chain walk instead
-			// of Has + GetMember doing the same walk twice. The global is a
-			// plain host object (never an Array or function), so the member
-			// fast paths and intrinsics in getMember cannot apply.
-			if owner, prop := cur.global.FindProperty(name); prop != nil {
-				if it.PropAccessHook != nil {
-					it.PropAccessHook(owner, name)
-				}
-				if prop.Accessor {
-					if prop.Get == nil {
-						return Undefined(), nil
-					}
-					return it.CallFunction(prop.Get, ObjectValue(cur.global), nil)
-				}
-				return prop.Value, nil
-			}
-		}
-	}
-	return Undefined(), it.ThrowError("ReferenceError", "%s is not defined", name)
-}
-
-// lookupIdentVM is lookupIdent with an inline-cache slot for the global leg
-// of the resolution. The scope-chain walk always runs — a local binding can
-// shadow a global between executions of the same instruction — but when it
-// comes up empty, a cache hit keyed on the global object's identity and
-// mutation version skips the global's property-chain walk. Observable
-// behaviour (PropAccessHook owner, accessor invocation, values, errors) is
-// identical to lookupIdent; accessor properties are never cached.
+// lookupIdentVM resolves an identifier along the scope chain, ending at the
+// global object, and throws a ReferenceError when nothing binds it. A non-nil
+// e is an inline-cache slot for the global leg of the resolution. The
+// scope-chain walk always runs — a local binding can shadow a global between
+// executions of the same instruction — but when it comes up empty, a cache
+// hit keyed on the global object's identity and mutation version skips the
+// global's property-chain walk. Observable behaviour (PropAccessHook owner,
+// accessor invocation, values, errors) is identical with or without a cache
+// slot; accessor properties are never cached.
 func (it *Interp) lookupIdentVM(name string, sc *Scope, e *icEntry) (Value, error) {
 	for cur := sc; cur != nil; cur = cur.parent {
 		if p := cur.slot(name); p != nil {

@@ -390,7 +390,7 @@ run:
 			it.vsp = sp
 			// lookup failures (including interrupts raised by accessor
 			// globals) yield "undefined"
-			if v, err := it.lookupIdent(c.atoms[in.a], sc); err == nil {
+			if v, err := it.lookupIdentVM(c.atoms[in.a], sc, nil); err == nil {
 				it.vs[sp] = String(v.TypeOf())
 			} else {
 				it.vs[sp] = String("undefined")

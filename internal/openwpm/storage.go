@@ -161,8 +161,8 @@ type Storage struct {
 	BackendErrors map[string]int
 
 	// visitSite is the crawl input URL currently being visited, stamped by
-	// the task manager so storage-drop events and durable drop records can
-	// name the site that owned the lost write.
+	// the task manager so durable drop records can name the site that owned
+	// the lost write.
 	visitSite string
 
 	// telemetry handles, pre-resolved per table by SetTelemetry. Lookups on
@@ -189,8 +189,6 @@ func (s *Storage) backendErr(table string, err error) {
 	s.BackendErrors[table]++
 	if s.tel.Enabled() {
 		s.tel.Counter("storage_backend_errors_total", telemetry.L("table", table)).Inc()
-		s.tel.Event(telemetry.LevelWarn, "storage-backend-error", 0,
-			telemetry.L("table", table), telemetry.L("site", s.visitSite))
 	}
 }
 
@@ -199,8 +197,8 @@ func (s *Storage) backendErr(table string, err error) {
 var storageTables = []string{"site_visits", "crashes", "http_requests", "javascript_cookies", "javascript", "content", "javascript_tamper"}
 
 // SetTelemetry wires the store into a telemetry registry: per-table write
-// and drop counters plus a storage-drop event per lost write. Call before
-// crawling; a nil argument leaves telemetry off.
+// and drop counters. Call before crawling; a nil argument leaves telemetry
+// off.
 func (s *Storage) SetTelemetry(tel *telemetry.Telemetry) {
 	if !tel.Enabled() {
 		return
@@ -238,16 +236,12 @@ func NewStorage() *Storage {
 
 // dropWrite consults the storage fault hook for one write to table.
 // NewStorage allocates Dropped, so no lazy initialisation happens here; the
-// drop event and the durable drop record both carry the owning table's visit
-// context so WAL replay can attribute the loss deterministically.
+// durable drop record carries the owning table's visit context so WAL replay
+// can attribute the loss deterministically.
 func (s *Storage) dropWrite(table string) bool {
 	if s.FaultFn != nil && s.FaultFn(table) {
 		s.Dropped[table]++
 		s.dropMeters[table].Inc()
-		if s.tel.Enabled() {
-			s.tel.Event(telemetry.LevelWarn, "storage-drop", 0,
-				telemetry.L("table", table), telemetry.L("site", s.visitSite))
-		}
 		if s.Backend != nil {
 			s.backendErr(table, s.Backend.AppendDrop(table, s.visitSite))
 		}

@@ -402,10 +402,6 @@ func (tm *TaskManager) VisitSite(url string) (*SiteVisit, error) {
 		m.visitSeconds.Observe(sv.VirtualSeconds)
 	}
 	if tel.Enabled() {
-		if sv.Salvaged {
-			tel.Event(telemetry.LevelWarn, "salvage", tm.virtualMS,
-				telemetry.L("site", url), telemetry.L("class", sv.ErrorClass))
-		}
 		tel.End(tm.curVisitSpan, "visit", tm.virtualMS, telemetry.L("outcome", outcome))
 		tm.curVisitSpan = 0
 	}
@@ -766,9 +762,6 @@ func (tm *TaskManager) CrawlFromHooked(urls []string, cp *Checkpoint, h CrawlHoo
 				m.skipped.Inc()
 				m.budgetSkips.Inc()
 			}
-			if tel.Enabled() {
-				tel.Event(telemetry.LevelWarn, "budget-skip", tm.virtualMS, telemetry.L("site", u))
-			}
 		} else {
 			sv, err := tm.VisitSite(u)
 			o = OutcomeOf(sv, err)
@@ -904,20 +897,11 @@ func (bm *BrowserManager) discard() {
 	bm.Restarts++
 }
 
-// nowMS is the crawl-level virtual clock including the current site's
-// elapsed time, the time base for recovery events.
-func (bm *BrowserManager) nowMS() float64 {
-	return bm.tm.virtualMS + (bm.virtualSeconds+bm.backoffSeconds)*1000
-}
-
-// recordRestart writes a crash-table row for a browser restart and reports
-// it to the telemetry layer (restart counter by class, retry event).
+// recordRestart writes a crash-table row for a browser restart and counts
+// it in the telemetry layer's restart counter by class.
 func (bm *BrowserManager) recordRestart(url string, attempt int, class faults.Class, err error) {
 	if tel := bm.tm.Cfg.Telemetry; tel.Enabled() {
 		tel.Counter("crawl_restarts_total", telemetry.L("class", class.String())).Inc()
-		tel.Event(telemetry.LevelWarn, "retry", bm.nowMS(),
-			telemetry.L("site", bm.site), telemetry.L("url", url),
-			telemetry.L("class", class.String()), telemetry.L("attempt", fmt.Sprint(attempt)))
 	}
 	bm.tm.Storage.AddCrash(CrashRecord{
 		SiteURL: bm.site,
@@ -945,10 +929,6 @@ func (bm *BrowserManager) backoff(url string, attempt int) {
 	if m := bm.tm.meters; m != nil {
 		m.backoff.Observe(d)
 	}
-	if tel := bm.tm.Cfg.Telemetry; tel.Enabled() {
-		tel.Event(telemetry.LevelInfo, "backoff", bm.nowMS(),
-			telemetry.L("site", bm.site), telemetry.L("seconds", fmt.Sprintf("%.3f", d)))
-	}
 }
 
 // noteSuccess / noteFailure drive the per-site circuit breaker.
@@ -960,10 +940,6 @@ func (bm *BrowserManager) noteFailure() {
 		bm.tripped = true
 		if m := bm.tm.meters; m != nil {
 			m.breakerTrips.Inc()
-		}
-		if tel := bm.tm.Cfg.Telemetry; tel.Enabled() {
-			tel.Event(telemetry.LevelWarn, "breaker-trip", bm.nowMS(),
-				telemetry.L("site", bm.site), telemetry.L("fails", fmt.Sprint(bm.consecFails)))
 		}
 	}
 }

@@ -165,13 +165,10 @@ func WALBackend(fss func(Shard) wal.FS, workers int, record bool, meta map[strin
 		}, opts)
 		if err != nil {
 			// a backend that cannot open degrades to memory-only: the crawl
-			// proceeds, durability is lost, and the failure is visible in
-			// telemetry via the storage layer's backend-error accounting
-			if opts.Telemetry.Enabled() {
-				opts.Telemetry.Event(telemetry.LevelWarn, "wal-open-failed", 0,
-					telemetry.L("shard", fmt.Sprintf("%d", sh.Index)),
-					telemetry.L("error", err.Error()))
-			}
+			// proceeds and durability is lost. A nil backend never reaches
+			// the storage layer's backend-error accounting, so the failure
+			// is counted here; the series exists only once a log failed
+			opts.Telemetry.Counter("wal_open_failures_total").Inc()
 			return nil
 		}
 		return be

@@ -1,10 +1,12 @@
 package sched_test
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
 	"gullible/internal/sched"
+	"gullible/internal/telemetry"
 	"gullible/internal/wal"
 	"gullible/internal/websim"
 )
@@ -322,5 +324,57 @@ func TestRecoverShardMetaLost(t *testing.T) {
 	}
 	if err := resumed.Checkpoint.CloseBackends(); err != nil {
 		t.Fatalf("closing recovered backends: %v", err)
+	}
+}
+
+// readOnlyFS is a log directory that refuses every new file, as a read-only
+// or full disk does when a shard opens its log.
+type readOnlyFS struct{ *wal.MemFS }
+
+func (readOnlyFS) Create(string) (wal.File, error) { return nil, errors.New("read-only file system") }
+
+// TestWALOpenFailureIsCounted: a shard whose log cannot open crawls
+// memory-only. The lost durability must show up as wal_open_failures_total
+// (a nil backend never reaches the storage layer's backend-error
+// accounting), and the crawl must still finish with every site accounted
+// and the same storage as a memory-only run.
+func TestWALOpenFailureIsCounted(t *testing.T) {
+	const sites, workers = 6, 2
+	urls := websim.Tranco(sites)
+	reference, err := sched.Run(sched.Crawl{
+		Sites:   urls,
+		Workers: workers,
+		Config:  crawlConfig(websim.New(websim.Options{Seed: 5, NumSites: sites}), nil),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tel := telemetry.New()
+	// shard 0's log cannot open; shard 1's can
+	fss := func(sh sched.Shard) wal.FS {
+		if sh.Index == 0 {
+			return readOnlyFS{wal.NewMemFS()}
+		}
+		return wal.NewMemFS()
+	}
+	res, err := sched.Run(sched.Crawl{
+		Sites:     urls,
+		Workers:   workers,
+		Config:    crawlConfig(websim.New(websim.Options{Seed: 5, NumSites: sites}), tel),
+		Telemetry: tel,
+		Backend:   sched.WALBackend(fss, workers, false, nil, wal.Options{Telemetry: tel}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Metrics.Counters["wal_open_failures_total"]; got != 1 {
+		t.Fatalf("wal_open_failures_total = %d, want 1 (one shard's log failed to open)", got)
+	}
+	if rep := res.Report; rep.Sites != sites || !rep.Accounted() {
+		t.Fatalf("site accounting broken: %+v", rep)
+	}
+	if got, want := res.Storage.Digest(), reference.Storage.Digest(); got != want {
+		t.Fatalf("storage digest %s, memory-only reference %s", got, want)
 	}
 }

@@ -348,7 +348,7 @@ func Run(c Crawl) (*Result, error) {
 				// Spans move to a shard-local flight recorder: a ring shared
 				// across workers interleaves events in scheduling order, so
 				// no deterministic whole-crawl trace could be cut from it.
-				// Metrics and logs stay shared (atomic, order-independent).
+				// Metrics stay shared (atomic, order-independent).
 				if st.flight == nil {
 					st.flight = telemetry.NewFlight(telemetry.DefaultFlightCapacity)
 				}
@@ -359,7 +359,6 @@ func Run(c Crawl) (*Result, error) {
 				cfg.Telemetry = &telemetry.Telemetry{
 					Metrics: cfg.Telemetry.Metrics,
 					Spans:   st.flight,
-					Logs:    cfg.Telemetry.Logs,
 				}
 			}
 			tm := openwpm.NewTaskManager(cfg)

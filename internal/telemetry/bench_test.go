@@ -14,16 +14,6 @@ func BenchmarkTelemetryOverheadDisabledCounter(b *testing.B) {
 	}
 }
 
-func BenchmarkTelemetryOverheadDisabledEvent(b *testing.B) {
-	var tel *Telemetry
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if tel.Enabled() { // the guard hot sites use before building labels
-			tel.Event(LevelWarn, "watchdog-fire", 0, L("url", "x"))
-		}
-	}
-}
-
 func BenchmarkTelemetryOverheadDisabledSpan(b *testing.B) {
 	var f *Flight
 	b.ReportAllocs()

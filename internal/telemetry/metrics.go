@@ -292,47 +292,6 @@ func (s *Snapshot) Total(name string) int64 {
 	return n
 }
 
-// Merge folds other's series into s by addition (counters, histograms) or
-// replacement (gauges). Used when combining per-shard registries.
-func (s *Snapshot) Merge(other *Snapshot) {
-	if s == nil || other == nil {
-		return
-	}
-	if len(other.Counters) > 0 && s.Counters == nil {
-		s.Counters = map[string]int64{}
-	}
-	for k, v := range other.Counters {
-		s.Counters[k] += v
-	}
-	if len(other.Gauges) > 0 && s.Gauges == nil {
-		s.Gauges = map[string]int64{}
-	}
-	for k, v := range other.Gauges {
-		s.Gauges[k] = v
-	}
-	if len(other.Histograms) > 0 && s.Histograms == nil {
-		s.Histograms = map[string]HistogramSnapshot{}
-	}
-	for k, hv := range other.Histograms {
-		cur, ok := s.Histograms[k]
-		if !ok || len(cur.Counts) != len(hv.Counts) {
-			s.Histograms[k] = HistogramSnapshot{
-				Bounds:    append([]float64(nil), hv.Bounds...),
-				Counts:    append([]int64(nil), hv.Counts...),
-				Count:     hv.Count,
-				SumMicros: hv.SumMicros,
-			}
-			continue
-		}
-		for i := range cur.Counts {
-			cur.Counts[i] += hv.Counts[i]
-		}
-		cur.Count += hv.Count
-		cur.SumMicros += hv.SumMicros
-		s.Histograms[k] = cur
-	}
-}
-
 // Diff lists the series keys whose values differ between s and other
 // (including series present on only one side), sorted. Record→replay audits
 // use it to surface internal-behaviour divergence, not just output drift.

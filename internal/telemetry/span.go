@@ -116,31 +116,6 @@ func (f *Flight) Dropped() int64 {
 	return f.total - int64(f.n)
 }
 
-// Trace extracts the subtree rooted at the given span id: the root's events
-// plus every retained descendant event, oldest-first. Per-visit trace
-// inspection uses this to pull one visit out of a whole-crawl recording.
-func (f *Flight) Trace(root int64) []SpanEvent {
-	events := f.Events()
-	if len(events) == 0 || root == 0 {
-		return nil
-	}
-	in := map[int64]bool{root: true}
-	// Begin events arrive before their children's, so one oldest-first pass
-	// closes the descendant set.
-	for _, ev := range events {
-		if ev.Kind == "B" && in[ev.Parent] {
-			in[ev.Span] = true
-		}
-	}
-	var out []SpanEvent
-	for _, ev := range events {
-		if in[ev.Span] {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
 // WriteTrace streams events as JSON lines (one SpanEvent object per line),
 // the format the CLI -trace flag emits.
 func WriteTrace(w io.Writer, events []SpanEvent) error {

@@ -1,5 +1,5 @@
 // Package telemetry is a dependency-free observability layer for the crawl
-// pipeline. It provides three coordinated primitives:
+// pipeline. It provides two coordinated primitives:
 //
 //   - a metrics Registry of named counters, gauges and fixed-bucket
 //     histograms with atomic updates, labelled by site, outcome, table or
@@ -7,10 +7,7 @@
 //   - a Flight recorder of nested span begin/end events over *virtual* time
 //     (the browser's deterministic clock), kept in a bounded ring buffer so
 //     traces from record and replay runs of the same bundle are
-//     bit-for-bit identical;
-//   - a structured, leveled event log (retry, backoff, breaker-trip,
-//     watchdog-fire, storage-drop, salvage, fault-inject) emitted through a
-//     pluggable Sink.
+//     bit-for-bit identical.
 //
 // The paper's central finding is that OpenWPM loses or distorts data
 // *silently* (Sec. 5.2: 14% of page loads failed without surfacing in the
@@ -18,36 +15,26 @@
 // makes every crawl self-describing while it runs and auditable after it
 // finishes.
 //
-// Every type is nil-safe: a nil *Telemetry, *Registry, *Counter, *Flight or
-// *Logger turns the corresponding operation into a no-op costing a few
+// Every type is nil-safe: a nil *Telemetry, *Registry, *Counter or *Flight
+// turns the corresponding operation into a no-op costing a few
 // nanoseconds, so instrumentation points stay in the hot paths permanently
 // and cost nothing when telemetry is off. Call sites that would otherwise
 // build variadic label slices guard with Enabled() first.
 package telemetry
 
-// Telemetry bundles the three observability primitives threaded through the
+// Telemetry bundles the two observability primitives threaded through the
 // crawl pipeline. A nil *Telemetry disables everything.
 type Telemetry struct {
 	// Metrics is the metrics registry (counters, gauges, histograms).
 	Metrics *Registry
 	// Spans is the flight recorder of span begin/end events.
 	Spans *Flight
-	// Logs is the structured event log; nil discards events.
-	Logs *Logger
 }
 
 // New returns an enabled Telemetry with a fresh registry and a default-sized
-// flight recorder. No event sink is attached; use WithLog to add one.
+// flight recorder.
 func New() *Telemetry {
 	return &Telemetry{Metrics: NewRegistry(), Spans: NewFlight(DefaultFlightCapacity)}
-}
-
-// WithLog attaches an event sink at the given minimum level and returns t.
-func (t *Telemetry) WithLog(sink Sink, min Level) *Telemetry {
-	if t != nil {
-		t.Logs = NewLogger(sink, min)
-	}
-	return t
 }
 
 // Enabled reports whether telemetry is live. Hot paths check this before
@@ -91,13 +78,6 @@ func (t *Telemetry) Begin(name string, parent int64, atMS float64, attrs ...Labe
 func (t *Telemetry) End(span int64, name string, atMS float64, attrs ...Label) {
 	if t != nil {
 		t.Spans.End(span, name, atMS, attrs...)
-	}
-}
-
-// Event emits a structured event to the log sink (no-op without one).
-func (t *Telemetry) Event(level Level, name string, atMS float64, fields ...Label) {
-	if t != nil {
-		t.Logs.Emit(level, name, atMS, fields...)
 	}
 }
 

@@ -51,7 +51,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil Begin returned span %d", span)
 	}
 	tel.End(span, "visit", 1)
-	tel.Event(LevelError, "retry", 0, L("k", "v"))
 	if s := tel.Snapshot(); s != nil {
 		t.Fatalf("nil snapshot = %+v", s)
 	}
@@ -65,10 +64,6 @@ func TestNilSafety(t *testing.T) {
 	if ev := f.Events(); ev != nil {
 		t.Fatalf("nil flight has events: %v", ev)
 	}
-	var lg *Logger
-	lg.Emit(LevelError, "x", 0)
-	// Enabled telemetry without a log sink must also swallow events.
-	New().Event(LevelError, "retry", 0)
 }
 
 func TestRegistryConcurrency(t *testing.T) {
@@ -160,17 +155,6 @@ func TestSnapshotMergeAndDiff(t *testing.T) {
 	if d := sa.Diff(a.Snapshot()); len(d) != 0 {
 		t.Fatalf("self-diff = %v", d)
 	}
-
-	merged := &Snapshot{}
-	merged.Merge(sa)
-	merged.Merge(sb)
-	if got := merged.Counters["crawl_sites_total{outcome=completed}"]; got != 90 {
-		t.Fatalf("merged counter = %d, want 90", got)
-	}
-	hs := merged.Histograms["visit_virtual_seconds"]
-	if hs.Count != 10 {
-		t.Fatalf("merged histogram count = %d, want 10", hs.Count)
-	}
 }
 
 func TestHistogramBuckets(t *testing.T) {
@@ -201,19 +185,27 @@ func TestFlightRingAndTrace(t *testing.T) {
 	if ids := []int64{crawl, v1, p1, v2}; ids[0] != 1 || ids[1] != 2 || ids[2] != 3 || ids[3] != 4 {
 		t.Fatalf("span ids not sequential: %v", ids)
 	}
-	// Trace(v1) must pull the visit and its page-load, not visit b.
-	tr := f.Trace(v1)
-	if len(tr) != 4 {
-		t.Fatalf("trace has %d events, want 4: %v", len(tr), tr)
+	// The ring retains all eight events, and each begin links to its
+	// parent: v1's subtree is the visit and its page-load, not visit b.
+	events := f.Events()
+	if len(events) != 8 {
+		t.Fatalf("ring holds %d events, want 8", len(events))
 	}
-	for _, ev := range tr {
-		if ev.Span == v2 {
-			t.Fatal("trace leaked sibling visit")
+	parents := map[int64]int64{}
+	var tr []SpanEvent
+	for _, ev := range events {
+		if ev.Kind == "B" {
+			parents[ev.Span] = ev.Parent
+		}
+		if ev.Span == v1 || ev.Span == p1 {
+			tr = append(tr, ev)
 		}
 	}
-	// Trace(crawl) covers everything retained.
-	if got := len(f.Trace(crawl)); got != 8 {
-		t.Fatalf("full trace has %d events, want 8", got)
+	if parents[v1] != crawl || parents[p1] != v1 || parents[v2] != crawl || parents[crawl] != 0 {
+		t.Fatalf("begin events carry wrong parents: %v", parents)
+	}
+	if len(tr) != 4 {
+		t.Fatalf("visit a has %d events, want 4: %v", len(tr), tr)
 	}
 
 	var buf bytes.Buffer
@@ -241,32 +233,5 @@ func TestFlightOverwritesOldest(t *testing.T) {
 	// events minus the four overwritten).
 	if ev[0].Span != 5 || ev[0].Kind != "B" {
 		t.Fatalf("oldest retained event = %+v", ev[0])
-	}
-}
-
-func TestLoggerLevelsAndSinks(t *testing.T) {
-	sink := &TestSink{}
-	tel := New().WithLog(sink, LevelWarn)
-	tel.Event(LevelInfo, "backoff", 100, L("seconds", "2"))
-	tel.Event(LevelWarn, "watchdog-fire", 200, L("url", "https://x/"))
-	tel.Event(LevelError, "breaker-trip", 300)
-	if got := len(sink.Events()); got != 2 {
-		t.Fatalf("sink saw %d events, want 2 (info filtered)", got)
-	}
-	if got := sink.Named("watchdog-fire"); len(got) != 1 || got[0].AtMS != 200 {
-		t.Fatalf("Named = %+v", got)
-	}
-
-	var buf bytes.Buffer
-	ws := NewWriterSink(&buf)
-	NewLogger(ws, LevelDebug).Emit(LevelWarn, "storage-drop", 1500, L("table", "javascript"))
-	want := "[warn] storage-drop ts=1.500 table=javascript\n"
-	if buf.String() != want {
-		t.Fatalf("writer sink line = %q, want %q", buf.String(), want)
-	}
-
-	NewLogger(NullSink{}, LevelDebug).Emit(LevelError, "x", 0) // must not panic
-	if NewLogger(nil, LevelDebug) != nil {
-		t.Fatal("NewLogger(nil) should return nil")
 	}
 }

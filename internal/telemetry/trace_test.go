@@ -153,7 +153,7 @@ func TestEventsSinceAfterWrap(t *testing.T) {
 
 // TestFlightWraparoundMidSpan: when a span's begin is overwritten but its end
 // survives, Events keeps the end (flight-recorder semantics: latest activity
-// wins) and Trace on that span returns only the surviving half.
+// wins) and never invents the lost begin.
 func TestFlightWraparoundMidSpan(t *testing.T) {
 	f := NewFlight(4)
 	long := f.Begin("crawl", 0, 0) // will be overwritten
@@ -167,54 +167,17 @@ func TestFlightWraparoundMidSpan(t *testing.T) {
 	if len(events) != 4 {
 		t.Fatalf("ring holds %d events, want 4", len(events))
 	}
+	var sawEnd bool
 	for _, ev := range events {
 		if ev.Kind == "B" && ev.Span == long {
 			t.Fatalf("crawl begin should have been overwritten: %v", events)
-		}
-	}
-	var sawEnd bool
-	for _, ev := range f.Trace(long) {
-		if ev.Kind == "B" && ev.Span == long {
-			t.Fatalf("Trace invented a begin for span %d: %+v", long, ev)
 		}
 		if ev.Kind == "E" && ev.Span == long {
 			sawEnd = true
 		}
 	}
 	if !sawEnd {
-		t.Fatalf("Trace dropped the surviving end event for span %d", long)
-	}
-}
-
-// TestTraceRootWithDroppedBegin: descendants can only be discovered through
-// their parent's begin event, so a root whose begin was overwritten yields
-// just its own surviving events — never a sibling's.
-func TestTraceRootWithDroppedBegin(t *testing.T) {
-	f := NewFlight(6)
-	root := f.Begin("crawl", 0, 0)
-	v1 := f.Begin("visit", root, 1)
-	f.End(v1, "visit", 2)
-	// four more events push the crawl begin and v1's pair off the ring
-	v2 := f.Begin("visit", root, 3)
-	f.End(v2, "visit", 4)
-	other := f.Begin("stray", 0, 5)
-	f.End(other, "stray", 6)
-	f.End(root, "crawl", 7)
-
-	tr := f.Trace(root)
-	for _, ev := range tr {
-		if ev.Span == other {
-			t.Fatalf("trace of %d leaked unrelated span %d: %v", root, other, tr)
-		}
-	}
-	// v2's begin names root as parent, so v2 is still discoverable even
-	// though root's own begin is gone
-	found := map[int64]bool{}
-	for _, ev := range tr {
-		found[ev.Span] = true
-	}
-	if !found[v2] || !found[root] {
-		t.Fatalf("trace lost surviving members (have %v, want %d and %d): %v", found, root, v2, tr)
+		t.Fatalf("ring dropped the surviving end event for span %d", long)
 	}
 }
 

@@ -312,14 +312,6 @@ func RecoverShard(fs FS, opts Options) (*ShardRecovery, error) {
 	for sha := range out.Bodies {
 		out.Backend.bodies[sha] = true
 	}
-	if tel.Enabled() {
-		tel.Event(telemetry.LevelInfo, "wal-recovery", 0,
-			telemetry.L("shard", fmt.Sprintf("%d", meta.Index)),
-			telemetry.L("records", fmt.Sprintf("%d", out.Stats.Applied)),
-			telemetry.L("discarded", fmt.Sprintf("%d", out.Stats.Discarded)),
-			telemetry.L("truncated_bytes", fmt.Sprintf("%d", sstats.TruncatedBytes)),
-			telemetry.L("sites_done", fmt.Sprintf("%d", out.Done())))
-	}
 	return out, nil
 }
 

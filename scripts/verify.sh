@@ -125,6 +125,12 @@ echo "== go vet ./internal/telemetry"
 go vet ./internal/telemetry
 
 echo "== telemetry overhead benchmark (smoke)"
-go test -run '^$' -bench TelemetryOverhead -benchtime 100x ./internal/telemetry
+# go test passes when -bench matches nothing, so demand a result line
+bench_out=$(go test -run '^$' -bench TelemetryOverhead -benchtime 100x ./internal/telemetry)
+echo "$bench_out"
+echo "$bench_out" | grep -q '^BenchmarkTelemetryOverhead' || {
+    echo "telemetry overhead smoke ran no benchmark; the -bench pattern matches nothing" >&2
+    exit 1
+}
 
 echo "verify: OK"
