@@ -19,7 +19,7 @@ import (
 	"gullible/internal/telemetry"
 )
 
-// ErrCSPBlocked is returned by InjectPageScript when the page's CSP forbids
+// ErrCSPBlocked is returned by InjectPageProgram when the page's CSP forbids
 // DOM script injection.
 var ErrCSPBlocked = errors.New("browser: script injection blocked by Content Security Policy")
 
@@ -119,6 +119,9 @@ type Browser struct {
 	mScriptErrors  *telemetry.Counter
 	mInterpSteps   *telemetry.Counter
 	mInterpAllocs  *telemetry.Counter
+	// instrument installs by path: an instantiated image or a script run
+	mInstallsImage  *telemetry.Counter
+	mInstallsScript *telemetry.Counter
 
 	clockMS      float64
 	visitStartMS float64
@@ -166,6 +169,8 @@ func New(opts Options) *Browser {
 		b.mScriptErrors = tel.Counter("browser_script_errors_total")
 		b.mInterpSteps = tel.Counter("interp_steps_total")
 		b.mInterpAllocs = tel.Counter("interp_allocs_total")
+		b.mInstallsImage = tel.Counter("js_instrument_installs_total", telemetry.L("path", "image"))
+		b.mInstallsScript = tel.Counter("js_instrument_installs_total", telemetry.L("path", "script"))
 	}
 	return b
 }
@@ -619,37 +624,21 @@ func (b *Browser) CSPReports() int { return b.cspReports }
 // FinalURL returns the post-redirect URL of the current visit.
 func (b *Browser) FinalURL() string { return b.finalURL }
 
-// InjectPageScript runs src in the page context by injecting a DOM script
-// node — OpenWPM's vanilla approach. It is subject to the page's CSP.
-func (b *Browser) InjectPageScript(d *jsdom.DOM, src, name string) error {
+// InjectPageProgram runs prog in d's page context by injecting a DOM script
+// node, OpenWPM's vanilla approach, so the page's CSP applies: a script-src
+// without 'unsafe-inline' blocks it with a violation report and
+// ErrCSPBlocked. When image is non-nil it is tried first: it reports
+// whether it reproduced prog's effect on d, in which case prog does not run.
+func (b *Browser) InjectPageProgram(d *jsdom.DOM, prog *minjs.Program, image func() bool) error {
 	if b.csp.Present && !b.csp.AllowsInline() {
 		b.reportCSPViolation()
 		return ErrCSPBlocked
 	}
-	_, err := d.It.RunScript(src, name)
-	return err
-}
-
-// RunContentScript runs src with content-script privileges: CSP does not
-// apply (the WPM_hide approach, Sec. 6.2.1).
-func (b *Browser) RunContentScript(d *jsdom.DOM, src, name string) error {
-	_, err := d.It.RunScript(src, name)
-	return err
-}
-
-// InjectPageProgram is InjectPageScript for a pre-parsed program, letting
-// instrumentation reuse one AST across pages.
-func (b *Browser) InjectPageProgram(d *jsdom.DOM, prog *minjs.Program) error {
-	if b.csp.Present && !b.csp.AllowsInline() {
-		b.reportCSPViolation()
-		return ErrCSPBlocked
+	if image != nil && image() {
+		b.mInstallsImage.Inc()
+		return nil
 	}
-	_, err := d.It.RunProgram(prog)
-	return err
-}
-
-// RunContentProgram is RunContentScript for a pre-parsed program.
-func (b *Browser) RunContentProgram(d *jsdom.DOM, prog *minjs.Program) error {
+	b.mInstallsScript.Inc()
 	_, err := d.It.RunProgram(prog)
 	return err
 }

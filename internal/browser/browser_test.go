@@ -180,17 +180,23 @@ func TestCSPBlocksInlineAndInjection(t *testing.T) {
 	if v, _ := b.Top.It.RunScript("okRan", "c.js"); v.Num != 1 {
 		t.Error("allowed self script did not run")
 	}
-	// vanilla-style DOM injection is blocked too
-	err = b.InjectPageScript(b.Top, "var injected = 1;", "inject.js")
+	// vanilla-style DOM injection is blocked too, image or not
+	imageTried := false
+	err = b.InjectPageProgram(b.Top, minjs.MustParse("var injected = 1;", "inject.js"), func() bool {
+		imageTried = true
+		return true
+	})
 	if err != ErrCSPBlocked {
-		t.Errorf("InjectPageScript err = %v, want ErrCSPBlocked", err)
+		t.Errorf("InjectPageProgram err = %v, want ErrCSPBlocked", err)
 	}
-	// content-script injection bypasses CSP
-	if err := b.RunContentScript(b.Top, "var content = 1;", "content.js"); err != nil {
-		t.Fatal(err)
+	if imageTried {
+		t.Error("a CSP-blocked injection instantiated its image")
 	}
-	if v, _ := b.Top.It.RunScript("content", "c.js"); v.Num != 1 {
-		t.Error("content script did not run")
+	if v, _ := b.Top.It.RunScript("typeof injected", "c.js"); v.Str != "undefined" {
+		t.Error("blocked injection ran")
+	}
+	if b.CSPReports() != 2 {
+		t.Errorf("CSP reports after blocked injection = %d, want 2", b.CSPReports())
 	}
 }
 

@@ -77,6 +77,14 @@ func TestSubmitExecutesAndCaches(t *testing.T) {
 	if snap.Counters["daemon_cache_misses_total"] != 1 {
 		t.Fatalf("miss counter = %d, want 1", snap.Counters["daemon_cache_misses_total"])
 	}
+	// the crawl's JS instrument installs reach the daemon's registry, so
+	// /metrics shows how often a window fell back to running the script
+	if snap.Counters["js_instrument_installs_total{path=image}"] == 0 {
+		t.Fatalf("no image installs counted: %v", snap.Counters)
+	}
+	if _, ok := snap.Counters["js_instrument_installs_total{path=script}"]; !ok {
+		t.Fatal("script install series missing from the registry")
+	}
 
 	// the queue spec and job WAL are gone once the artifact sealed
 	if _, err := os.Stat(filepath.Join(d.cfg.Dir, "queue", st.ID+".json")); !os.IsNotExist(err) {

@@ -213,6 +213,7 @@ func (d *DOM) buildElementProtos() {
 			return minjs.Null(), nil
 		}
 		if fd, ok := this.Obj.Host.(*DOM); ok && fd != nil {
+			fd.exposed = true
 			return minjs.ObjectValue(fd.Window), nil
 		}
 		return minjs.Null(), nil
@@ -223,6 +224,7 @@ func (d *DOM) buildElementProtos() {
 			return minjs.Null(), nil
 		}
 		if fd, ok := this.Obj.Host.(*DOM); ok && fd != nil {
+			fd.exposed = true
 			return minjs.ObjectValue(fd.Document), nil
 		}
 		return minjs.Null(), nil

@@ -30,6 +30,11 @@ type DOM struct {
 	// Parent is the parent DOM for subframes, nil for top documents.
 	Parent *DOM
 
+	// exposed marks a realm whose window or document some script has been
+	// handed: through an iframe's contentWindow or contentDocument, a
+	// window's frames, or window.open.
+	exposed bool
+
 	// hostListeners receive events delivered through the ORIGINAL native
 	// dispatchEvent — this models the extension content script listening on
 	// the page. A page that shadows document.dispatchEvent sits between
@@ -265,6 +270,7 @@ func (d *DOM) buildWindowProps() {
 	framesGetter := d.It.NewNative("get frames", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
 		arr := it.NewArrayP()
 		for _, f := range d.Frames {
+			f.exposed = true
 			arr.Elems = append(arr.Elems, minjs.ObjectValue(f.Window))
 		}
 		return minjs.ObjectValue(arr), nil
@@ -321,6 +327,7 @@ func (d *DOM) buildWindowProps() {
 		if err != nil || nd == nil {
 			return minjs.Null(), nil
 		}
+		nd.exposed = true
 		return minjs.ObjectValue(nd.Window), nil
 	})))
 
@@ -399,6 +406,11 @@ func (d *DOM) addPageListener(event string, fn minjs.Value) {
 		d.pageListeners[event] = append(d.pageListeners[event], fn.Obj)
 	}
 }
+
+// Exposed reports whether script has been handed this realm's window or
+// document (see DOM.exposed). Those are the only ways into another realm,
+// so script from elsewhere has never touched a realm that was not exposed.
+func (d *DOM) Exposed() bool { return d.exposed }
 
 // PageListeners returns registered page listeners for an event type; the
 // crawler can fire them to simulate interaction.

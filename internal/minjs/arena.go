@@ -65,15 +65,20 @@ func (it *Interp) carveNames(n int) []string {
 // struct and both binding slices carved from the realm arenas: a call-frame
 // scope costs zero dedicated heap allocations in the common case.
 func (it *Interp) newScopeIn(parent *Scope, n int) *Scope {
-	if len(it.scopeArena) == 0 {
-		it.scopeArena = make([]Scope, scopeArenaChunk)
-	}
-	s := &it.scopeArena[0]
-	it.scopeArena = it.scopeArena[1:]
+	s := it.allocScope()
 	if n > 0 {
 		s.names = it.carveNames(n)
 		s.vals = it.carveVals(n)
 	}
 	s.parent = parent
+	return s
+}
+
+func (it *Interp) allocScope() *Scope {
+	if len(it.scopeArena) == 0 {
+		it.scopeArena = make([]Scope, scopeArenaChunk)
+	}
+	s := &it.scopeArena[0]
+	it.scopeArena = it.scopeArena[1:]
 	return s
 }

@@ -127,6 +127,14 @@ type Interp struct {
 	valArena   []Value
 }
 
+// stepLimit is StepLimit with its default applied.
+func (it *Interp) stepLimit() int64 {
+	if it.StepLimit == 0 {
+		return 5_000_000
+	}
+	return it.StepLimit
+}
+
 // Reseed re-seeds the realm's Math.random generator.
 func (it *Interp) Reseed(seed int64) { it.rng = rand.New(rand.NewSource(seed)) }
 

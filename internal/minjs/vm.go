@@ -165,10 +165,7 @@ func (it *Interp) exec(c *Code, lo, hi int32, sc *Scope, frame *Frame) (Value, b
 	base := it.vsp
 	entrySc := sc
 	sp := base
-	limit := it.StepLimit
-	if limit == 0 {
-		limit = 5_000_000
-	}
+	limit := it.stepLimit()
 	ics := it.icsFor(c)
 	var rv Value
 	var rsig byte

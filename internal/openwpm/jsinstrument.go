@@ -2,6 +2,8 @@ package openwpm
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 
 	"gullible/internal/browser"
 	"gullible/internal/jsdom"
@@ -230,6 +232,23 @@ type JSInstrument struct {
 	// code runs.
 	apisTemplate *minjs.Object
 	honeyArr     *minjs.Object
+
+	// image is vanillaProgram's recorded effect, instantiated into every
+	// realm no script has been handed yet.
+	image *instrumentImage
+}
+
+// instrumentImage is vanillaProgram's effect recorded under one key:
+// everything the install reads, that is the realm config (URL, seed and
+// WindowIndex aside, which change no object the install touches), the event
+// id, the legacy flag and the honey list. img is nil when the recording
+// failed; every realm under that key then runs the script.
+type instrumentImage struct {
+	cfg     jsdom.Config // WindowIndex zeroed
+	eventID string
+	legacy  bool
+	honey   []string
+	img     *minjs.Image
 }
 
 // Name implements Instrumentor.
@@ -289,13 +308,17 @@ func (ji *JSInstrument) OnWindow(b *browser.Browser, st *Storage, d *jsdom.DOM, 
 		}
 	}
 	install := func() error {
-		cfg := minjs.NewObject(nil)
-		cfg.Set("id", minjs.String(eventID))
-		cfg.Set("legacy", minjs.Boolean(ji.Legacy))
-		cfg.Set("apis", minjs.ObjectValue(ji.apisTemplate))
-		cfg.Set("honey", minjs.ObjectValue(ji.honeyArr))
-		d.Window.Set("__wpmCfg", minjs.ObjectValue(cfg))
-		return b.InjectPageProgram(d, vanillaProgram)
+		d.Window.Set("__wpmCfg", minjs.ObjectValue(ji.cfgObject(eventID)))
+		return b.InjectPageProgram(d, vanillaProgram, func() bool {
+			// a realm handed to script may have been changed by it before
+			// this tick (Sec. 5.4.1); only an untouched one matches the
+			// recording. Top windows are never exposed this early.
+			if d.Exposed() {
+				return false
+			}
+			img := ji.imageFor(d, eventID)
+			return img != nil && d.It.Instantiate(img)
+		})
 	}
 	if top {
 		ji.topErr = install()
@@ -309,8 +332,40 @@ func (ji *JSInstrument) OnWindow(b *browser.Browser, st *Storage, d *jsdom.DOM, 
 	})
 }
 
-// setWpmCfg provisions the transient __wpmCfg global the injected script
+// cfgObject builds the transient __wpmCfg global the injected script
 // consumes (and deletes).
+func (ji *JSInstrument) cfgObject(eventID string) *minjs.Object {
+	cfg := minjs.NewObject(nil)
+	cfg.Set("id", minjs.String(eventID))
+	cfg.Set("legacy", minjs.Boolean(ji.Legacy))
+	cfg.Set("apis", minjs.ObjectValue(ji.apisTemplate))
+	cfg.Set("honey", minjs.ObjectValue(ji.honeyArr))
+	return cfg
+}
+
+// imageFor returns the instrument image for realm d, recording it in a
+// throwaway realm built from d's config when the key changed. It returns
+// nil when vanillaProgram's effect cannot be recorded.
+func (ji *JSInstrument) imageFor(d *jsdom.DOM, eventID string) *minjs.Image {
+	cfg := d.Cfg
+	cfg.WindowIndex = 0
+	if im := ji.image; im != nil && im.eventID == eventID && im.legacy == ji.Legacy &&
+		slices.Equal(im.honey, ji.HoneyProps) && reflect.DeepEqual(im.cfg, cfg) {
+		return im.img
+	}
+	tpl := jsdom.Build(cfg, &jsdom.NopHost{}, d.URL)
+	tpl.It.StepLimit = d.It.StepLimit
+	tpl.Window.Set("__wpmCfg", minjs.ObjectValue(ji.cfgObject(eventID)))
+	img, err := tpl.It.Record(vanillaProgram)
+	if err != nil {
+		// not fatal: every realm runs the script instead, which the
+		// browser counts as js_instrument_installs_total{path=script}
+		img = nil
+	}
+	ji.image = &instrumentImage{cfg: cfg, eventID: eventID, legacy: ji.Legacy, honey: slices.Clone(ji.HoneyProps), img: img}
+	return img
+}
+
 // buildAPITemplate materialises the API list once as prototype-less objects
 // safe to share across realms.
 func buildAPITemplate(d *jsdom.DOM) *minjs.Object {

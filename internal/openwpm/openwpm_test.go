@@ -2,6 +2,7 @@ package openwpm
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -344,6 +345,68 @@ func TestIframeImmediateAccessUnobserved(t *testing.T) {
 	}
 	if !sawOscpu {
 		t.Error("delayed iframe access was not recorded")
+	}
+}
+
+func TestIframeTouchedBeforeInstallRunsScript(t *testing.T) {
+	// The parent takes a new frame's window before the instrument's install
+	// tick and swaps the frame's Object.defineProperty for a stub. The
+	// install must then run its script in that realm and go through the
+	// stub, hooking nothing; a sibling frame never handed to script is still
+	// instrumented and records its own delayed navigator.userAgent read.
+	w := &web{pages: map[string]*httpsim.Response{
+		"https://a.com/": htmlPage(`<div id="host"></div><script>
+			setTimeout(function () {
+				var host = document.querySelector("#host");
+				var touched = document.createElement("iframe");
+				touched.src = "https://a.com/touched";
+				host.appendChild(touched);
+				var frame = touched.contentWindow;
+				var stubbed = 0;
+				frame.Object.defineProperty = function (o, k, d) { stubbed++; return o; };
+				var quiet = document.createElement("iframe");
+				quiet.src = "https://a.com/quiet";
+				host.appendChild(quiet);
+				setTimeout(function () {
+					frame.navigator.userAgent;
+					fetch("https://a.com/stubbed?n=" + stubbed);
+				}, 600);
+			}, 500);
+		</script>`, nil),
+		"https://a.com/touched": htmlPage("<html></html>", nil),
+		"https://a.com/quiet": htmlPage(`<script>
+			setTimeout(function () { navigator.userAgent; }, 300);
+		</script>`, nil),
+	}}
+	tm := tmFor(w)
+	tm.Cfg.DwellSeconds = 5
+	if _, err := tm.VisitSite("https://a.com/"); err != nil {
+		t.Fatal(err)
+	}
+	uaReads := map[string]int{}
+	for _, c := range tm.Storage.JSCalls {
+		if c.Symbol == "Navigator.userAgent" {
+			uaReads[c.FrameURL]++
+		}
+	}
+	if n := uaReads["https://a.com/touched"]; n != 0 {
+		t.Errorf("touched frame recorded %d userAgent reads; the stubbed defineProperty should have hooked nothing", n)
+	}
+	if uaReads["https://a.com/quiet"] == 0 {
+		t.Error("untouched sibling frame did not record its delayed userAgent read")
+	}
+	// the script install calls defineProperty once per hooked API and once
+	// per marker global
+	apis := len(testRealm(jsdom.StandardConfig(jsdom.Ubuntu, jsdom.Regular, 90, 0), "").InstrumentableAPIs())
+	want := fmt.Sprintf("https://a.com/stubbed?n=%d", apis+3)
+	var urls []string
+	for _, u := range w.log.URLs() {
+		if strings.Contains(u, "stubbed") {
+			urls = append(urls, u)
+		}
+	}
+	if len(urls) != 1 || urls[0] != want {
+		t.Errorf("stub report requests = %v, want [%s]: the install did not go through the page's defineProperty", urls, want)
 	}
 }
 

@@ -121,6 +121,12 @@ else
     go test -race -short ./...
 fi
 
+# cmd/wpmbench is a module of its own, so `go test ./...` above skips it;
+# its tests check the storage and bundle golden digests of every benchmark
+# workload
+echo "== (cd cmd/wpmbench && go test ./...) (benchmark workloads match their golden digests)"
+(cd cmd/wpmbench && go test ./...)
+
 echo "== go vet ./internal/telemetry"
 go vet ./internal/telemetry
 
