@@ -2,6 +2,8 @@ package daemon
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
@@ -134,8 +136,16 @@ func TestWarmHitAcrossRestartAndColdDeterminism(t *testing.T) {
 	}
 }
 
+// Frozen bytes of the identity replay of smallCrawl: its re-recorded bundle
+// digest and the SHA-256 of its sealed trace artifact. There is no update
+// flag; a diff means the replay path changed an artifact.
+const (
+	replayJobDigest   = "f87ea4ab1227eb3ee27e86a554c4a59b53b5dcfada20f1a766db1e49eeeff90b"
+	replayJobTraceSHA = "c8c3a906cffc24c1fd1ceabcb08fb3cfc79d4c24ff9cc698cea3d1ff6d96f24c"
+)
+
 func TestReplayDiffAgreementJobs(t *testing.T) {
-	d := openTest(t, t.TempDir(), nil)
+	d := openTest(t, t.TempDir(), telemetry.New())
 	defer d.Drain()
 
 	st, err := d.Submit(smallCrawl, "")
@@ -159,6 +169,16 @@ func TestReplayDiffAgreementJobs(t *testing.T) {
 	}
 	if repDone.Digest == crawlDone.Digest {
 		t.Fatal("replay bundle digest equals the source digest (recorder not engaged?)")
+	}
+	if repDone.Digest != replayJobDigest {
+		t.Errorf("replay bundle digest %s, frozen %s", repDone.Digest, replayJobDigest)
+	}
+	trace, _, ok := d.Artifact(rep.ID + traceSuffix)
+	if !ok {
+		t.Fatal("replay job sealed no trace artifact")
+	}
+	if sum := sha256.Sum256(trace); hex.EncodeToString(sum[:]) != replayJobTraceSHA {
+		t.Errorf("replay trace SHA-256 %x, frozen %s", sum, replayJobTraceSHA)
 	}
 
 	diff, err := d.Submit(JobSpec{Kind: KindDiff, NumSites: 3}, "")
