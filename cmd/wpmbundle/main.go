@@ -25,6 +25,7 @@ import (
 	"gullible/internal/httpsim"
 	"gullible/internal/jsdom"
 	"gullible/internal/openwpm"
+	"gullible/internal/sched"
 	"gullible/internal/websim"
 )
 
@@ -93,15 +94,18 @@ func cmdRecord(args []string) error {
 		meta["faultSeed"] = fmt.Sprint(*faultSeed)
 	}
 
-	b, rep, _, err := bundle.RecordCrawl(cfg, websim.Tranco(*sites), meta)
+	res, err := sched.Run(sched.Crawl{
+		Sites: websim.Tranco(*sites), Workers: 1, Record: true, BundleMeta: meta,
+		Config: func(sched.Shard) openwpm.CrawlConfig { return cfg },
+	})
 	if err != nil {
 		return err
 	}
-	if err := b.WriteFile(*out); err != nil {
+	if err := res.Bundle.WriteFile(*out); err != nil {
 		return err
 	}
-	fmt.Fprint(os.Stderr, rep.String())
-	fmt.Printf("%s\nwrote %s (digest %s)\n", b.Stats(), *out, b.Digest)
+	fmt.Fprint(os.Stderr, res.Report.String())
+	fmt.Printf("%s\nwrote %s (digest %s)\n", res.Bundle.Stats(), *out, res.Bundle.Digest)
 	return nil
 }
 
@@ -110,17 +114,20 @@ func cmdReplay(args []string) error {
 	in := fs.String("in", "", "bundle to replay (required)")
 	out := fs.String("out", "", "record the replay into a new bundle at this path")
 	variant := fs.String("variant", "", "observer variant: stealth|headless|legacy|nohoney (default: identical config)")
-	missMode := fs.String("miss", "fail", "miss policy: fail|passthrough|synthesize-404")
+	missMode := fs.String("miss", "fail", "miss policy: fail|synthesize-404")
 	fs.Parse(args)
 	if *in == "" {
 		return fmt.Errorf("-in is required")
 	}
-
-	b, err := bundle.ReadFile(*in)
+	policy, err := bundle.ParseMissPolicy(*missMode)
 	if err != nil {
 		return err
 	}
-	policy, err := bundle.ParseMissPolicy(*missMode)
+	if policy == bundle.MissPassthrough {
+		return fmt.Errorf("-miss passthrough forwards misses to a live web, and an offline replay has none (wpmscan -replay-bundle has)")
+	}
+
+	b, err := bundle.ReadFile(*in)
 	if err != nil {
 		return err
 	}
@@ -131,25 +138,18 @@ func cmdReplay(args []string) error {
 		}
 	}
 
-	rec := bundle.NewRecorder(b.Manifest.Meta)
-	rep, tm, rt := bundle.ReplayCrawl(b, policy, func(cfg *openwpm.CrawlConfig) {
-		if mutate != nil {
-			mutate(cfg)
-		}
-		cfg.Recorder = rec
-	})
-	fmt.Fprint(os.Stderr, rep.String())
+	res, hits, misses, err := experiments.Replay(b, policy, mutate, sched.Crawl{Record: *out != "", BundleMeta: b.Manifest.Meta})
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(os.Stderr, res.Report.String())
 	fmt.Printf("replayed %d sites: %d archive hits, %d misses (policy %s)\n",
-		len(b.Sites), rt.Hits, rt.Misses, policy)
+		len(b.Sites), hits, misses, policy)
 	if *out != "" {
-		b2, err := rec.Finalize(tm.Cfg, b.Sites, rep)
-		if err != nil {
+		if err := res.Bundle.WriteFile(*out); err != nil {
 			return err
 		}
-		if err := b2.WriteFile(*out); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (digest %s)\n", *out, b2.Digest)
+		fmt.Printf("wrote %s (digest %s)\n", *out, res.Bundle.Digest)
 	}
 	return nil
 }

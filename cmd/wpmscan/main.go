@@ -87,7 +87,7 @@ func main() {
 	maxVisitS := flag.Float64("max-visit-s", 0, "per-visit virtual watchdog budget in seconds (0 = off)")
 	recordPath := flag.String("record-bundle", "", "archive the scan into an execution bundle at this path")
 	replayPath := flag.String("replay-bundle", "", "replay the scan offline from this execution bundle")
-	missMode := flag.String("miss", "fail", "replay miss policy: fail|passthrough|synthesize-404")
+	missMode := flag.String("miss", "fail", "replay miss policy: fail|passthrough (serve misses from the live world)|synthesize-404")
 	telemetryPath := flag.String("telemetry", "", "write the canonical-JSON metrics snapshot to this file (enables instrumentation)")
 	tracePath := flag.String("trace", "", "write flight-recorder span events as JSON lines to this file (enables instrumentation)")
 	agreement := flag.Bool("agreement", false, "also print the per-rule static-vs-dynamic tamper agreement table")

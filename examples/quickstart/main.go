@@ -14,8 +14,10 @@ import (
 	"os"
 
 	"gullible/internal/bundle"
+	"gullible/internal/experiments"
 	"gullible/internal/jsdom"
 	"gullible/internal/openwpm"
+	"gullible/internal/sched"
 	"gullible/internal/telemetry"
 	"gullible/internal/websim"
 )
@@ -60,30 +62,37 @@ func main() {
 		Telemetry:   tel,
 	}
 
-	// 3. Crawl under recording: every HTTP exchange, script file, JS call
-	//    and cookie is archived into a sealed execution bundle. The report
-	//    accounts for every input site — completed, salvaged, failed or
-	//    skipped, never silently lost.
-	b, report, tm, err := bundle.RecordCrawl(cfg, websim.Tranco(5), map[string]string{"example": "quickstart"})
+	// 3. Crawl under recording through the scheduler, at one worker: every
+	//    HTTP exchange, script file, JS call and cookie is archived into a
+	//    sealed execution bundle. The report accounts for every input site —
+	//    completed, salvaged, failed or skipped, never silently lost.
+	live, err := sched.Run(sched.Crawl{
+		Sites: websim.Tranco(5), Workers: 1, Telemetry: tel,
+		Record: true, BundleMeta: map[string]string{"example": "quickstart"},
+		Config: func(sched.Shard) openwpm.CrawlConfig { return cfg },
+	})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Print(report.String())
-	fmt.Println(b.Stats())
+	fmt.Print(live.Report.String())
+	fmt.Println(live.Bundle.Stats())
 
 	// 4. Replay the crawl offline from the bundle — no live web needed —
 	//    and check the replayed instruments saw the identical JS activity.
-	_, tm2, _ := bundle.ReplayCrawl(b, bundle.MissFail, nil)
-	replayed := tm2.Storage.JSCallsBySymbol()
-	for sym, n := range tm.Storage.JSCallsBySymbol() {
+	replay, _, _, err := experiments.Replay(live.Bundle, bundle.MissFail, nil, sched.Crawl{})
+	if err != nil {
+		panic(err)
+	}
+	replayed := replay.Storage.JSCallsBySymbol()
+	for sym, n := range live.Storage.JSCallsBySymbol() {
 		if replayed[sym] != n {
 			panic(fmt.Sprintf("replay diverged: %s recorded %d times live, %d on replay", sym, n, replayed[sym]))
 		}
 	}
 	fmt.Printf("offline replay reproduced all %d JS-call symbols exactly\n", len(replayed))
 
-	// 4. What the instruments saw.
-	st := tm.Storage
+	// 5. What the instruments saw.
+	st := live.Storage
 	fmt.Printf("\nHTTP requests recorded: %d\n", len(st.Requests))
 	for rt, n := range st.RequestsByType() {
 		fmt.Printf("  %-16s %d\n", rt, n)
@@ -101,7 +110,7 @@ func main() {
 	fmt.Printf("unique script files stored: %d\n", len(st.ScriptFiles))
 	fmt.Printf("\nsites that flagged this client as a bot: %d\n", world.FlaggedCount("openwpm-client"))
 
-	// 5. What the telemetry layer saw, if it was on: the metrics snapshot is
+	// 6. What the telemetry layer saw, if it was on: the metrics snapshot is
 	//    canonical JSON (byte-identical across identical runs), the trace is
 	//    one JSON line per span begin/end over virtual time.
 	if *telemetryPath != "" {
@@ -116,7 +125,7 @@ func main() {
 	}
 	if *tracePath != "" {
 		dump(*tracePath, func(f *os.File) error {
-			return telemetry.WriteTrace(f, tel.Spans.Events())
+			return telemetry.WriteTrace(f, live.Trace)
 		})
 	}
 }

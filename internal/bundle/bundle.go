@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 
+	"gullible/internal/analysis"
 	"gullible/internal/httpsim"
 	"gullible/internal/jsdom"
 	"gullible/internal/openwpm"
@@ -98,10 +99,13 @@ func ConfigOf(c openwpm.CrawlConfig) Config {
 	}
 }
 
-// CrawlConfig reconstructs an openwpm configuration from the snapshot.
-// Transport, Recorder and Stealth are left nil for the caller to supply.
+// CrawlConfig reconstructs an openwpm configuration from the snapshot. A
+// recording that ran static tamper analysis gets analysis.TamperRecorder
+// back: the analyser is pure, so re-attaching it reproduces the recorded
+// tamper table exactly. Transport, Recorder and Stealth are left nil for the
+// caller to supply.
 func (c Config) CrawlConfig() openwpm.CrawlConfig {
-	return openwpm.CrawlConfig{
+	cfg := openwpm.CrawlConfig{
 		OS: jsdom.OS(c.OS), Mode: jsdom.Mode(c.Mode), FirefoxVersion: c.FirefoxVersion,
 		ClientID: c.ClientID, DwellSeconds: c.DwellSeconds,
 		JSInstrument: c.JSInstrument, HTTPInstrument: c.HTTPInstrument,
@@ -113,6 +117,10 @@ func (c Config) CrawlConfig() openwpm.CrawlConfig {
 		BackoffBaseSeconds: c.BackoffBaseSeconds, BackoffMaxSeconds: c.BackoffMaxSeconds,
 		BreakerThreshold: c.BreakerThreshold, BlindRetry: c.BlindRetry,
 	}
+	if c.TamperAnalysis {
+		cfg.Tamper = analysis.TamperRecorder
+	}
+	return cfg
 }
 
 // Exchange is one archived HTTP round trip: a request and either its

@@ -38,12 +38,37 @@ func faultedConfig(seed, faultSeed int64, numSites int) (openwpm.CrawlConfig, []
 	return cfg, urls
 }
 
+// recordCrawl crawls sites on one TaskManager under a fresh recorder and
+// seals the bundle: the shape of one sched.Run shard, without the scheduler
+// (which imports this package).
+func recordCrawl(cfg openwpm.CrawlConfig, sites []string, meta map[string]string) (*Bundle, *openwpm.CrawlReport, *openwpm.TaskManager, error) {
+	rec := NewRecorder(meta)
+	cfg.Recorder = rec
+	tm := openwpm.NewTaskManager(cfg)
+	report := tm.CrawlFromHooked(sites, &openwpm.Checkpoint{}, openwpm.CrawlHooks{})
+	b, err := rec.Finalize(tm.Cfg, sites, report)
+	return b, report, tm, err
+}
+
+// replayCrawl replays b on one TaskManager, mutate adjusting the rebuilt
+// configuration first.
+func replayCrawl(b *Bundle, policy MissPolicy, mutate func(*openwpm.CrawlConfig)) (*openwpm.CrawlReport, *openwpm.TaskManager, *ReplayTransport) {
+	cfg := b.Config.CrawlConfig()
+	rt := b.ShardTransport(nil, policy, nil)
+	cfg.Transport = rt
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	tm := openwpm.NewTaskManager(cfg)
+	return tm.CrawlFromHooked(b.Sites, &openwpm.Checkpoint{}, openwpm.CrawlHooks{}), tm, rt
+}
+
 // recordReplay replays b under identical configuration, recording the replay
 // into a second bundle for comparison.
 func recordReplay(t *testing.T, b *Bundle) (*Bundle, *openwpm.CrawlReport, *openwpm.TaskManager) {
 	t.Helper()
 	rec := NewRecorder(b.Manifest.Meta)
-	rep, tm, rt := ReplayCrawl(b, MissFail, func(cfg *openwpm.CrawlConfig) { cfg.Recorder = rec })
+	rep, tm, rt := replayCrawl(b, MissFail, func(cfg *openwpm.CrawlConfig) { cfg.Recorder = rec })
 	if rt.Misses != 0 {
 		t.Fatalf("identity replay had %d transport misses (want 0)", rt.Misses)
 	}
@@ -58,7 +83,7 @@ func TestBundleGoldenDeterminism(t *testing.T) {
 	// same seed + same site list ⇒ byte-identical bundle and digest
 	record := func() ([]byte, string, string) {
 		cfg, urls := testConfig(11, 6)
-		b, _, tm, err := RecordCrawl(cfg, urls, map[string]string{"seed": "11"})
+		b, _, tm, err := recordCrawl(cfg, urls, map[string]string{"seed": "11"})
 		if err != nil {
 			t.Fatalf("record: %v", err)
 		}
@@ -86,7 +111,7 @@ func TestBundleGoldenDeterminism(t *testing.T) {
 
 func TestBundleFileRoundTripAndVerify(t *testing.T) {
 	cfg, urls := testConfig(7, 4)
-	b, _, _, err := RecordCrawl(cfg, urls, map[string]string{"scenario": "verify"})
+	b, _, _, err := recordCrawl(cfg, urls, map[string]string{"scenario": "verify"})
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
@@ -127,7 +152,7 @@ func TestBundleFileRoundTripAndVerify(t *testing.T) {
 
 func TestRecordReplayIdentity(t *testing.T) {
 	cfg, urls := testConfig(23, 6)
-	b, rep, tm, err := RecordCrawl(cfg, urls, nil)
+	b, rep, tm, err := recordCrawl(cfg, urls, nil)
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
@@ -146,7 +171,7 @@ func TestRecordReplayIdentity(t *testing.T) {
 
 func TestRecordReplayIdentityUnderFaults(t *testing.T) {
 	cfg, urls := faultedConfig(41, 97, 8)
-	b, rep, tm, err := RecordCrawl(cfg, urls, map[string]string{"faults": "default"})
+	b, rep, tm, err := recordCrawl(cfg, urls, map[string]string{"faults": "default"})
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
@@ -171,7 +196,7 @@ func TestRecordReplayIdentityUnderFaults(t *testing.T) {
 
 func TestReplayMissPolicies(t *testing.T) {
 	cfg, urls := testConfig(5, 3)
-	b, _, _, err := RecordCrawl(cfg, urls, nil)
+	b, _, _, err := recordCrawl(cfg, urls, nil)
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
@@ -232,14 +257,14 @@ func TestParseMissPolicy(t *testing.T) {
 
 func TestDiffFlagsVariantDivergence(t *testing.T) {
 	cfg, urls := testConfig(31, 5)
-	b, _, _, err := RecordCrawl(cfg, urls, nil)
+	b, _, _, err := recordCrawl(cfg, urls, nil)
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
 	// replay with the JS instrument's honey properties removed: property
 	// iterators stop touching bait symbols, so JS-call tallies must diverge
 	rec := NewRecorder(nil)
-	rep, tm, _ := ReplayCrawl(b, MissSynthesize404, func(c *openwpm.CrawlConfig) {
+	rep, tm, _ := replayCrawl(b, MissSynthesize404, func(c *openwpm.CrawlConfig) {
 		c.HoneyProps = 0
 		c.Recorder = rec
 	})

@@ -320,18 +320,3 @@ func RestoreRecorder(meta map[string]string, bodies map[string]string, visits []
 	}
 	return r, nil
 }
-
-// RecordCrawl runs a complete crawl under recording and returns the sealed
-// bundle alongside the report and task manager (whose storage callers can
-// digest or inspect).
-func RecordCrawl(cfg openwpm.CrawlConfig, sites []string, meta map[string]string) (*Bundle, *openwpm.CrawlReport, *openwpm.TaskManager, error) {
-	rec := NewRecorder(meta)
-	cfg.Recorder = rec
-	tm := openwpm.NewTaskManager(cfg)
-	report := tm.Crawl(sites)
-	b, err := rec.Finalize(tm.Cfg, sites, report)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return b, report, tm, nil
-}

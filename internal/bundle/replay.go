@@ -3,10 +3,8 @@ package bundle
 import (
 	"fmt"
 
-	"gullible/internal/analysis"
 	"gullible/internal/faults"
 	"gullible/internal/httpsim"
-	"gullible/internal/openwpm"
 )
 
 // MissPolicy decides what a ReplayTransport does for a request the bundle
@@ -18,7 +16,9 @@ const (
 	// MissFail returns a permanent error for unrecorded requests (the
 	// strict default: replays should stay inside the archive).
 	MissFail MissPolicy = iota
-	// MissPassthrough forwards unrecorded requests to a fallback transport.
+	// MissPassthrough forwards unrecorded requests to a fallback transport:
+	// a replay inside a scan that still holds its live world (hybrid
+	// replays). Without a fallback every miss fails as under MissFail.
 	MissPassthrough
 	// MissSynthesize404 answers unrecorded requests with an empty 404.
 	MissSynthesize404
@@ -194,6 +194,18 @@ func (t *ReplayTransport) RoundTrip(req *httpsim.Request) (*httpsim.Response, er
 	return resp, nil
 }
 
+// ShardTransport gives one shard of a replay its transport: served from b,
+// and offset by the storage writes of before, the sites of the shards that
+// precede it, so the bundle-global storage-drop positions localise to the
+// shard. fallback serves misses under MissPassthrough and may be nil.
+func (b *Bundle) ShardTransport(before []string, policy MissPolicy, fallback httpsim.RoundTripper) *ReplayTransport {
+	rt := NewReplayTransport(b, policy, fallback)
+	if len(before) > 0 {
+		rt.OffsetStorage(b.StorageWritesFor(before))
+	}
+	return rt
+}
+
 // OffsetStorage pre-positions the storage-fault replay state as if offset
 // writes per table had already happened. A merged bundle's StorageDrops use
 // crawl-global write positions; a sharded replay gives each worker its own
@@ -225,27 +237,4 @@ func (t *ReplayTransport) StorageFault(table string) bool {
 		return true
 	}
 	return false
-}
-
-// ReplayCrawl re-runs a crawl offline against the bundle's archive. mutate,
-// when non-nil, adjusts the reconstructed configuration before the crawl
-// starts (different instruments, run modes or stealth variants — the
-// "same site, different observer" experiments). It returns the replay's
-// report, the task manager (for storage inspection) and the transport (for
-// hit/miss accounting).
-func ReplayCrawl(b *Bundle, policy MissPolicy, mutate func(*openwpm.CrawlConfig)) (*openwpm.CrawlReport, *openwpm.TaskManager, *ReplayTransport) {
-	cfg := b.Config.CrawlConfig()
-	rt := NewReplayTransport(b, policy, nil)
-	cfg.Transport = rt
-	if b.Config.TamperAnalysis {
-		// same code-not-data rule as Stealth: the analyser is pure, so
-		// re-attaching it reproduces the recorded tamper table exactly
-		cfg.Tamper = analysis.TamperRecorder
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	tm := openwpm.NewTaskManager(cfg)
-	report := tm.Crawl(b.Sites)
-	return report, tm, rt
 }

@@ -16,7 +16,7 @@ func tamperedConfig(seed int64, numSites int) (openwpm.CrawlConfig, []string) {
 
 func TestRecordReplayTamperIdentity(t *testing.T) {
 	cfg, urls := tamperedConfig(23, 8)
-	b, _, tm, err := RecordCrawl(cfg, urls, nil)
+	b, _, tm, err := recordCrawl(cfg, urls, nil)
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
@@ -47,14 +47,14 @@ func TestRecordReplayTamperIdentity(t *testing.T) {
 
 func TestDiffFlagsTamperDivergence(t *testing.T) {
 	cfg, urls := tamperedConfig(23, 6)
-	b, _, _, err := RecordCrawl(cfg, urls, nil)
+	b, _, _, err := recordCrawl(cfg, urls, nil)
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
 	// variant replay with the analyser detached: every archived finding
 	// becomes an A-only delta and the config change is surfaced
 	rec := NewRecorder(nil)
-	rep, tm, _ := ReplayCrawl(b, MissFail, func(c *openwpm.CrawlConfig) {
+	rep, tm, _ := replayCrawl(b, MissFail, func(c *openwpm.CrawlConfig) {
 		c.Tamper = nil
 		c.Recorder = rec
 	})

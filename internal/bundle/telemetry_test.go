@@ -36,7 +36,7 @@ func TestReplayReproducesTelemetry(t *testing.T) {
 		inj.SetTelemetry(telLive)
 	}
 
-	b, liveReport, _, err := RecordCrawl(cfg, urls, map[string]string{"scenario": "telemetry"})
+	b, liveReport, _, err := recordCrawl(cfg, urls, map[string]string{"scenario": "telemetry"})
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
@@ -48,7 +48,7 @@ func TestReplayReproducesTelemetry(t *testing.T) {
 	}
 
 	telReplay := telemetry.New()
-	replayReport, _, rt := ReplayCrawl(b, MissFail, func(c *openwpm.CrawlConfig) {
+	replayReport, _, rt := replayCrawl(b, MissFail, func(c *openwpm.CrawlConfig) {
 		c.Telemetry = telReplay
 	})
 	if rt.Misses != 0 {
@@ -103,7 +103,7 @@ func TestReplayReproducesTelemetry(t *testing.T) {
 // archives recorded before the telemetry layer existed stay byte-stable.
 func TestBundleWithoutTelemetryOmitsMetrics(t *testing.T) {
 	cfg, urls := testConfig(29, 4)
-	b, _, _, err := RecordCrawl(cfg, urls, nil)
+	b, _, _, err := recordCrawl(cfg, urls, nil)
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}

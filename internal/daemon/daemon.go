@@ -704,43 +704,23 @@ func (d *Daemon) executeReplay(j *Job) ([]byte, ArtifactMeta, error) {
 		}
 		mut = m
 	}
-	rec := bundle.NewRecorder(bundleMeta(j))
-	// the replay gets its own flight recorder (shared-flight span streams
-	// would interleave across concurrent executors) but shares the daemon's
-	// metrics registry — counters are atomic and order-independent
-	var rtel *telemetry.Telemetry
-	if d.tel.Enabled() {
-		rtel = &telemetry.Telemetry{
-			Metrics: d.tel.Metrics,
-			Spans:   telemetry.NewFlight(telemetry.DefaultFlightCapacity),
-		}
-	}
-	rep, tm, _ := bundle.ReplayCrawl(src, policy, func(c *openwpm.CrawlConfig) {
-		if mut != nil {
-			mut(c)
-		}
-		c.Recorder = rec
-		c.Telemetry = rtel
+	// the replay shares the daemon's metrics registry but detaches it from
+	// the sealed bundle: the artifact must be digest-identical no matter
+	// what else the daemon ran
+	res, _, _, err := experiments.Replay(src, policy, mut, sched.Crawl{
+		Record: true, BundleMeta: bundleMeta(j), Telemetry: d.tel, DetachMetrics: true,
 	})
-	// strip the process-lifetime registry snapshot before sealing: a replay
-	// artifact must be digest-identical no matter what else the daemon ran
-	rep.Metrics = nil
-	replayed, err := rec.Finalize(tm.Cfg, src.Sites, rep)
 	if err != nil {
 		return nil, ArtifactMeta{}, err
 	}
-	artifact, err := replayed.Marshal()
+	artifact, err := res.Bundle.Marshal()
 	if err != nil {
 		return nil, ArtifactMeta{}, err
 	}
-	if rtel != nil {
-		// replay spans start at id 1 in their own flight; merge renumbers
-		// through the same path the scheduler uses so formats match
-		if err := d.sealTrace(j, telemetry.MergeTraces(rtel.Spans.Events())); err != nil {
-			return nil, ArtifactMeta{}, err
-		}
+	if err := d.sealTrace(j, res.Trace); err != nil {
+		return nil, ArtifactMeta{}, err
 	}
-	return artifact, ArtifactMeta{Kind: spec.Kind, Digest: replayed.Digest, ContentType: "application/json"}, nil
+	return artifact, ArtifactMeta{Kind: spec.Kind, Digest: res.Bundle.Digest, ContentType: "application/json"}, nil
 }
 
 // reportArtifact seals a canonical-JSON report document: the artifact is the

@@ -93,8 +93,9 @@ type JobSpec struct {
 	// Source is the content address of a completed crawl job whose cached
 	// bundle a replay job re-executes. Replay only.
 	Source string `json:"source,omitempty"`
-	// Miss is the replay miss policy: fail, passthrough or synthesize-404
-	// (default). Replay only.
+	// Miss is the replay miss policy: fail or synthesize-404 (default).
+	// Replay only; passthrough is refused, as a replay job has no live web
+	// to forward misses to.
 	Miss string `json:"miss,omitempty"`
 	// Variant is the observer change applied on the replay side: stealth
 	// (default), headless, legacy, nohoney — or none for a faithful
@@ -103,7 +104,7 @@ type JobSpec struct {
 }
 
 // validMiss are the accepted replay miss policies.
-var validMiss = map[string]bool{"fail": true, "passthrough": true, "synthesize-404": true}
+var validMiss = map[string]bool{"fail": true, "synthesize-404": true}
 
 // validVariants are the accepted replay-side observer variants; "none"
 // replays the recorded configuration unchanged.
@@ -137,7 +138,7 @@ func Canonicalize(s JobSpec) (JobSpec, error) {
 			c.Miss = DefaultMiss
 		}
 		if !validMiss[c.Miss] {
-			return c, fmt.Errorf("daemon: unknown miss policy %q (want fail, passthrough or synthesize-404)", c.Miss)
+			return c, fmt.Errorf("daemon: unsupported miss policy %q (want fail or synthesize-404; a replay job has no live web to pass misses through to)", c.Miss)
 		}
 		c.Variant = strings.TrimSpace(s.Variant)
 		if c.Variant == "" {

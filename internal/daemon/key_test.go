@@ -132,6 +132,7 @@ func TestCanonicalizeErrors(t *testing.T) {
 		{Kind: KindCrawl, NumSites: maxSites + 1},
 		{Kind: KindCrawl, NumSites: 5, Faults: "catastrophic"},
 		{Kind: KindReplay, Source: "abc", Miss: "guess"},
+		{Kind: KindReplay, Source: "abc", Miss: "passthrough"}, // no live web to pass to
 		{Kind: KindReplay, Source: "abc", Variant: "invisible"},
 		{Kind: KindDiff, NumSites: 3, Variant: "none"},
 		{Kind: KindDiff, Sites: []string{"https://example.com/"}},

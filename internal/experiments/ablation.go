@@ -3,6 +3,7 @@ package experiments
 import (
 	"gullible/internal/httpsim"
 	"gullible/internal/openwpm"
+	"gullible/internal/sched"
 	"gullible/internal/websim"
 )
 
@@ -37,8 +38,15 @@ func AblationMethods(world *websim.World, n int) *Table {
 	// interaction scan
 	cfg := scanCrawlConfig(world, 3)
 	cfg.SimulateInteraction = true
+	res, err := sched.Run(sched.Crawl{
+		Sites: websim.Tranco(n), Workers: 1,
+		Config: func(sched.Shard) openwpm.CrawlConfig { return cfg },
+	})
+	if err != nil {
+		panic(err)
+	}
 	tm := openwpm.NewTaskManager(cfg)
-	tm.Crawl(websim.Tranco(n))
+	tm.Storage = res.Storage
 	inter := Analyze(world, tm, n)
 
 	row := func(name string, found map[string]bool) {

@@ -8,6 +8,7 @@ import (
 	"gullible/internal/httpsim"
 	"gullible/internal/jsdom"
 	"gullible/internal/openwpm"
+	"gullible/internal/sched"
 	"gullible/internal/stealth"
 	"gullible/internal/websim"
 )
@@ -68,6 +69,34 @@ func VariantMutator(variant string) (func(*openwpm.CrawlConfig), error) {
 	return nil, fmt.Errorf("experiments: unknown bundle-diff variant %q (want stealth, headless, legacy or nohoney)", variant)
 }
 
+// Replay re-executes b offline through sched.Run at one worker (a replay's
+// trace bytes depend on its worker count, so it is fixed). c supplies recording and
+// telemetry (Record, BundleMeta, Telemetry, DetachMetrics); Replay fills in
+// the sites, the worker count and a Config that gives every shard b's
+// recorded configuration, changed by mutate when non-nil, served by its own
+// Bundle.ShardTransport. hits and misses are summed over those transports.
+func Replay(b *bundle.Bundle, policy bundle.MissPolicy, mutate func(*openwpm.CrawlConfig), c sched.Crawl) (res *sched.Result, hits, misses int, err error) {
+	var rts []*bundle.ReplayTransport
+	c.Sites, c.Workers = b.Sites, 1
+	c.Config = func(sh sched.Shard) openwpm.CrawlConfig {
+		cfg := b.Config.CrawlConfig()
+		rt := b.ShardTransport(b.Sites[:sh.Start], policy, nil)
+		rts = append(rts, rt)
+		cfg.Transport = rt
+		if mutate != nil {
+			mutate(&cfg)
+		}
+		cfg.Telemetry = c.Telemetry
+		return cfg
+	}
+	res, err = sched.Run(c)
+	for _, rt := range rts {
+		hits += rt.Hits
+		misses += rt.Misses
+	}
+	return res, hits, misses, err
+}
+
 // RunBundleDiff records a vanilla Sec. 4 scan configuration into a bundle,
 // replays the archive under a variant observer, and returns the structured
 // per-visit diff — the paper's gullibility checks without a second live
@@ -106,19 +135,18 @@ func RunBundleDiff(worldSeed int64, opts BundleDiffOptions) (*BundleDiffResult, 
 		meta["faultSeed"] = fmt.Sprint(opts.FaultSeed)
 	}
 
-	base, baseRep, _, err := bundle.RecordCrawl(cfg, websim.Tranco(opts.NumSites), meta)
+	recorded, err := sched.Run(sched.Crawl{
+		Sites: websim.Tranco(opts.NumSites), Workers: 1, Record: true, BundleMeta: meta,
+		Config: func(sched.Shard) openwpm.CrawlConfig { return cfg },
+	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: record base crawl: %w", err)
 	}
+	base := recorded.Bundle
 
-	rec := bundle.NewRecorder(meta)
-	varRep, tm, rt := bundle.ReplayCrawl(base, opts.MissPolicy, func(c *openwpm.CrawlConfig) {
-		mutate(c)
-		c.Recorder = rec
-	})
-	replayed, err := rec.Finalize(tm.Cfg, base.Sites, varRep)
+	replayed, hits, misses, err := Replay(base, opts.MissPolicy, mutate, sched.Crawl{Record: true, BundleMeta: meta})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: finalize variant bundle: %w", err)
+		return nil, fmt.Errorf("experiments: replay variant crawl: %w", err)
 	}
 
 	return &BundleDiffResult{
@@ -126,12 +154,12 @@ func RunBundleDiff(worldSeed int64, opts BundleDiffOptions) (*BundleDiffResult, 
 		WorldSeed: worldSeed,
 		Variant:   opts.Variant,
 		Base:      base,
-		Replay:    replayed,
-		Diff:      bundle.Diff(base, replayed),
-		Hits:      rt.Hits,
-		Misses:    rt.Misses,
-		BaseRep:   baseRep,
-		VarRep:    varRep,
+		Replay:    replayed.Bundle,
+		Diff:      bundle.Diff(base, replayed.Bundle),
+		Hits:      hits,
+		Misses:    misses,
+		BaseRep:   recorded.Report,
+		VarRep:    replayed.Report,
 	}, nil
 }
 

@@ -125,7 +125,7 @@ type ScanOptions struct {
 	// ReplayBundle, when non-nil, serves the scan from the archived crawl
 	// instead of the live world (each worker gets its own replay cursor
 	// over the shared read-only bundle). MissPolicy governs requests the
-	// bundle never saw.
+	// bundle never saw; MissPassthrough serves them from the live world.
 	ReplayBundle *bundle.Bundle
 	MissPolicy   bundle.MissPolicy
 
@@ -207,14 +207,9 @@ func RunScanObserved(world *websim.World, numSites int, opts ScanOptions, progre
 			case opts.ReplayBundle != nil:
 				// offline re-analysis: serve the archived crawl; the recorded
 				// faults (errors and storage drops) replay with it, so a live
-				// injector on top would double-fault. The shard's transport is
-				// offset by the preceding shards' write totals so the
-				// bundle-global storage-drop positions localise correctly.
-				rt := bundle.NewReplayTransport(opts.ReplayBundle, opts.MissPolicy, nil)
-				if sh.Start > 0 {
-					rt.OffsetStorage(opts.ReplayBundle.StorageWritesFor(urls[:sh.Start]))
-				}
-				cfg.Transport = rt
+				// injector on top would double-fault. Passthrough misses go
+				// to the live world.
+				cfg.Transport = opts.ReplayBundle.ShardTransport(urls[:sh.Start], opts.MissPolicy, world)
 			case opts.FaultProfile != nil:
 				inj := faults.NewInjector(opts.FaultSeed, *opts.FaultProfile, world)
 				inj.RankOf = func(u string) int { return websim.RankOf(httpsim.Host(u)) }

@@ -6,6 +6,8 @@ import (
 
 	"gullible/internal/bundle"
 	"gullible/internal/faults"
+	"gullible/internal/openwpm"
+	"gullible/internal/sched"
 	"gullible/internal/websim"
 )
 
@@ -56,6 +58,26 @@ func TestScanWorkersClampToSites(t *testing.T) {
 	}
 }
 
+// replayOneWorker replays b under its recorded configuration at one worker
+// with the strict miss policy.
+func replayOneWorker(t *testing.T, b *bundle.Bundle) (*sched.Result, *bundle.ReplayTransport) {
+	t.Helper()
+	var rt *bundle.ReplayTransport
+	res, err := sched.Run(sched.Crawl{
+		Sites: b.Sites, Workers: 1,
+		Config: func(sched.Shard) openwpm.CrawlConfig {
+			cfg := b.Config.CrawlConfig()
+			rt = b.ShardTransport(nil, bundle.MissFail, nil)
+			cfg.Transport = rt
+			return cfg
+		},
+	})
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	return res, rt
+}
+
 // TestShardedRecordReplayMatchesSerial is the PR's acceptance scenario:
 // recording with four workers yields a merged archive whose storage digest
 // matches the serial run's, and replaying that archive — serially or
@@ -99,14 +121,14 @@ func TestShardedRecordReplayMatchesSerial(t *testing.T) {
 	}
 
 	// serial replay of the 4-worker merged archive
-	_, tm, rt := bundle.ReplayCrawl(sharded.Bundle, bundle.MissFail, nil)
+	one, rt := replayOneWorker(t, sharded.Bundle)
 	if rt.Misses != 0 {
 		t.Fatalf("serial replay of merged bundle missed %d requests", rt.Misses)
 	}
-	if got := tm.Storage.Digest(); got != digest {
+	if got := one.Storage.Digest(); got != digest {
 		t.Fatalf("serial replay digest %s differs from recording %s", got, digest)
 	}
-	if got := len(tm.Storage.JSCalls); got != jsCalls {
+	if got := len(one.Storage.JSCalls); got != jsCalls {
 		t.Fatalf("serial replay recorded %d JS calls, recording had %d", got, jsCalls)
 	}
 
@@ -152,8 +174,8 @@ func TestShardedReplayLocalisesStorageDrops(t *testing.T) {
 	digest := rec.Storage.Digest()
 
 	// serial replay reproduces the drops at their global positions
-	_, tm, _ := bundle.ReplayCrawl(rec.Bundle, bundle.MissFail, nil)
-	if got := tm.Storage.Digest(); got != digest {
+	one, _ := replayOneWorker(t, rec.Bundle)
+	if got := one.Storage.Digest(); got != digest {
 		t.Fatalf("serial replay digest %s differs from faulted recording %s", got, digest)
 	}
 
@@ -171,5 +193,33 @@ func TestShardedReplayLocalisesStorageDrops(t *testing.T) {
 	}
 	if got := replayed.Report.DroppedWrites; got != rec.Report.DroppedWrites {
 		t.Fatalf("sharded replay dropped %d writes, recording dropped %d", got, rec.Report.DroppedWrites)
+	}
+}
+
+// TestReplayPassthroughServesMissesFromWorld: a passthrough replay over more
+// sites than its bundle archived serves the missing sites from the scan's
+// live world, so it accounts, requests and observes exactly what a live scan
+// does. (Storage digests differ: tracker IDs the world mints depend on the
+// requests it served before, and the archived sites never reached it.)
+func TestReplayPassthroughServesMissesFromWorld(t *testing.T) {
+	const archived, n = 4, 8
+	scan := func(opts ScanOptions) *ScanResult {
+		opts.MaxSubpages = 1
+		r, err := RunScanObserved(websim.New(websim.Options{Seed: 17, NumSites: n}), n, opts, nil)
+		if err != nil {
+			t.Fatalf("RunScanObserved: %v", err)
+		}
+		return r
+	}
+	rec := scan(ScanOptions{Sites: websim.Tranco(archived), Workers: 1, RecordBundle: true})
+	live := scan(ScanOptions{Workers: 1})
+	replayed := scan(ScanOptions{Workers: 2, ReplayBundle: rec.Bundle, MissPolicy: bundle.MissPassthrough})
+	if replayed.Report.String() != live.Report.String() {
+		t.Fatalf("passthrough replay report diverges from the live scan:\nreplay:\n%s\nlive:\n%s", replayed.Report, live.Report)
+	}
+	a, b := replayed.Storage, live.Storage
+	if len(a.Requests) != len(b.Requests) || len(a.JSCalls) != len(b.JSCalls) || len(a.Cookies) != len(b.Cookies) {
+		t.Fatalf("passthrough replay stored %d requests, %d JS calls, %d cookies; live scan %d, %d, %d",
+			len(a.Requests), len(a.JSCalls), len(a.Cookies), len(b.Requests), len(b.JSCalls), len(b.Cookies))
 	}
 }

@@ -76,7 +76,6 @@ type imageObj struct {
 	fn       *FuncLit // non-nil for script functions
 	env      int32    // closure scope slot of a script function
 	this     imageVal
-	hasThis  bool
 	override string // ToStringOverride
 }
 
@@ -491,7 +490,7 @@ func (r *recorder) build(it *Interp) (*Image, error) {
 			}
 		}
 		if fd := o.fnd; fd != nil {
-			ob.fn, ob.env, ob.this, ob.hasThis, ob.override = fd.Fn, r.scopeSlot(fd.Env), r.val(fd.ThisVal), fd.HasThisVal, fd.ToStringOverride
+			ob.fn, ob.env, ob.this, ob.override = fd.Fn, r.scopeSlot(fd.Env), r.val(fd.ThisVal), fd.ToStringOverride
 		}
 	}
 	img.scopes = make([]imageScope, len(r.after.scopes))
@@ -830,7 +829,7 @@ func (it *Interp) Instantiate(img *Image) bool {
 		}
 		if ob.fn != nil {
 			fd := o.fnd
-			fd.Fn, fd.Env, fd.ThisVal, fd.HasThisVal, fd.ToStringOverride = ob.fn, scopes[ob.env], ob.this.in(slots), ob.hasThis, ob.override
+			fd.Fn, fd.Env, fd.ThisVal, fd.ToStringOverride = ob.fn, scopes[ob.env], ob.this.in(slots), ob.override
 		}
 	}
 	for i := range img.edits {
@@ -950,7 +949,6 @@ func (it *Interp) GraphDigest() [32]byte {
 				str(fd.Fn.SrcText)
 			}
 			str(fd.ToStringOverride)
-			flag(fd.HasThisVal)
 			val(fd.ThisVal)
 			if fd.Env != nil {
 				num(int64(g.sindex[fd.Env]))

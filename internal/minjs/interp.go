@@ -389,7 +389,7 @@ func (it *Interp) CallFunction(fn *Object, this Value, args []Value) (Value, err
 		return fd.Native(it, this, args)
 	}
 	lit := fd.Fn
-	if lit.Arrow || fd.HasThisVal {
+	if lit.Arrow {
 		this = fd.ThisVal
 	}
 	return it.callCompiled(lit, fn, this, args)

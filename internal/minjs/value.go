@@ -359,10 +359,9 @@ type Object struct {
 // fnData is the function half of an Object: exactly one of Fn/Native is set
 // for callables.
 type fnData struct {
-	Fn         *FuncLit // script function body
-	Env        *Scope   // closure environment for script functions
-	ThisVal    Value    // bound this for arrow functions / bind
-	HasThisVal bool
+	Fn         *FuncLit   // script function body
+	Env        *Scope     // closure environment for script functions
+	ThisVal    Value      // bound this for arrow functions
 	Native     NativeFunc // host function
 	NativeName string     // name reported by native toString
 	// ToStringOverride, when non-empty, is returned by

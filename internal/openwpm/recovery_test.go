@@ -46,6 +46,11 @@ func hardenedTM(t httpsim.RoundTripper, mut func(*CrawlConfig)) *TaskManager {
 	return NewTaskManager(cfg)
 }
 
+// crawl runs a whole crawl from a fresh checkpoint.
+func crawl(tm *TaskManager, urls []string) *CrawlReport {
+	return tm.CrawlFromHooked(urls, &Checkpoint{}, CrawlHooks{})
+}
+
 func frontSite() map[string]*httpsim.Response {
 	return map[string]*httpsim.Response{
 		"https://a.com/": htmlPage(`<script src="/ok.js"></script>
@@ -123,7 +128,7 @@ func TestWatchdogSalvagesTarpittedSite(t *testing.T) {
 		delay: map[string]float64{"https://a.com/ok.js": 500}, // tarpit past any budget
 	}
 	tm := hardenedTM(ft, func(c *CrawlConfig) { c.MaxVisitSeconds = 60; c.MaxRetries = 1; c.MaxSubpages = 3 })
-	rep := tm.Crawl([]string{"https://a.com/"})
+	rep := crawl(tm, []string{"https://a.com/"})
 
 	if rep.Salvaged != 1 || rep.Completed != 0 || rep.Failed != 0 {
 		t.Fatalf("report: %+v", rep)
@@ -156,7 +161,7 @@ func TestCrashSalvageKeepsPartialRecords(t *testing.T) {
 		errs:  map[string]error{"https://a.com/boom.js": &faults.FaultError{Kind: faults.KindCrash, URL: "https://a.com/boom.js"}},
 	}
 	tm := hardenedTM(ft, func(c *CrawlConfig) { c.MaxRetries = 1 })
-	rep := tm.Crawl([]string{"https://a.com/"})
+	rep := crawl(tm, []string{"https://a.com/"})
 	if rep.Salvaged != 1 || !rep.Accounted() {
 		t.Fatalf("report: %+v", rep)
 	}
@@ -186,7 +191,7 @@ func (dropRequests) StorageFault(table string) bool { return table == "http_requ
 
 func TestStorageFaultsCountedNotSilent(t *testing.T) {
 	tm := hardenedTM(dropRequests{&web{pages: frontSite()}}, nil)
-	rep := tm.Crawl([]string{"https://a.com/"})
+	rep := crawl(tm, []string{"https://a.com/"})
 	if rep.Completed != 1 {
 		t.Fatalf("report: %+v", rep)
 	}
@@ -231,15 +236,15 @@ func TestCheckpointResumeMatchesOneShot(t *testing.T) {
 		return hardenedTM(&web{pages: frontSite()}, func(c *CrawlConfig) { c.MaxSubpages = 2 })
 	}
 
-	oneShot := build().Crawl(urls)
+	oneShot := crawl(build(), urls)
 
 	tm := build()
 	cp := &Checkpoint{}
-	tm.CrawlFrom(urls[:2], cp) // interrupted after two sites
+	tm.CrawlFromHooked(urls[:2], cp, CrawlHooks{}) // interrupted after two sites
 	if cp.Done != 2 {
 		t.Fatalf("checkpoint Done = %d, want 2", cp.Done)
 	}
-	resumed := tm.CrawlFrom(urls, cp)
+	resumed := tm.CrawlFromHooked(urls, cp, CrawlHooks{})
 
 	if !reflect.DeepEqual(oneShot, resumed) {
 		t.Fatalf("resumed crawl diverged:\none-shot: %+v\nresumed:  %+v", oneShot, resumed)
@@ -256,7 +261,7 @@ func TestCrawlBudgetSkipsAreAccounted(t *testing.T) {
 	}
 	tm := hardenedTM(ft, func(c *CrawlConfig) { c.MaxCrawlSeconds = 150; c.MaxVisitSeconds = 0 })
 	urls := []string{"https://a.com/", "https://a.com/", "https://a.com/", "https://a.com/"}
-	rep := tm.Crawl(urls)
+	rep := crawl(tm, urls)
 	if !rep.Accounted() {
 		t.Fatalf("unaccounted report: %+v", rep)
 	}
@@ -291,7 +296,7 @@ func TestFaultRecoveryProperty(t *testing.T) {
 
 	prop := func(seed uint8) bool {
 		worldSeed := int64(seed)
-		crawl := func(faulted bool) (*CrawlReport, map[string]bool) {
+		run := func(faulted bool) (*CrawlReport, map[string]bool) {
 			world := websim.New(websim.Options{Seed: worldSeed, NumSites: n})
 			var transport httpsim.RoundTripper = world
 			if faulted {
@@ -301,10 +306,10 @@ func TestFaultRecoveryProperty(t *testing.T) {
 				}, world)
 			}
 			tm := hardenedTM(transport, nil)
-			return tm.Crawl(urls), frontRecords(tm)
+			return crawl(tm, urls), frontRecords(tm)
 		}
-		cleanRep, cleanSites := crawl(false)
-		faultRep, faultSites := crawl(true)
+		cleanRep, cleanSites := run(false)
+		faultRep, faultSites := run(true)
 		return cleanRep.Accounted() && faultRep.Accounted() &&
 			cleanRep.Failed == 0 && faultRep.Failed == 0 &&
 			len(cleanSites) == n && reflect.DeepEqual(cleanSites, faultSites)
@@ -322,7 +327,7 @@ func TestCrawlReportDeterministic(t *testing.T) {
 		inj := faults.NewInjector(99, faults.HeavyProfile(), world)
 		inj.RankOf = func(u string) int { return websim.RankOf(httpsim.Host(u)) }
 		tm := hardenedTM(inj, func(c *CrawlConfig) { c.MaxSubpages = 2 })
-		return tm.Crawl(websim.Tranco(12)).String()
+		return crawl(tm, websim.Tranco(12)).String()
 	}
 	a, b := run(), run()
 	if a != b {

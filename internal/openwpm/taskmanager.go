@@ -700,16 +700,11 @@ func (r *CrawlReport) String() string {
 
 // Checkpoint is resumable crawl state: how many input URLs are done and the
 // report accumulated so far. An interrupted ranked scan resumes from the
-// last completed rank by passing the same Checkpoint back to CrawlFrom.
+// last completed rank by passing the same Checkpoint back to
+// CrawlFromHooked.
 type Checkpoint struct {
 	Done   int
 	Report *CrawlReport
-}
-
-// Crawl visits every URL in order; per-site errors are recorded, not fatal.
-// The returned report accounts for every input site.
-func (tm *TaskManager) Crawl(urls []string) *CrawlReport {
-	return tm.CrawlFrom(urls, &Checkpoint{})
 }
 
 // CrawlHooks lets a scheduler observe and steer a crawl at site
@@ -723,15 +718,12 @@ type CrawlHooks struct {
 	Stop func() bool
 }
 
-// CrawlFrom continues a crawl from a checkpoint, updating it after every
-// site so callers can persist progress and survive interruption.
-func (tm *TaskManager) CrawlFrom(urls []string, cp *Checkpoint) *CrawlReport {
-	return tm.CrawlFromHooked(urls, cp, CrawlHooks{})
-}
-
-// CrawlFromHooked is CrawlFrom with per-site hooks — the primitive under the
-// sharded scheduler (package sched): each worker runs one of these over its
-// shard, streaming outcomes out and polling for cooperative interruption.
+// CrawlFromHooked visits every URL from the checkpoint on, in order, and
+// advances the checkpoint after every site; per-site errors are recorded,
+// not fatal, and the returned report accounts for every input site. It is
+// the primitive under the sharded scheduler (package sched), the one driver
+// of every crawl: each worker runs one of these over its shard, streaming
+// outcomes out and polling for cooperative interruption.
 func (tm *TaskManager) CrawlFromHooked(urls []string, cp *Checkpoint, h CrawlHooks) *CrawlReport {
 	if cp.Report == nil {
 		cp.Report = NewCrawlReport()

@@ -35,7 +35,7 @@ func TestCrossBackendEquivalence(t *testing.T) {
 		cfg := testConfig(world)
 		cfg.Backend = be
 		tm := openwpm.NewTaskManager(cfg)
-		tm.Crawl(websim.Tranco(sites))
+		tm.CrawlFromHooked(websim.Tranco(sites), &openwpm.Checkpoint{}, openwpm.CrawlHooks{})
 		return tm
 	}
 
@@ -122,7 +122,7 @@ func TestENOSPCSalvageParity(t *testing.T) {
 	cfg := testConfig(world)
 	cfg.Backend = be
 	tm := openwpm.NewTaskManager(cfg)
-	report := tm.Crawl(urls)
+	report := tm.CrawlFromHooked(urls, &openwpm.Checkpoint{}, openwpm.CrawlHooks{})
 	_ = be.Close()
 
 	st := be.Stats()

@@ -110,6 +110,22 @@ rm -rf "$tracedir"
 echo "== minjs FuzzRun (hostile scripts: no panic, interrupt-or-complete, deterministic)"
 go test -run '^$' -fuzz '^FuzzRun$' -fuzztime 10s -parallel 2 ./internal/minjs
 
+# minimising a kilobyte-sized JSON input is quadratic in its length; at the
+# default 60 s per input the fuzzer would spend its whole budget minimising
+echo "== bundle FuzzUnmarshal (hostile archives: decode+verify never panics; verified bundles re-marshal to the same digest)"
+go test -run '^$' -fuzz '^FuzzUnmarshal$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/bundle
+
+echo "== quickstart (record, replay, panic if the replayed JS tallies diverge)"
+go run ./examples/quickstart >/dev/null
+
+echo "== wpmbundle smoke (record, replay re-recorded, verify both)"
+bundledir=$(mktemp -d)
+go run ./cmd/wpmbundle record -sites 6 -subpages 1 -faults default -out "$bundledir/crawl.json" >/dev/null 2>&1
+go run ./cmd/wpmbundle replay -in "$bundledir/crawl.json" -variant stealth -out "$bundledir/replay.json" >/dev/null 2>&1
+go run ./cmd/wpmbundle verify -in "$bundledir/crawl.json" >/dev/null
+go run ./cmd/wpmbundle verify -in "$bundledir/replay.json" >/dev/null
+rm -rf "$bundledir"
+
 # the whole repo under the race detector; experiments' full synthetic-web
 # crawls are gated behind -short (several minutes each under race) — set
 # WPM_FULL_RACE=1 for the long tier
