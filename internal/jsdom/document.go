@@ -213,7 +213,7 @@ func (d *DOM) buildElementProtos() {
 			return minjs.Null(), nil
 		}
 		if fd, ok := this.Obj.Host.(*DOM); ok && fd != nil {
-			fd.exposed = true
+			fd.expose()
 			return minjs.ObjectValue(fd.Window), nil
 		}
 		return minjs.Null(), nil
@@ -224,7 +224,7 @@ func (d *DOM) buildElementProtos() {
 			return minjs.Null(), nil
 		}
 		if fd, ok := this.Obj.Host.(*DOM); ok && fd != nil {
-			fd.exposed = true
+			fd.expose()
 			return minjs.ObjectValue(fd.Document), nil
 		}
 		return minjs.Null(), nil

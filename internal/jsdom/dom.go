@@ -30,10 +30,10 @@ type DOM struct {
 	// Parent is the parent DOM for subframes, nil for top documents.
 	Parent *DOM
 
-	// exposed marks a realm whose window or document some script has been
-	// handed: through an iframe's contentWindow or contentDocument, a
-	// window's frames, or window.open.
-	exposed bool
+	// seal is the realm's state when script was first handed its window or
+	// document (through an iframe's contentWindow or contentDocument, a
+	// window's frames, or window.open); nil while it never was.
+	seal *realmSeal
 
 	// hostListeners receive events delivered through the ORIGINAL native
 	// dispatchEvent — this models the extension content script listening on
@@ -270,7 +270,7 @@ func (d *DOM) buildWindowProps() {
 	framesGetter := d.It.NewNative("get frames", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
 		arr := it.NewArrayP()
 		for _, f := range d.Frames {
-			f.exposed = true
+			f.expose()
 			arr.Elems = append(arr.Elems, minjs.ObjectValue(f.Window))
 		}
 		return minjs.ObjectValue(arr), nil
@@ -327,7 +327,7 @@ func (d *DOM) buildWindowProps() {
 		if err != nil || nd == nil {
 			return minjs.Null(), nil
 		}
-		nd.exposed = true
+		nd.expose()
 		return minjs.ObjectValue(nd.Window), nil
 	})))
 
@@ -407,10 +407,37 @@ func (d *DOM) addPageListener(event string, fn minjs.Value) {
 	}
 }
 
-// Exposed reports whether script has been handed this realm's window or
-// document (see DOM.exposed). Those are the only ways into another realm,
-// so script from elsewhere has never touched a realm that was not exposed.
-func (d *DOM) Exposed() bool { return d.exposed }
+// realmSeal is what Untouched compares against: the realm's graph digest
+// and its step and alloc counters.
+type realmSeal struct {
+	digest        [32]byte
+	steps, allocs int64
+}
+
+// expose seals the realm the first time script is handed its window or
+// document. Every route that hands one out calls it before returning.
+func (d *DOM) expose() {
+	if d.seal == nil {
+		d.seal = &realmSeal{digest: d.It.GraphDigest(), steps: d.It.Steps(), allocs: d.It.Allocs()}
+	}
+}
+
+// Untouched reports whether the realm is still as it was built, as far as
+// script can see it: it was never exposed, or its reachable object graph
+// (Interp.GraphDigest) and its step and alloc counters still equal the
+// seal. Exposure is the only way into another realm, so script from
+// elsewhere reaches a realm's objects only through the window or document
+// it was handed, and any write, define, delete, prototype change or freeze
+// on an object reachable from the realm's roots alters the digest. State
+// only a native's Go closure holds is host state, outside the digest; a
+// program recorded into an image may not depend on it (Interp.Record). The
+// check costs two graph walks per exposed realm and none for the rest.
+func (d *DOM) Untouched() bool {
+	if d.seal == nil {
+		return true
+	}
+	return d.It.Steps() == d.seal.steps && d.It.Allocs() == d.seal.allocs && d.It.GraphDigest() == d.seal.digest
+}
 
 // PageListeners returns registered page listeners for an event type; the
 // crawler can fire them to simulate interaction.

@@ -3,7 +3,6 @@ package minjs
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -673,8 +672,6 @@ func (it *Interp) captureJSStack() string {
 
 func installMathJSON(it *Interp) {
 	// Math with a deterministic, per-realm PRNG (reseedable by the host).
-	rng := rand.New(rand.NewSource(42))
-	it.rng = rng
 	m := it.NewObjectP()
 	m.Class = "Math"
 	def := func(name string, fn func(args []Value) Value) {
@@ -682,7 +679,7 @@ func installMathJSON(it *Interp) {
 			return fn(args), nil
 		})))
 	}
-	def("random", func(args []Value) Value { return Number(it.rng.Float64()) })
+	def("random", func(args []Value) Value { return Number(it.random()) })
 	def("floor", func(args []Value) Value { return Number(math.Floor(arg(args, 0).ToNumber())) })
 	def("ceil", func(args []Value) Value { return Number(math.Ceil(arg(args, 0).ToNumber())) })
 	def("round", func(args []Value) Value { return Number(math.Round(arg(args, 0).ToNumber())) })

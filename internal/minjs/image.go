@@ -301,7 +301,7 @@ func (it *Interp) Record(prog *Program) (*Image, error) {
 	before := walkRealm(it)
 	snaps, props, scopes := snapshot(before)
 	consoleN, allocs0 := len(it.ConsoleLog), it.allocs
-	rng := it.rng
+	rng := it.rng // nil before the first draw; restored as is
 	src := &drawCounter{}
 	it.rng = rand.New(src)
 	_, err := it.RunProgram(prog)

@@ -103,7 +103,8 @@ type Interp struct {
 	maxDepth int
 	root     *Scope
 	curThis  Value      // dynamic `this` for the running script function
-	rng      *rand.Rand // backs Math.random; deterministic per realm
+	seed     int64      // Math.random seed: 42 until the host reseeds
+	rng      *rand.Rand // backs Math.random; nil until the first draw
 
 	// Bytecode VM state: a shared value stack (vs/vsp) and a free list of
 	// pooled scopes for closure-free functions and blocks.
@@ -136,7 +137,16 @@ func (it *Interp) stepLimit() int64 {
 }
 
 // Reseed re-seeds the realm's Math.random generator.
-func (it *Interp) Reseed(seed int64) { it.rng = rand.New(rand.NewSource(seed)) }
+func (it *Interp) Reseed(seed int64) { it.seed, it.rng = seed, nil }
+
+// random draws from the realm's Math.random generator, seeding it on the
+// first draw: most realms never draw, and a source costs about 5 KB.
+func (it *Interp) random() float64 {
+	if it.rng == nil {
+		it.rng = rand.New(rand.NewSource(it.seed))
+	}
+	return it.rng.Float64()
+}
 
 // Scope is a lexical environment. The root scope of a realm is backed by the
 // global object itself: top-level var declarations become global properties.
@@ -188,7 +198,7 @@ func (s *Scope) declare(name string, v Value) {
 // New creates an interpreter with a fresh global object populated with the
 // standard built-ins (Object, Array, Error, Math, JSON, parseInt, …).
 func New() *Interp {
-	it := &Interp{maxDepth: 200}
+	it := &Interp{maxDepth: 200, seed: 42}
 	it.stack = make([]Frame, 0, it.maxDepth+32)
 	it.Protos.Object = &Object{Class: "Object", props: map[string]*Property{}}
 	it.Protos.Function = NewObject(it.Protos.Object)

@@ -1,6 +1,7 @@
 package minjs
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -443,6 +444,43 @@ func TestMathAndGlobals(t *testing.T) {
 	vb := runIn(t, b, "Math.random()")
 	if va.Num != vb.Num {
 		t.Fatalf("Math.random not deterministic: %v vs %v", va.Num, vb.Num)
+	}
+}
+
+// Math.random builds its source on the first draw from the latest seed: 42
+// until the host reseeds. Draws follow math/rand's sequence for that seed
+// whether the source was built before or after a reseed, and a recording
+// that swaps in its draw counter before any draw leaves the lazy seeding
+// intact.
+func TestMathRandomSeededLazily(t *testing.T) {
+	seq := func(seed int64) [2]float64 {
+		r := rand.New(rand.NewSource(seed))
+		return [2]float64{r.Float64(), r.Float64()}
+	}
+	draws := func(it *Interp) [2]float64 {
+		return [2]float64{runIn(t, it, "Math.random()").Num, runIn(t, it, "Math.random()").Num}
+	}
+	if got, want := draws(New()), seq(42); got != want {
+		t.Errorf("default seed: %v, want %v", got, want)
+	}
+	reseeded := New()
+	reseeded.Reseed(7)
+	if got, want := draws(reseeded), seq(7); got != want {
+		t.Errorf("reseeded: %v, want %v", got, want)
+	}
+	drawnFirst := New()
+	runIn(t, drawnFirst, "Math.random()")
+	drawnFirst.Reseed(7)
+	if got, want := draws(drawnFirst), seq(7); got != want {
+		t.Errorf("reseeded after a draw: %v, want %v", got, want)
+	}
+	recorded := New()
+	recorded.Reseed(7)
+	if _, err := recorded.Record(Compile(MustParse("var x = 1;", "r.js"))); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := draws(recorded), seq(7); got != want {
+		t.Errorf("after a recording: %v, want %v", got, want)
 	}
 }
 

@@ -234,7 +234,7 @@ type JSInstrument struct {
 	honeyArr     *minjs.Object
 
 	// image is vanillaProgram's recorded effect, instantiated into every
-	// realm no script has been handed yet.
+	// realm no script has changed (jsdom.DOM.Untouched).
 	image *instrumentImage
 }
 
@@ -308,12 +308,13 @@ func (ji *JSInstrument) OnWindow(b *browser.Browser, st *Storage, d *jsdom.DOM, 
 		}
 	}
 	install := func() error {
+		// a realm handed to script may have been changed by it before this
+		// tick (Sec. 5.4.1); only an untouched one matches the recording.
+		// Ask before __wpmCfg lands, which is a change of its own.
+		untouched := d.Untouched()
 		d.Window.Set("__wpmCfg", minjs.ObjectValue(ji.cfgObject(eventID)))
 		return b.InjectPageProgram(d, vanillaProgram, func() bool {
-			// a realm handed to script may have been changed by it before
-			// this tick (Sec. 5.4.1); only an untouched one matches the
-			// recording. Top windows are never exposed this early.
-			if d.Exposed() {
+			if !untouched {
 				return false
 			}
 			img := ji.imageFor(d, eventID)

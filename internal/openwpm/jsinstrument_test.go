@@ -6,7 +6,9 @@ import (
 
 	"gullible/internal/browser"
 	"gullible/internal/jsdom"
+	"gullible/internal/minjs"
 	"gullible/internal/telemetry"
+	"gullible/internal/websim"
 )
 
 // testRealm builds a realm the way the browser does.
@@ -17,25 +19,29 @@ func testRealm(cfg jsdom.Config, url string) *jsdom.DOM {
 }
 
 // expose hands d's window to script in another realm through
-// window.frames, so the instrument must install into d by running its
-// script.
-func expose(t *testing.T, cfg jsdom.Config, d *jsdom.DOM) {
+// window.frames and runs src there, before d's install tick.
+func expose(t *testing.T, cfg jsdom.Config, d *jsdom.DOM, src string) {
 	t.Helper()
 	parent := testRealm(cfg, "https://parent.example/")
 	parent.Frames = append(parent.Frames, d)
-	if _, err := parent.It.RunScript("frames[0].navigator;", "expose.js"); err != nil {
+	if _, err := parent.It.RunScript(src, "parent.js"); err != nil {
 		t.Fatal(err)
 	}
-	if !d.Exposed() {
-		t.Fatal("window.frames did not mark the frame exposed")
-	}
 }
+
+// poison is a parent's write into a frame's prototype before the frame's
+// install tick.
+const poison = "frames[0].Navigator.prototype.x = 1;"
 
 // A realm instrumented from the recorded image must be indistinguishable
 // from one instrumented by running vanillaProgram: the same reachable
 // object graph (own keys and attributes in order, prototype links, function
 // identity, captured scopes) and the same step and alloc counters, for
-// every setup the instrument meets.
+// every setup the instrument meets. Three realms are installed per setup:
+// (a) a fresh one and (b) one a parent only read from both take the image;
+// (c) one a parent wrote into takes the script path and ends as a poisoned
+// realm that ran vanillaProgram directly does. The reference for (a) and (b)
+// runs the script because its access hook makes Instantiate refuse.
 func TestInstrumentImageMatchesScript(t *testing.T) {
 	setups := []struct {
 		os   jsdom.OS
@@ -58,34 +64,95 @@ func TestInstrumentImageMatchesScript(t *testing.T) {
 						ji := &JSInstrument{Legacy: legacy, HoneyProps: HoneyNames("identity", honey)}
 						st := NewStorage()
 						url := "https://frame.example/page"
-						viaImage, viaScript := testRealm(cfg, url), testRealm(cfg, url)
-						expose(t, cfg, viaScript)
+						fresh, readOnly, poisoned, viaScript := testRealm(cfg, url), testRealm(cfg, url), testRealm(cfg, url), testRealm(cfg, url)
+						exposeAll := func() {
+							expose(t, cfg, readOnly, "frames[0].navigator.userAgent; frames[0].screen.width; frames[0].document;")
+							expose(t, cfg, poisoned, poison)
+						}
+						viaScript.It.PropAccessHook = func(*minjs.Object, string) {}
 
-						ji.OnWindow(b, st, viaImage, top)
-						ji.OnWindow(b, st, viaScript, top)
+						// parent script reaches a subframe between its
+						// creation and its install tick; a top window
+						// installs inside OnWindow, so reach it first
+						if top {
+							exposeAll()
+						}
+						for _, d := range []*jsdom.DOM{fresh, readOnly, poisoned, viaScript} {
+							ji.OnWindow(b, st, d, top)
+						}
+						if !top {
+							exposeAll()
+						}
 						b.Idle(1) // subframes install on the next tick
+						viaScript.It.PropAccessHook = nil
 						if err := ji.TopInstallError(); err != nil {
 							t.Fatal(err)
 						}
 						snap := tel.Snapshot()
-						if img, scr := snap.Counters["js_instrument_installs_total{path=image}"], snap.Counters["js_instrument_installs_total{path=script}"]; img != 1 || scr != 1 {
-							t.Fatalf("installs by path: image %d, script %d; want 1 and 1", img, scr)
+						if img, scr := snap.Counters["js_instrument_installs_total{path=image}"], snap.Counters["js_instrument_installs_total{path=script}"]; img != 2 || scr != 2 {
+							t.Fatalf("installs by path: image %d, script %d; want 2 and 2", img, scr)
 						}
-						if a, b := viaImage.It.GraphDigest(), viaScript.It.GraphDigest(); a != b {
-							t.Errorf("realm graphs differ: image %x, script %x", a[:8], b[:8])
+						for _, r := range []struct {
+							name string
+							d    *jsdom.DOM
+						}{{"fresh", fresh}, {"read-only", readOnly}} {
+							if a, b := r.d.It.GraphDigest(), viaScript.It.GraphDigest(); a != b {
+								t.Errorf("%s: realm graphs differ: image %x, script %x", r.name, a[:8], b[:8])
+							}
+							if a, b := r.d.It.Steps(), viaScript.It.Steps(); a != b {
+								t.Errorf("%s: Steps: image %d, script %d", r.name, a, b)
+							}
+							if a, b := r.d.It.Allocs(), viaScript.It.Allocs(); a != b {
+								t.Errorf("%s: Allocs: image %d, script %d", r.name, a, b)
+							}
 						}
-						if testRealm(cfg, url).It.GraphDigest() == viaImage.It.GraphDigest() {
+						if testRealm(cfg, url).It.GraphDigest() == fresh.It.GraphDigest() {
 							t.Error("the digest does not see the instrument")
 						}
-						if a, b := viaImage.It.Steps(), viaScript.It.Steps(); a != b {
-							t.Errorf("Steps: image %d, script %d", a, b)
+
+						ref := testRealm(cfg, url)
+						expose(t, cfg, ref, poison)
+						ref.Window.Set("__wpmCfg", minjs.ObjectValue(ji.cfgObject(ji.EventID)))
+						if _, err := ref.It.RunProgram(vanillaProgram); err != nil {
+							t.Fatal(err)
 						}
-						if a, b := viaImage.It.Allocs(), viaScript.It.Allocs(); a != b {
-							t.Errorf("Allocs: image %d, script %d", a, b)
+						if a, b := poisoned.It.GraphDigest(), ref.It.GraphDigest(); a != b {
+							t.Errorf("poisoned: realm graphs differ: install %x, direct run %x", a[:8], b[:8])
+						}
+						if poisoned.It.GraphDigest() == viaScript.It.GraphDigest() {
+							t.Error("the digest does not see the poisoned prototype")
 						}
 					})
 				}
 			}
 		}
 	}
+}
+
+// The scan crawl's subframes must install from the image: the viewability
+// tag reads its probe frame before the install tick but never writes to it,
+// so only a realm some script really changed may take the script path. A
+// regression that sends untouched realms back to the script shows here
+// rather than only as a slower benchmark.
+func TestScanCrawlInstallsFromImage(t *testing.T) {
+	world := websim.New(websim.Options{Seed: 42, NumSites: 100000})
+	tel := telemetry.New()
+	tm := NewTaskManager(CrawlConfig{
+		OS: jsdom.Ubuntu, Mode: jsdom.Regular, Transport: world,
+		DwellSeconds: 60, JSInstrument: true, HTTPInstrument: true,
+		CookieInstrument: true, HTTPFilterJSOnly: true, HoneyProps: 4, MaxSubpages: 3,
+		Telemetry: tel,
+	})
+	for i := 1; i <= 30; i++ {
+		tm.VisitSite(websim.SiteURL(i))
+	}
+	snap := tel.Snapshot()
+	img, scr := snap.Counters["js_instrument_installs_total{path=image}"], snap.Counters["js_instrument_installs_total{path=script}"]
+	if img+scr == 0 {
+		t.Fatal("the crawl installed no instrument")
+	}
+	if scr*20 >= img+scr {
+		t.Errorf("script installs %d of %d; want under 5%%", scr, img+scr)
+	}
+	t.Logf("installs: image %d, script %d", img, scr)
 }
