@@ -8,8 +8,8 @@
 // reliability experiment; the crawl report is printed to stderr.
 //
 // The -workers flag shards the crawl across parallel workers (0 = one per
-// CPU, clamped to the site count); merged storage, report and bundle bytes
-// are identical at any worker count.
+// CPU, clamped to the site count); merged storage, report, bundle and trace
+// bytes are identical at any worker count.
 //
 // The -record-bundle flag archives the scan into an execution bundle file —
 // each worker records its shard and the scheduler merges the shard archives
@@ -48,7 +48,8 @@ import (
 // writeTelemetry dumps the metrics snapshot and/or the scheduler-merged span
 // trace to files. The trace comes from the scan result, not the shared
 // registry: each shard records spans into its own flight recorder and the
-// scheduler merges them with globally unique ids (analyse with wpmtrace).
+// scheduler merges them under one crawl root on the serial clock (analyse
+// with wpmtrace).
 func writeTelemetry(tel *telemetry.Telemetry, events []telemetry.SpanEvent, metricsPath, tracePath string) {
 	if metricsPath != "" {
 		data, err := tel.Snapshot().CanonicalJSON()

@@ -6,7 +6,6 @@
 //	wpmtrace critical   crawl.trace.jsonl          critical path from the longest root
 //	wpmtrace top        -n 10 -name visit FILE     slowest spans, longest first
 //	wpmtrace hist       -name visit FILE           per-name duration histograms
-//	wpmtrace stragglers -threshold 1.5 FILE        shards slower than threshold x median
 //	wpmtrace summary    FILE                       event/span totals per name
 //	wpmtrace diff       record.jsonl replay.jsonl  structural diff (empty for deterministic replays)
 //
@@ -25,7 +24,7 @@ import (
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: wpmtrace <tree|critical|top|hist|stragglers|summary|diff> [flags] [file]")
+	fmt.Fprintln(os.Stderr, "usage: wpmtrace <tree|critical|top|hist|summary|diff> [flags] [file]")
 	os.Exit(2)
 }
 
@@ -45,8 +44,6 @@ func main() {
 		err = cmdTop(os.Args[2:])
 	case "hist":
 		err = cmdHist(os.Args[2:])
-	case "stragglers":
-		err = cmdStragglers(os.Args[2:])
 	case "summary":
 		err = withTree(os.Args[2:], "summary", func(t *trace.Tree, _ *flag.FlagSet) {
 			t.RenderSummary(os.Stdout)
@@ -124,18 +121,6 @@ func cmdHist(args []string) error {
 		return err
 	}
 	trace.Build(events).RenderHistograms(os.Stdout, *name)
-	return nil
-}
-
-func cmdStragglers(args []string) error {
-	fs := flag.NewFlagSet("stragglers", flag.ExitOnError)
-	threshold := fs.Float64("threshold", 1.5, "flag shards slower than this multiple of the median")
-	fs.Parse(args)
-	events, err := readEvents(fs)
-	if err != nil {
-		return err
-	}
-	trace.Build(events).RenderStragglers(os.Stdout, *threshold)
 	return nil
 }
 

@@ -97,9 +97,10 @@ func wpmbundleCrawl(g replayGolden, faultMode string) (sched.Crawl, error) {
 	}, nil
 }
 
-// replayRun replays b at one worker under a variant observer (strict miss
-// policy, as `wpmbundle replay` defaults to) and re-records the replay.
-func replayRun(t *testing.T, b *bundle.Bundle, variant string) replayRunGolden {
+// replayRun replays b under a variant observer (strict miss policy, as
+// `wpmbundle replay` defaults to) and re-records the replay, through Replay
+// at one worker or, for workers > 1, through the same path unpinned.
+func replayRun(t *testing.T, b *bundle.Bundle, variant string, workers int) replayRunGolden {
 	t.Helper()
 	var mutate func(*openwpm.CrawlConfig)
 	if variant != "none" {
@@ -109,35 +110,26 @@ func replayRun(t *testing.T, b *bundle.Bundle, variant string) replayRunGolden {
 		}
 		mutate = m
 	}
-	var rts []*bundle.ReplayTransport
-	res, err := sched.Run(sched.Crawl{
-		Sites: b.Sites, Workers: 1, Record: true, BundleMeta: b.Manifest.Meta,
-		Config: func(sched.Shard) openwpm.CrawlConfig {
-			cfg := b.Config.CrawlConfig()
-			rt := bundle.NewReplayTransport(b, bundle.MissFail, nil)
-			rts = append(rts, rt)
-			cfg.Transport = rt
-			if mutate != nil {
-				mutate(&cfg)
-			}
-			return cfg
-		},
-	})
+	replay := Replay
+	if workers > 1 {
+		replay = replayAt
+	}
+	res, hits, misses, err := replay(b, bundle.MissFail, mutate,
+		sched.Crawl{Workers: workers, Record: true, BundleMeta: b.Manifest.Meta})
 	if err != nil {
-		t.Fatalf("replay %s: %v", variant, err)
+		t.Fatalf("replay %s at %d workers: %v", variant, workers, err)
 	}
-	got := replayRunGolden{Variant: variant, Digest: res.Bundle.Digest, Report: res.Report.String()}
-	for _, rt := range rts {
-		got.Hits += rt.Hits
-		got.Misses += rt.Misses
+	if res.Workers != workers {
+		t.Fatalf("replay %s ran %d workers, want %d", variant, res.Workers, workers)
 	}
-	return got
+	return replayRunGolden{Variant: variant, Digest: res.Bundle.Digest, Hits: hits, Misses: misses, Report: res.Report.String()}
 }
 
 // TestReplayGolden pins the bytes of every one-worker record and replay:
 // `wpmbundle record` with faults off and under the default profile, each
 // bundle replayed and re-recorded under every observer variant, and a
-// stealth RunBundleDiff.
+// stealth RunBundleDiff. An identity replay is the same at any width, so
+// each bundle's "none" replay at two workers must match the one-worker row.
 func TestReplayGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("twelve synthetic-web crawls; skipped in -short mode")
@@ -172,9 +164,12 @@ func TestReplayGolden(t *testing.T) {
 			t.Fatalf("faults=%s: golden has %d replays, want %d", rg.Faults, len(rg.Replays), len(replayGoldenVariants))
 		}
 		for i, variant := range replayGoldenVariants {
-			if got := replayRun(t, res.Bundle, variant); got != rg.Replays[i] {
+			if got := replayRun(t, res.Bundle, variant, 1); got != rg.Replays[i] {
 				t.Errorf("faults=%s: replay diverges:\ngot:    %+v\ngolden: %+v", rg.Faults, got, rg.Replays[i])
 			}
+		}
+		if got := replayRun(t, res.Bundle, "none", 2); got != rg.Replays[0] {
+			t.Errorf("faults=%s: two-worker identity replay diverges from the one-worker row:\ngot:    %+v\ngolden: %+v", rg.Faults, got, rg.Replays[0])
 		}
 	}
 

@@ -58,8 +58,8 @@ type ScanResult struct {
 	// ScanOptions.Telemetry (nil otherwise).
 	Metrics *telemetry.Snapshot
 	// Trace is the merged whole-crawl span stream when the scan ran with
-	// ScanOptions.Telemetry: per-shard flight-recorder events renumbered to
-	// globally unique span ids, in shard order (see sched.Result.Trace).
+	// ScanOptions.Telemetry: one crawl root over every visit on the serial
+	// clock, the same bytes at any worker count (see sched.Result.Trace).
 	Trace []telemetry.SpanEvent
 	// Workers is the effective (clamped) parallel worker count the
 	// scheduler used for the crawl.

@@ -6,7 +6,6 @@ import (
 
 	"gullible/internal/bundle"
 	"gullible/internal/faults"
-	"gullible/internal/openwpm"
 	"gullible/internal/sched"
 	"gullible/internal/websim"
 )
@@ -58,26 +57,6 @@ func TestScanWorkersClampToSites(t *testing.T) {
 	}
 }
 
-// replayOneWorker replays b under its recorded configuration at one worker
-// with the strict miss policy.
-func replayOneWorker(t *testing.T, b *bundle.Bundle) (*sched.Result, *bundle.ReplayTransport) {
-	t.Helper()
-	var rt *bundle.ReplayTransport
-	res, err := sched.Run(sched.Crawl{
-		Sites: b.Sites, Workers: 1,
-		Config: func(sched.Shard) openwpm.CrawlConfig {
-			cfg := b.Config.CrawlConfig()
-			rt = b.ShardTransport(nil, bundle.MissFail, nil)
-			cfg.Transport = rt
-			return cfg
-		},
-	})
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	return res, rt
-}
-
 // TestShardedRecordReplayMatchesSerial is the PR's acceptance scenario:
 // recording with four workers yields a merged archive whose storage digest
 // matches the serial run's, and replaying that archive — serially or
@@ -121,9 +100,12 @@ func TestShardedRecordReplayMatchesSerial(t *testing.T) {
 	}
 
 	// serial replay of the 4-worker merged archive
-	one, rt := replayOneWorker(t, sharded.Bundle)
-	if rt.Misses != 0 {
-		t.Fatalf("serial replay of merged bundle missed %d requests", rt.Misses)
+	one, _, misses, err := Replay(sharded.Bundle, bundle.MissFail, nil, sched.Crawl{})
+	if err != nil {
+		t.Fatalf("serial replay: %v", err)
+	}
+	if misses != 0 {
+		t.Fatalf("serial replay of merged bundle missed %d requests", misses)
 	}
 	if got := one.Storage.Digest(); got != digest {
 		t.Fatalf("serial replay digest %s differs from recording %s", got, digest)
@@ -174,7 +156,10 @@ func TestShardedReplayLocalisesStorageDrops(t *testing.T) {
 	digest := rec.Storage.Digest()
 
 	// serial replay reproduces the drops at their global positions
-	one, _ := replayOneWorker(t, rec.Bundle)
+	one, _, _, err := Replay(rec.Bundle, bundle.MissFail, nil, sched.Crawl{})
+	if err != nil {
+		t.Fatalf("serial replay: %v", err)
+	}
 	if got := one.Storage.Digest(); got != digest {
 		t.Fatalf("serial replay digest %s differs from faulted recording %s", got, digest)
 	}

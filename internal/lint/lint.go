@@ -16,10 +16,6 @@
 //     encoders (Digest/Snapshot/canonicalJSON/Marshal*); Go randomises map
 //     order, so such output is nondeterministic unless keys are sorted
 //     first. Collecting keys into a slice (then sorting) stays legal.
-//   - telemetry-nilsafe: probe events that build labels
-//     (.Event(..., telemetry.L(...))) must sit behind an .Enabled() guard;
-//     the nil-safe API makes the call itself harmless but the label
-//     construction would run — and allocate — on the disabled path.
 //   - closecheck: no discarded error from Close/Sync/Flush calls that return
 //     one, and no Close error captured into a variable that no path ever
 //     reads (flow-sensitive via reaching definitions). On a written file the

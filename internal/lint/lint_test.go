@@ -27,13 +27,12 @@ func TestFixtureTripsEveryRule(t *testing.T) {
 	}
 	want := map[string]map[string]int{
 		"bad.go": {
-			"wallclock":         1,
-			"randseed":          1,
-			"maprange":          1,
-			"telemetry-nilsafe": 1,
-			"closecheck":        2,
-			"servertimeouts":    2,
-			"spanpair":          3,
+			"wallclock":      1,
+			"randseed":       1,
+			"maprange":       1,
+			"closecheck":     2,
+			"servertimeouts": 2,
+			"spanpair":       3,
 		},
 		"closeflow.go": {"closecheck": 2},
 		"spanflow.go":  {"spanpair": 1},
@@ -54,24 +53,6 @@ func TestFixtureTripsEveryRule(t *testing.T) {
 		if f.Pos.Line == 0 {
 			t.Errorf("%s finding has no position", f.Rule)
 		}
-	}
-}
-
-// TestGuardedShapesStayClean re-lints the fixture with only the
-// telemetry-nilsafe rule: the guarded and early-return shapes in the same
-// file must not add findings beyond the one deliberate violation.
-func TestGuardedShapesStayClean(t *testing.T) {
-	findings, err := LintDirs([]string{"testdata/src/bad"}, Options{Rules: []string{"telemetry-nilsafe"}})
-	if err != nil {
-		t.Fatalf("lint: %v", err)
-	}
-	if len(findings) != 1 {
-		var lines []string
-		for _, f := range findings {
-			lines = append(lines, f.String())
-		}
-		t.Fatalf("want exactly the one unguarded Event call, got %d:\n%s",
-			len(findings), strings.Join(lines, "\n"))
 	}
 }
 

@@ -28,7 +28,6 @@ var Rules = []*Rule{
 	{Name: "wallclock", Doc: "no wall-clock reads in crawl-path packages (virtual time only)", Check: checkWallclock},
 	{Name: "randseed", Doc: "math/rand only through seeded constructors", Check: checkRandseed},
 	{Name: "maprange", Doc: "no serialising map iteration inside canonical encoders", Check: checkMaprange},
-	{Name: "telemetry-nilsafe", Doc: "label-building Event calls must sit behind an Enabled() guard", Check: checkTelemetryNilsafe},
 	{Name: "closecheck", Doc: "Close/Sync/Flush errors must be checked, not dropped", Check: checkClose},
 	{Name: "servertimeouts", Doc: "http.Server must bound read, write and idle sides", Check: checkServerTimeouts},
 	{Name: "spanpair", Doc: "every Begin-opened span must reach End on all paths", Check: checkSpanPair},

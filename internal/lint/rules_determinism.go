@@ -3,7 +3,6 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -161,171 +160,5 @@ func checkServerTimeouts(p *Pass) {
 			}
 			return true
 		})
-	}
-}
-
-// --- telemetry-nilsafe: guard-tracking walk ---------------------------------
-
-// checkTelemetryNilsafe flags label-building Event calls on paths not behind
-// an Enabled() guard. Both guard shapes used in the repo count:
-// `if tel.Enabled() { ... }` and the early return `if !tel.Enabled() { return }`.
-func checkTelemetryNilsafe(p *Pass) {
-	if p.Pkg == "telemetry" {
-		return // the package implementing the probe API is exempt
-	}
-	w := &guardWalker{pass: p}
-	p.EachFuncDecl(func(_ *ast.File, fd *ast.FuncDecl) {
-		w.walkBlock(fd.Body, false)
-	})
-}
-
-type guardWalker struct{ pass *Pass }
-
-// isEnabledCall reports whether e contains a call to a method named Enabled.
-func isEnabledCall(e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Enabled" {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// terminates reports whether a block's final statement unconditionally
-// leaves the enclosing scope (return/continue/break/panic).
-func terminates(b *ast.BlockStmt) bool {
-	if len(b.List) == 0 {
-		return false
-	}
-	switch s := b.List[len(b.List)-1].(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// walkBlock walks a block tracking whether execution is behind an .Enabled()
-// guard, flagging label-building Event calls on unguarded paths.
-func (w *guardWalker) walkBlock(b *ast.BlockStmt, guarded bool) {
-	g := guarded
-	for _, stmt := range b.List {
-		switch s := stmt.(type) {
-		case *ast.IfStmt:
-			condGuards := isEnabledCall(s.Cond)
-			negGuard := false
-			if u, ok := s.Cond.(*ast.UnaryExpr); ok && u.Op == token.NOT && isEnabledCall(u.X) {
-				negGuard = true
-			}
-			w.checkExpr(s.Cond, g)
-			w.walkBlock(s.Body, g || (condGuards && !negGuard))
-			if s.Else != nil {
-				switch e := s.Else.(type) {
-				case *ast.BlockStmt:
-					w.walkBlock(e, g)
-				case *ast.IfStmt:
-					w.walkBlock(&ast.BlockStmt{List: []ast.Stmt{e}}, g)
-				}
-			}
-			if negGuard && terminates(s.Body) {
-				g = true // everything after `if !x.Enabled() { return }` is guarded
-			}
-		case *ast.BlockStmt:
-			w.walkBlock(s, g)
-		case *ast.ForStmt:
-			w.walkBlock(s.Body, g)
-		case *ast.RangeStmt:
-			w.walkBlock(s.Body, g)
-		case *ast.SwitchStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					w.walkBlock(&ast.BlockStmt{List: cc.Body}, g)
-				}
-			}
-		case *ast.TypeSwitchStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					w.walkBlock(&ast.BlockStmt{List: cc.Body}, g)
-				}
-			}
-		default:
-			w.checkStmt(stmt, g)
-		}
-	}
-}
-
-// checkStmt inspects one non-control statement for unguarded label-building
-// Event calls. Function literals restart the structured guard-tracking walk
-// on their own body (inheriting the current guard state: Enabled() is
-// constant for a process, so a closure built on a guarded path only runs
-// guarded) — a flat Inspect through them would miss their internal if-guards
-// and false-positive on guarded events inside closures.
-func (w *guardWalker) checkStmt(stmt ast.Stmt, guarded bool) {
-	ast.Inspect(stmt, func(n ast.Node) bool {
-		if fl, ok := n.(*ast.FuncLit); ok {
-			w.walkBlock(fl.Body, guarded)
-			return false
-		}
-		if e, ok := n.(ast.Expr); ok {
-			w.checkOneEvent(e, guarded)
-		}
-		return true
-	})
-}
-
-func (w *guardWalker) checkExpr(e ast.Expr, guarded bool) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		if fl, ok := n.(*ast.FuncLit); ok {
-			w.walkBlock(fl.Body, guarded)
-			return false
-		}
-		if x, ok := n.(ast.Expr); ok {
-			w.checkOneEvent(x, guarded)
-		}
-		return true
-	})
-}
-
-// checkOneEvent flags a call of the shape X.Event(..., L(...)) when not
-// behind an Enabled() guard.
-func (w *guardWalker) checkOneEvent(e ast.Expr, guarded bool) {
-	if guarded {
-		return
-	}
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Event" {
-		return
-	}
-	buildsLabels := false
-	for _, a := range call.Args {
-		if ac, ok := a.(*ast.CallExpr); ok {
-			switch fn := ac.Fun.(type) {
-			case *ast.SelectorExpr:
-				if fn.Sel.Name == "L" {
-					buildsLabels = true
-				}
-			case *ast.Ident:
-				if fn.Name == "L" {
-					buildsLabels = true
-				}
-			}
-		}
-	}
-	if buildsLabels {
-		w.pass.Report("telemetry-nilsafe", call.Pos(),
-			"Event call builds labels outside an Enabled() guard; labels allocate even when telemetry is off — wrap in `if tel.Enabled() { ... }`")
 	}
 }

@@ -16,11 +16,6 @@ type labels map[string]string
 
 func L(k, v string) labels { return labels{k: v} }
 
-type probe struct{}
-
-func (probe) Enabled() bool                   { return false }
-func (probe) Event(name string, ls ...labels) {}
-
 // Stamp violates wallclock: crawl code must not read the wall clock.
 func Stamp() int64 {
 	return time.Now().UnixNano() // want wallclock
@@ -40,47 +35,6 @@ func Digest(m map[string]int) string {
 		fmt.Fprintf(&b, "%s=%d;", k, v)
 	}
 	return b.String()
-}
-
-// Emit violates telemetry-nilsafe: the labels are built before the call, so
-// they allocate even with telemetry disabled.
-func Emit(p probe, site string) {
-	p.Event("visit", L("site", site)) // want telemetry-nilsafe
-}
-
-// EmitGuarded is the legal shape and must produce no finding.
-func EmitGuarded(p probe, site string) {
-	if p.Enabled() {
-		p.Event("visit", L("site", site))
-	}
-}
-
-// EmitEarlyReturn is the other legal shape.
-func EmitEarlyReturn(p probe, site string) {
-	if !p.Enabled() {
-		return
-	}
-	p.Event("visit", L("site", site))
-}
-
-// EmitClosureInternalGuard guards inside a returned closure — legal: the
-// guard tracker must follow the if-structure into function literals instead
-// of flattening them.
-func EmitClosureInternalGuard(p probe, site string) func() {
-	return func() {
-		if p.Enabled() {
-			p.Event("visit", L("site", site))
-		}
-	}
-}
-
-// EmitClosureGuardedPath builds the closure on an already-guarded path —
-// also legal: Enabled() is constant for a process.
-func EmitClosureGuardedPath(p probe, site string) func() {
-	if p.Enabled() {
-		return func() { p.Event("visit", L("site", site)) }
-	}
-	return func() {}
 }
 
 // Snapshot is the legal canonical-encoder shape: collect, sort elsewhere,

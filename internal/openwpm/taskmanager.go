@@ -174,32 +174,9 @@ type TaskManager struct {
 	js        Instrumentor
 	browserNo int
 
-	// virtualMS is the crawl's accumulated virtual clock (visiting plus
-	// backoff), the time base for crawl- and visit-level telemetry spans.
-	virtualMS    float64
-	crawlSpan    int64
 	curVisitSpan int64
 	meters       *crawlMeters
 }
-
-// SetVirtualMS seeds the crawl's accumulated virtual clock. Resumed crawls
-// use it so a fresh TaskManager continues span timestamps exactly where the
-// interrupted one stopped — the scheduler re-folds the completed outcomes'
-// durations in their original order, so the float is bit-identical to an
-// uninterrupted run's.
-func (tm *TaskManager) SetVirtualMS(ms float64) { tm.virtualMS = ms }
-
-// CrawlSpan is the id of the currently open crawl span (0 outside a crawl,
-// and 0 again once the crawl completed and the span was ended). A crawl
-// interrupted by CrawlHooks.Stop leaves its span open; the scheduler records
-// the id at each checkpoint so a resumed TaskManager can adopt it.
-func (tm *TaskManager) CrawlSpan() int64 { return tm.crawlSpan }
-
-// AdoptCrawlSpan hands an open crawl span to this TaskManager: the next
-// CrawlFromHooked continues recording under it instead of beginning a new
-// one, so an interrupt/resume cycle leaves exactly one crawl span in the
-// trace — begun by the first process, ended by the last.
-func (tm *TaskManager) AdoptCrawlSpan(span int64) { tm.crawlSpan = span }
 
 // crawlMeters holds the framework layer's pre-resolved metric handles; nil
 // when telemetry is off.
@@ -373,15 +350,15 @@ type visitMeta struct {
 
 // VisitSite crawls one site: the front page and up to MaxSubpages same-site
 // subpages, with browser restarts on failure (the BrowserManager role). With
-// telemetry enabled the whole site is recorded as a "visit" span on the
-// crawl's accumulated virtual clock, and its outcome feeds the registry.
+// telemetry enabled the whole site is recorded as a root "visit" span on the
+// site's own clock, from 0 to its visiting plus backoff time (the scheduler
+// places it on the crawl clock), and its outcome feeds the registry.
 func (tm *TaskManager) VisitSite(url string) (*SiteVisit, error) {
 	tel := tm.Cfg.Telemetry
 	if tel.Enabled() {
-		tm.curVisitSpan = tel.Begin("visit", tm.crawlSpan, tm.virtualMS, telemetry.L("site", url))
+		tm.curVisitSpan = tel.Begin("visit", 0, 0, telemetry.L("site", url))
 	}
 	sv, err := tm.visitSite(url)
-	tm.virtualMS += (sv.VirtualSeconds + sv.BackoffSeconds) * 1000
 	outcome := "completed"
 	switch {
 	case err != nil:
@@ -402,7 +379,7 @@ func (tm *TaskManager) VisitSite(url string) (*SiteVisit, error) {
 		m.visitSeconds.Observe(sv.VirtualSeconds)
 	}
 	if tel.Enabled() {
-		tel.End(tm.curVisitSpan, "visit", tm.virtualMS, telemetry.L("outcome", outcome))
+		tel.End(tm.curVisitSpan, "visit", (sv.VirtualSeconds+sv.BackoffSeconds)*1000, telemetry.L("outcome", outcome))
 		tm.curVisitSpan = 0
 	}
 	return sv, err
@@ -729,17 +706,9 @@ func (tm *TaskManager) CrawlFromHooked(urls []string, cp *Checkpoint, h CrawlHoo
 		cp.Report = NewCrawlReport()
 	}
 	r := cp.Report
-	tel := tm.Cfg.Telemetry
-	if tel.Enabled() && tm.crawlSpan == 0 {
-		// an adopted span (interrupt/resume) is continued, not re-begun
-		tm.crawlSpan = tel.Begin("crawl", 0, tm.virtualMS,
-			telemetry.L("sites", fmt.Sprint(len(urls))))
-	}
 	dropped0 := tm.Storage.DroppedTotal()
-	stopped := false
 	for cp.Done < len(urls) {
 		if h.Stop != nil && h.Stop() {
-			stopped = true
 			break
 		}
 		u := urls[cp.Done]
@@ -765,14 +734,7 @@ func (tm *TaskManager) CrawlFromHooked(urls []string, cp *Checkpoint, h CrawlHoo
 		}
 	}
 	r.DroppedWrites += tm.Storage.DroppedTotal() - dropped0
-	if tel.Enabled() {
-		if !stopped {
-			// a stopped crawl leaves its span open for the resuming
-			// TaskManager to adopt; only a completed crawl ends it
-			tel.End(tm.crawlSpan, "crawl", tm.virtualMS,
-				telemetry.L("completed", fmt.Sprint(r.Completed)))
-			tm.crawlSpan = 0
-		}
+	if tel := tm.Cfg.Telemetry; tel.Enabled() {
 		r.Metrics = tel.Snapshot()
 	}
 	return r

@@ -80,19 +80,12 @@ func Recover(fss []wal.FS, opts wal.Options) (*Checkpoint, ShardRecoveries, erro
 			Storage:    r.Storage,
 			Backend:    r.Backend,
 		}
-		// re-fold the virtual clock exactly as the live crawl accumulated it
-		// (one addition per outcome, in order — float addition is not
-		// associative, so summing totals would drift the resumed timestamps)
-		for _, o := range r.Outcomes {
-			st.virtualMS += (o.VirtualSeconds + o.BackoffSeconds) * 1000
-		}
 		if r.TraceNextID > 0 {
 			// the crawl ran with telemetry: rebuild the shard's flight
 			// recorder from the checkpointed span deltas so the resumed
 			// trace continues the same event stream and id sequence
 			st.flight = telemetry.RestoreFlight(telemetry.DefaultFlightCapacity, r.TraceEvents, r.TraceNextID)
 			st.traceCursor = st.flight.Cursor()
-			st.crawlSpan = r.TraceCrawlSpan
 		}
 		if r.Meta.Record {
 			rec, err := bundle.RestoreRecorder(r.Meta.Meta, r.Bodies, r.RecorderVisits, r.Storage.Crashes, r.RecorderState)

@@ -119,7 +119,7 @@ type Crawl struct {
 	// snapshots it into Result.Metrics after the merge barrier. Span
 	// recording is NOT shared: each shard gets its own flight recorder
 	// (shared-ring interleaving across workers is scheduling-dependent), and
-	// the merge renumbers the per-shard streams into Result.Trace.
+	// the merge builds Result.Trace from the per-shard streams.
 	Telemetry *telemetry.Telemetry
 	// DetachMetrics keeps the telemetry snapshot out of the sealed bundle's
 	// report (Result.Metrics still carries it). A shared registry
@@ -128,7 +128,10 @@ type Crawl struct {
 	// digest-identical artifacts across runs detach it.
 	DetachMetrics bool
 	// SpanTap, when non-nil, observes every span event live as the shard
-	// flight recorders accept them, tagged with the recording shard. It is
+	// flight recorders accept them, tagged with the recording shard. Live
+	// events are the shard's raw stream, not Result.Trace's: they carry
+	// shard-local span ids, visits are roots timed on the site's own clock,
+	// and the crawl root (which the merge synthesises) never streams. It is
 	// invoked from worker goroutines under the recorder lock: it must be
 	// fast, concurrency-safe, and must not call back into telemetry.
 	SpanTap func(shard int, ev telemetry.SpanEvent)
@@ -167,14 +170,11 @@ type ShardState struct {
 	cfg      openwpm.CrawlConfig
 	cfgValid bool
 
-	// flight is the shard's span recorder (nil with telemetry off);
-	// crawlSpan is the crawl span an interrupted run left open, virtualMS
-	// the shard's accumulated virtual clock, and traceCursor the flight
-	// cursor of the last WAL checkpoint — together they let a resumed or
-	// recovered shard continue its trace exactly where it stopped.
+	// flight is the shard's span recorder (nil with telemetry off) and
+	// traceCursor the flight cursor of the last WAL checkpoint: together
+	// they let a resumed or recovered shard continue its trace exactly where
+	// it stopped.
 	flight      *telemetry.Flight
-	crawlSpan   int64
-	virtualMS   float64
 	traceCursor int64
 
 	// metaLost marks a WAL-recovered shard whose log lost even its metadata
@@ -182,25 +182,6 @@ type ShardState struct {
 	// Run recomputes its Start/Sites from the deterministic partition of the
 	// crawl being resumed before validating the checkpoint.
 	metaLost bool
-}
-
-// closeCrawlSpan synthesises the crawl-end event for a WAL-recovered shard
-// that had already finished its slice when the process died: the end event
-// lived after the last checkpoint, so the log never captured it. The
-// synthesis mirrors CrawlFromHooked's end call exactly — same name, virtual
-// timestamp and completed-count attribute — keeping the resumed trace
-// byte-identical to an uninterrupted run's.
-func (st *ShardState) closeCrawlSpan() {
-	if st.crawlSpan == 0 || st.flight == nil {
-		return
-	}
-	completed := 0
-	if st.Checkpoint != nil && st.Checkpoint.Report != nil {
-		completed = st.Checkpoint.Report.Completed
-	}
-	st.flight.End(st.crawlSpan, "crawl", st.virtualMS,
-		telemetry.L("completed", fmt.Sprint(completed)))
-	st.crawlSpan = 0
 }
 
 // Checkpoint is a whole scheduled crawl's resumable state: one ShardState
@@ -272,11 +253,13 @@ type Result struct {
 	// Metrics is the final whole-crawl telemetry snapshot when
 	// Crawl.Telemetry was set.
 	Metrics *telemetry.Snapshot
-	// Trace is the merged span stream when the crawl ran with telemetry:
-	// per-shard flight-recorder events concatenated in shard order with
-	// span ids renumbered to be globally unique (telemetry.MergeTraces).
-	// Byte-identical across cold, in-process-resumed and WAL-recovered runs
-	// of the same crawl at the same worker count.
+	// Trace is the merged span stream when the crawl ran with telemetry
+	// (telemetry.MergeTraces): one crawl root, then the shard
+	// flight-recorder events in shard order with span ids renumbered to be
+	// globally unique and every visit on the serial crawl clock. It is the
+	// trace a one-worker crawl records, byte for byte, at any worker count
+	// and across cold, in-process-resumed and WAL-recovered runs, unless a
+	// shard's ring overflowed (each shard keeps its own newest events).
 	Trace []telemetry.SpanEvent
 	// FaultKinds tallies injected faults by kind across all shards, when
 	// the shard transports expose CountsByName (the faults injector does).
@@ -320,11 +303,7 @@ func Run(c Crawl) (*Result, error) {
 	var wg sync.WaitGroup
 	for _, st := range cp.Shards {
 		if st.Checkpoint.Done >= len(st.Shard.Sites) {
-			// shard already complete (resume). A WAL-recovered shard that
-			// finished before the interrupt still has its crawl span open —
-			// the end event postdated its last checkpoint — so close it here.
-			st.closeCrawlSpan()
-			continue
+			continue // shard already complete (resume)
 		}
 		wg.Add(1)
 		go func(st *ShardState) {
@@ -363,19 +342,9 @@ func Run(c Crawl) (*Result, error) {
 			}
 			tm := openwpm.NewTaskManager(cfg)
 			st.cfg, st.cfgValid = tm.Cfg, true
-			// a resumed shard continues the interrupted run's virtual clock
-			// and (when one is open) its crawl span, so the trace carries on
-			// instead of restarting at t=0 under a second root
-			tm.SetVirtualMS(st.virtualMS)
-			if st.crawlSpan != 0 {
-				tm.AdoptCrawlSpan(st.crawlSpan)
-			}
 			hooks := openwpm.CrawlHooks{
 				OnSite: func(o openwpm.SiteOutcome) {
 					st.Outcomes = append(st.Outcomes, o)
-					// mirror VisitSite's accumulation exactly (same additions
-					// in the same order) so a resume seeds bit-identical floats
-					st.virtualMS += (o.VirtualSeconds + o.BackoffSeconds) * 1000
 					if st.Backend != nil {
 						var rs, ts []byte
 						if st.Recorder != nil {
@@ -387,7 +356,6 @@ func Run(c Crawl) (*Result, error) {
 							ts, _ = json.Marshal(telemetry.FlightCheckpoint{
 								Events: events,
 								NextID: st.flight.NextID(),
-								Crawl:  tm.CrawlSpan(),
 							})
 						}
 						// append failures are already counted by the backend
@@ -412,9 +380,6 @@ func Run(c Crawl) (*Result, error) {
 				}
 			}
 			tm.CrawlFromHooked(st.Shard.Sites, st.Checkpoint, hooks)
-			// nonzero only when Stop broke the loop: the open span awaits the
-			// resuming TaskManager
-			st.crawlSpan = tm.CrawlSpan()
 			if st.Storage == nil {
 				st.Storage = tm.Storage
 			} else {
@@ -445,20 +410,10 @@ func Run(c Crawl) (*Result, error) {
 			res.FaultKinds[k] += n
 		}
 	}
-	// merged trace: shard flight streams concatenated in shard order, span
-	// ids renumbered to be globally unique. Interrupted runs merge too — a
-	// partial trace (open crawl spans and all) is still worth inspecting.
-	var traceParts [][]telemetry.SpanEvent
-	for _, st := range cp.Shards {
-		if st.flight != nil {
-			traceParts = append(traceParts, st.flight.Events())
-		}
-	}
-	if len(traceParts) > 0 {
-		res.Trace = telemetry.MergeTraces(traceParts...)
-	}
 	if !cp.Complete() {
+		// a partial trace (open crawl root and all) is still worth inspecting
 		res.Interrupted = true
+		res.Trace = cp.trace(total, nil)
 		return res, nil
 	}
 
@@ -480,6 +435,7 @@ func Run(c Crawl) (*Result, error) {
 	}
 	res.Storage = storage
 	res.Report = report
+	res.Trace = cp.trace(total, report)
 	if c.Telemetry.Enabled() {
 		// one snapshot after every worker finished: the workers share the
 		// registry, so per-shard snapshots would multiply-count the crawl.
@@ -521,6 +477,40 @@ func Run(c Crawl) (*Result, error) {
 		c.OnProgress(total, total)
 	}
 	return res, nil
+}
+
+// trace merges the shard flight streams into the crawl's one trace
+// (telemetry.MergeTraces), or returns nil when the crawl ran without
+// telemetry. The scheduler owns the crawl root and the crawl clock: it
+// re-folds the outcomes in global site order, the same additions a
+// one-worker crawl makes, so every visit lands at bit-identical serial times
+// at any worker count. report is nil for an interrupted crawl, whose root
+// stays open.
+func (cp *Checkpoint) trace(sites int, report *openwpm.CrawlReport) []telemetry.SpanEvent {
+	var parts []telemetry.TracePart
+	clock := 0.0
+	for _, st := range cp.Shards {
+		part := telemetry.TracePart{Clock: []float64{clock}}
+		for _, o := range st.Outcomes {
+			if o.Skipped {
+				continue // a budget skip records no visit and takes no time
+			}
+			clock += (o.VirtualSeconds + o.BackoffSeconds) * 1000
+			part.Clock = append(part.Clock, clock)
+		}
+		if st.flight != nil {
+			part.Events = st.flight.Events()
+			parts = append(parts, part)
+		}
+	}
+	if len(parts) == 0 {
+		return nil
+	}
+	root := telemetry.CrawlRoot{Sites: sites}
+	if report != nil {
+		root.Ended, root.Completed = true, report.Completed
+	}
+	return telemetry.MergeTraces(root, parts...)
 }
 
 // repairLostShards rebuilds the identity of checkpoint shards whose WAL lost

@@ -27,12 +27,13 @@ func traceString(t *testing.T, events []telemetry.SpanEvent) string {
 // contract at the scheduler layer: the merged span stream of a crawl must be
 // byte-identical whether the crawl ran uninterrupted, was cooperatively
 // stopped and resumed in-process, or was killed and rebuilt from its WAL
-// shard logs — at more than one worker count.
+// shard logs — and the sharded crawl's trace must equal the serial one.
 func TestTraceIdenticalAcrossResumeAndRecovery(t *testing.T) {
 	const sites = 12
 	urls := websim.Tranco(sites)
 	meta := map[string]string{"scenario": "trace-identity"}
 
+	var serial string
 	for _, workers := range []int{1, 2} {
 		workers := workers
 		t.Run(map[int]string{1: "serial", 2: "sharded"}[workers], func(t *testing.T) {
@@ -51,6 +52,11 @@ func TestTraceIdenticalAcrossResumeAndRecovery(t *testing.T) {
 				t.Fatal("telemetry-enabled run produced an empty merged trace")
 			}
 			want := traceString(t, cold.Trace)
+			if workers == 1 {
+				serial = want
+			} else if serial != "" && want != serial { // serial is empty when -run selects only this subtest
+				t.Fatalf("%d-worker trace diverges from the serial one:\nserial:\n%s\nsharded:\n%s", workers, serial, want)
+			}
 			// every span id in the merged stream is begun at most once
 			seen := map[int64]bool{}
 			for _, ev := range cold.Trace {
@@ -161,8 +167,9 @@ func TestTraceIdenticalAcrossResumeAndRecovery(t *testing.T) {
 }
 
 // TestSpanTapStreamsEveryEvent: the live tap must see exactly the events the
-// shard recorders accept — same count as the merged trace when nothing is
-// overwritten — tagged with a valid shard index.
+// shard recorders accept — the merged trace minus the crawl root's begin and
+// end, which the scheduler synthesises, when nothing is overwritten — tagged
+// with a valid shard index.
 func TestSpanTapStreamsEveryEvent(t *testing.T) {
 	const sites, workers = 8, 2
 	var mu sync.Mutex
@@ -190,13 +197,13 @@ func TestSpanTapStreamsEveryEvent(t *testing.T) {
 	if streamed == 0 {
 		t.Fatal("tap saw no events")
 	}
-	if streamed != len(res.Trace) {
-		t.Fatalf("tap streamed %d events, merged trace has %d", streamed, len(res.Trace))
+	if streamed != len(res.Trace)-2 {
+		t.Fatalf("tap streamed %d events, merged trace has %d (want 2 more: the crawl root)", streamed, len(res.Trace))
 	}
 }
 
-// TestMergedTraceShardOrder: parts must concatenate in shard order, so the
-// first crawl-span begin belongs to shard 0 and renumbering starts at 1.
+// TestMergedTraceShardOrder: parts must concatenate in shard order after the
+// one crawl root, which opens the trace as span 1.
 func TestMergedTraceShardOrder(t *testing.T) {
 	const sites = 6
 	res, err := sched.Run(sched.Crawl{
@@ -229,5 +236,38 @@ func TestMergedTraceShardOrder(t *testing.T) {
 	want := websim.Tranco(sites)
 	if !reflect.DeepEqual(visited, want) {
 		t.Fatalf("merged trace visits out of global order:\n%v\nwant\n%v", visited, want)
+	}
+}
+
+// TestTraceIdenticalAcrossWorkerCounts: the scheduler owns the crawl root and
+// the crawl clock, so a traced crawl merges to the same bytes at any worker
+// count — one crawl root over every site, visits on the serial clock.
+func TestTraceIdenticalAcrossWorkerCounts(t *testing.T) {
+	const sites = 12
+	var serial string
+	for _, workers := range []int{1, 2, 3, 4} {
+		res, err := sched.Run(sched.Crawl{
+			Sites:     websim.Tranco(sites),
+			Workers:   workers,
+			Config:    crawlConfig(websim.New(websim.Options{Seed: 5, NumSites: sites}), telemetry.New()),
+			Telemetry: telemetry.New(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Workers != workers {
+			t.Fatalf("crawl ran %d workers, want %d", res.Workers, workers)
+		}
+		got := traceString(t, res.Trace)
+		if workers == 1 {
+			serial = got
+			continue
+		}
+		if got != serial {
+			t.Fatalf("%d-worker trace diverges from the serial one:\nserial:\n%s\nsharded:\n%s", workers, serial, got)
+		}
+	}
+	if !strings.Contains(serial, `"name":"crawl","ts":0,"attrs":[{"k":"sites","v":"12"}]`) {
+		t.Fatalf("serial trace has no 12-site crawl root:\n%s", serial)
 	}
 }

@@ -92,43 +92,86 @@ func RestoreFlight(capacity int, events []SpanEvent, nextID int64) *Flight {
 }
 
 // FlightCheckpoint is the recorder delta persisted with each WAL site
-// checkpoint: the events since the previous checkpoint, the id cursor, and
-// the id of the crawl span left open across the boundary (0 once the crawl
-// span has ended). Recovery concatenates the deltas and hands them to
-// RestoreFlight.
+// checkpoint: the events since the previous checkpoint and the id cursor.
+// Recovery concatenates the deltas and hands them to RestoreFlight.
 type FlightCheckpoint struct {
 	Events []SpanEvent `json:"events,omitempty"`
 	NextID int64       `json:"nextId"`
-	Crawl  int64       `json:"crawl,omitempty"`
 }
 
-// MergeTraces concatenates per-shard event streams into one stream with
-// globally unique span ids. Every Flight numbers its spans from 1, so raw
-// concatenation would interleave unrelated spans under colliding ids; the
-// merge renumbers ids in first-appearance order within each part, parts in
-// order — the same write-offset scheme bundle.Merge applies to storage-drop
-// sequences — so the output is a pure function of the inputs. Parent
-// references are remapped with their part; a parent id never seen in its
-// part (its begin was overwritten by the ring) becomes 0, turning the orphan
-// into a root rather than attaching it to an unrelated shard's span.
-func MergeTraces(parts ...[]SpanEvent) []SpanEvent {
-	var out []SpanEvent
-	next := int64(1)
+// TracePart is one shard's input to MergeTraces: its flight events and
+// Clock, the serial-clock boundaries of every visit the shard made, in
+// order. Visit i ran from Clock[i] to Clock[i+1] on the whole crawl's clock,
+// so Clock has one entry more than the shard made visits.
+type TracePart struct {
+	Events []SpanEvent
+	Clock  []float64
+}
+
+// CrawlRoot is the crawl span MergeTraces synthesises. Sites labels its
+// begin. Ended closes it at the last visit's end with an end event carrying
+// Completed; an interrupted crawl leaves it open.
+type CrawlRoot struct {
+	Sites     int
+	Ended     bool
+	Completed int
+}
+
+// MergeTraces builds a crawl's one trace from its shards' span streams, in
+// the form a serial crawl records whatever the worker count: a crawl root
+// (id 1, ts 0) holding every visit on the serial clock.
+//
+// Every Flight numbers its spans from 1 and records each visit as a root on
+// the site's own clock. The merge renumbers ids from 2 in first-appearance
+// order within each part, parts in order, so the output is a pure function
+// of the inputs. It parents each visit under the root and moves its begin
+// and end to the visit's Clock boundaries; the spans inside a visit keep
+// their browser-local timestamps. A parent id never seen in its part (its
+// begin was overwritten by the ring) becomes 0, turning the orphan into a
+// root rather than attaching it to an unrelated shard's span.
+//
+// A ring keeps the newest events, so the visits a part retains are the
+// shard's last ones: of n retained visits, the k-th (from 0) is visit
+// len(Clock)-1-n+k.
+func MergeTraces(root CrawlRoot, parts ...TracePart) []SpanEvent {
+	out := []SpanEvent{{Kind: "B", Span: 1, Name: "crawl", Attrs: []Label{L("sites", fmt.Sprint(root.Sites))}}}
+	next, endMS := int64(2), 0.0
 	for _, part := range parts {
-		ids := make(map[int64]int64, len(part)/2)
-		for _, ev := range part {
-			nid, ok := ids[ev.Span]
+		visits := map[int64]int{}
+		for _, ev := range part.Events {
+			if _, seen := visits[ev.Span]; !seen && ev.Name == "visit" {
+				visits[ev.Span] = len(visits)
+			}
+		}
+		first := len(part.Clock) - 1 - len(visits)
+		ids := make(map[int64]int64, len(part.Events)/2)
+		for _, ev := range part.Events {
+			local := ev.Span
+			nid, ok := ids[local]
 			if !ok {
 				nid = next
 				next++
-				ids[ev.Span] = nid
+				ids[local] = nid
 			}
 			ev.Span = nid
-			if ev.Parent != 0 {
+			// first+k < 0 means more visits than Clock has room for, which
+			// only a damaged WAL can restore: those stay as recorded
+			if k, ok := visits[local]; ok && first+k >= 0 {
+				if ev.Kind == "B" {
+					ev.Parent, ev.AtMS = 1, part.Clock[first+k]
+				} else {
+					ev.AtMS = part.Clock[first+k+1]
+				}
+			} else if ev.Parent != 0 {
 				ev.Parent = ids[ev.Parent] // 0 when the parent never appeared
 			}
 			out = append(out, ev)
 		}
+		endMS = part.Clock[len(part.Clock)-1]
+	}
+	if root.Ended {
+		out = append(out, SpanEvent{Kind: "E", Span: 1, Name: "crawl", AtMS: endMS,
+			Attrs: []Label{L("completed", fmt.Sprint(root.Completed))}})
 	}
 	return out
 }

@@ -1,37 +1,56 @@
 package telemetry
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 )
 
+// shardPart records one shard's visits the way a TaskManager does — each a
+// root on the site's own clock — and pairs the events with the serial-clock
+// boundaries the scheduler re-folds for them.
+func shardPart(start float64, sites ...string) TracePart {
+	f := NewFlight(64)
+	part := TracePart{Clock: []float64{start}}
+	for _, site := range sites {
+		v := f.Begin("visit", 0, 0, L("site", site))
+		p := f.Begin("page-load", v, 0)
+		f.End(p, "page-load", 4)
+		f.End(v, "visit", 5)
+		part.Clock = append(part.Clock, part.Clock[len(part.Clock)-1]+5)
+	}
+	part.Events = f.Events()
+	return part
+}
+
 // TestMergeTracesRenumbers is the cross-shard span-id collision regression:
 // two shard Flights both number their spans from 1, so a raw concatenation
-// would alias shard 0's crawl span with shard 1's. The merge must keep every
-// span distinct, preserve intra-part parentage, and be deterministic.
+// would alias shard 0's visit with shard 1's. The merge must keep every span
+// distinct, hang every visit off the one crawl root at its serial time,
+// preserve intra-part parentage, and be deterministic.
 func TestMergeTracesRenumbers(t *testing.T) {
-	mkShard := func(site string) []SpanEvent {
-		f := NewFlight(64)
-		crawl := f.Begin("crawl", 0, 0)
-		v := f.Begin("visit", crawl, 0, L("site", site))
-		f.End(v, "visit", 5)
-		f.End(crawl, "crawl", 5)
-		return f.Events()
-	}
-	a, b := mkShard("a.example"), mkShard("b.example")
-	if a[0].Span != b[0].Span {
-		t.Fatalf("precondition: shard-local ids should collide, got %d vs %d", a[0].Span, b[0].Span)
+	a, b := shardPart(0, "a.example"), shardPart(5, "b.example")
+	if a.Events[0].Span != b.Events[0].Span {
+		t.Fatalf("precondition: shard-local ids should collide, got %d vs %d", a.Events[0].Span, b.Events[0].Span)
 	}
 
-	merged := MergeTraces(a, b)
-	if len(merged) != len(a)+len(b) {
-		t.Fatalf("merged %d events, want %d", len(merged), len(a)+len(b))
+	merged := MergeTraces(CrawlRoot{Sites: 2, Ended: true, Completed: 2}, a, b)
+	if len(merged) != len(a.Events)+len(b.Events)+2 {
+		t.Fatalf("merged %d events, want %d", len(merged), len(a.Events)+len(b.Events)+2)
+	}
+	first, last := merged[0], merged[len(merged)-1]
+	if first.Kind != "B" || first.Span != 1 || first.Name != "crawl" || first.AtMS != 0 ||
+		!reflect.DeepEqual(first.Attrs, []Label{L("sites", "2")}) {
+		t.Fatalf("merge must open with the crawl root, got %+v", first)
+	}
+	if last.Kind != "E" || last.Span != 1 || last.AtMS != 10 ||
+		!reflect.DeepEqual(last.Attrs, []Label{L("completed", "2")}) {
+		t.Fatalf("merge must close the crawl root at the serial end, got %+v", last)
 	}
 	// every distinct (part, local id) pair must come out as a distinct id,
-	// begin and end of the same local span must agree, and parentage must be
-	// preserved within each part
+	// and parentage must be preserved within each part
 	begins := map[int64]SpanEvent{}
 	for _, ev := range merged {
 		if ev.Kind != "B" {
@@ -42,52 +61,125 @@ func TestMergeTracesRenumbers(t *testing.T) {
 		}
 		begins[ev.Span] = ev
 	}
-	if len(begins) != 4 {
-		t.Fatalf("merged trace has %d distinct spans, want 4", len(begins))
+	if len(begins) != 5 {
+		t.Fatalf("merged trace has %d distinct spans, want 5", len(begins))
 	}
+	var visitStarts []float64
 	for _, ev := range merged {
-		if ev.Kind == "B" && ev.Name == "visit" {
-			parent, ok := begins[ev.Parent]
-			if !ok || parent.Name != "crawl" {
-				t.Fatalf("visit span %d lost its crawl parent (parent=%d)", ev.Span, ev.Parent)
+		if ev.Kind != "B" {
+			continue
+		}
+		switch ev.Name {
+		case "visit":
+			if ev.Parent != 1 {
+				t.Fatalf("visit span %d is not under the crawl root (parent=%d)", ev.Span, ev.Parent)
 			}
-			if parent.Attrs != nil {
-				t.Fatalf("visit re-parented onto an attributed span: %+v", parent)
+			visitStarts = append(visitStarts, ev.AtMS)
+		case "page-load":
+			if begins[ev.Parent].Name != "visit" || ev.Parent != ev.Span-1 {
+				t.Fatalf("page-load span %d lost its own visit parent (parent=%d)", ev.Span, ev.Parent)
 			}
 		}
 	}
-	// a.example's visit and b.example's visit must hang off different crawls
-	parents := map[int64]bool{}
-	for _, ev := range merged {
-		if ev.Kind == "B" && ev.Name == "visit" {
-			parents[ev.Parent] = true
-		}
-	}
-	if len(parents) != 2 {
-		t.Fatalf("the two shards' visits share a crawl parent after merge: %v", parents)
+	if !reflect.DeepEqual(visitStarts, []float64{0, 5}) {
+		t.Fatalf("visits begin at %v, want the serial clock [0 5]", visitStarts)
 	}
 	// deterministic: same inputs, same bytes
-	again := MergeTraces(mkShard("a.example"), mkShard("b.example"))
+	again := MergeTraces(CrawlRoot{Sites: 2, Ended: true, Completed: 2},
+		shardPart(0, "a.example"), shardPart(5, "b.example"))
 	if !reflect.DeepEqual(merged, again) {
 		t.Fatalf("merge is not deterministic:\n%v\nvs\n%v", merged, again)
+	}
+	// an interrupted crawl leaves its root open
+	if open := MergeTraces(CrawlRoot{Sites: 2}, a, b); open[len(open)-1].Name == "crawl" {
+		t.Fatalf("unended root was closed: %+v", open[len(open)-1])
 	}
 }
 
 // TestMergeTracesOrphanParent: a child whose parent's begin fell off the ring
 // must surface as a root (parent 0), never attach to another part's span.
 func TestMergeTracesOrphanParent(t *testing.T) {
-	part := []SpanEvent{
-		{Kind: "B", Span: 7, Parent: 3, Name: "visit", AtMS: 1}, // parent 3 never appears
-		{Kind: "E", Span: 7, Name: "visit", AtMS: 2},
+	part := TracePart{
+		Events: []SpanEvent{
+			{Kind: "B", Span: 7, Parent: 3, Name: "page-load", AtMS: 1}, // parent 3 never appears
+			{Kind: "E", Span: 7, Name: "page-load", AtMS: 2},
+		},
+		Clock: []float64{0},
 	}
-	other := []SpanEvent{
-		{Kind: "B", Span: 3, Parent: 0, Name: "crawl", AtMS: 0},
+	other := TracePart{
+		Events: []SpanEvent{{Kind: "B", Span: 3, Parent: 0, Name: "page-load", AtMS: 0}},
+		Clock:  []float64{0},
 	}
-	merged := MergeTraces(other, part)
-	for _, ev := range merged[1:] {
+	merged := MergeTraces(CrawlRoot{Sites: 2}, other, part)
+	for _, ev := range merged[2:] {
 		if ev.Parent != 0 {
 			t.Fatalf("orphaned child kept parent %d (could alias another part): %+v", ev.Parent, ev)
 		}
+	}
+}
+
+// TestMergeTracesWrappedRing: a shard whose ring overwrote its oldest events
+// (its first visits, and the begin of the oldest visit it still holds) must
+// still merge into one crawl root, with every retained visit begin at its
+// serial start time.
+func TestMergeTracesWrappedRing(t *testing.T) {
+	lead := shardPart(0, "lead.example") // one 5 ms visit
+	f := NewFlight(9)
+	wrapped := TracePart{Clock: []float64{5}}
+	start := map[string]float64{"lead.example": 0}
+	for i := 0; i < 6; i++ {
+		site := fmt.Sprintf("s%d.example", i)
+		v := f.Begin("visit", 0, 0, L("site", site))
+		p := f.Begin("page-load", v, 0)
+		f.End(p, "page-load", 1)
+		f.End(v, "visit", float64(i+1))
+		at := wrapped.Clock[len(wrapped.Clock)-1]
+		start[site] = at
+		wrapped.Clock = append(wrapped.Clock, at+float64(i+1))
+	}
+	wrapped.Events = f.Events()
+	if first := wrapped.Events[0]; first.Kind == "B" && first.Name == "visit" {
+		t.Fatalf("precondition: the ring must have cut a visit in half, starts with %+v", first)
+	}
+	merged := MergeTraces(CrawlRoot{Sites: 7, Ended: true, Completed: 7}, lead, wrapped)
+
+	roots := 0
+	var sites []string
+	for _, ev := range merged {
+		if ev.Kind != "B" {
+			continue
+		}
+		switch ev.Name {
+		case "crawl":
+			roots++
+		case "visit":
+			site := ev.Attrs[0].Value
+			if ev.AtMS != start[site] || ev.Parent != 1 {
+				t.Fatalf("visit %s begins at %v under %d, want its serial start %v under the root", site, ev.AtMS, ev.Parent, start[site])
+			}
+			sites = append(sites, site)
+		}
+	}
+	if roots != 1 {
+		t.Fatalf("merged trace has %d crawl roots, want 1", roots)
+	}
+	// the half-cut visit keeps its end, placed at its serial end
+	if cut := merged[1+len(lead.Events)]; cut.Kind != "E" || cut.Name != "visit" || cut.AtMS != wrapped.Clock[4] {
+		t.Fatalf("half-cut visit ends with %+v, want ts %v", cut, wrapped.Clock[4])
+	}
+	if want := []string{"lead.example", "s4.example", "s5.example"}; !reflect.DeepEqual(sites, want) {
+		t.Fatalf("retained visit begins %v, want %v", sites, want)
+	}
+	if end, want := merged[len(merged)-1], wrapped.Clock[6]; end.Name != "crawl" || end.AtMS != want {
+		t.Fatalf("crawl root ends with %+v, want ts %v", end, want)
+	}
+
+	// a part holding more visits than its Clock covers (only a damaged WAL
+	// restores one) keeps the surplus oldest visit as recorded, no panic
+	short := shardPart(0, "a.example", "b.example")
+	short.Clock = short.Clock[:2]
+	if first := MergeTraces(CrawlRoot{Sites: 2}, short)[1]; first.Name != "visit" || first.Parent != 0 {
+		t.Fatalf("surplus visit was placed on the clock: %+v", first)
 	}
 }
 

@@ -158,19 +158,6 @@ func (t *Tree) RenderHistograms(w io.Writer, name string) {
 	}
 }
 
-// RenderStragglers writes the straggler-shard report.
-func (t *Tree) RenderStragglers(w io.Writer, threshold float64) {
-	stragglers := t.Stragglers(threshold)
-	if len(stragglers) == 0 {
-		fmt.Fprintln(w, "no straggler shards")
-		return
-	}
-	for _, s := range stragglers {
-		fmt.Fprintf(w, "shard %d: %s (%.2fx median %s) %s\n",
-			s.Shard, fmtMS(s.DurationMS), s.Ratio, fmtMS(s.MedianMS), spanLine(s.Span))
-	}
-}
-
 // RenderSummary writes trace-wide totals: event and span counts, per-name
 // tallies with total duration, and the overall virtual extent.
 func (t *Tree) RenderSummary(w io.Writer) {

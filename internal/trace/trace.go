@@ -1,10 +1,10 @@
 // Package trace analyses flight-recorder span streams: it rebuilds the span
 // tree from a JSON-lines event file, finds the critical path and the slowest
-// spans, renders per-phase duration histograms, flags straggler shards, and
-// structurally diffs two traces (a deterministic record/replay pair must diff
-// empty). The scheduler produces these streams (sched.Result.Trace), the
-// daemon persists them as job artifacts, and cmd/wpmtrace is the CLI face of
-// this package.
+// spans, renders per-phase duration histograms, and structurally diffs two
+// traces (a deterministic record/replay pair must diff empty). The scheduler
+// produces these streams (sched.Result.Trace) — one crawl root over every
+// visit, the same at any worker count — the daemon persists them as job
+// artifacts, and cmd/wpmtrace is the CLI face of this package.
 package trace
 
 import (
@@ -52,8 +52,7 @@ func (s *Span) Attr(key string) string {
 	return ""
 }
 
-// Tree is a reconstructed span forest. Roots keeps first-appearance order,
-// which for a scheduler-merged trace is shard order.
+// Tree is a reconstructed span forest. Roots keeps first-appearance order.
 type Tree struct {
 	Roots []*Span
 	// ByID indexes every span. Events counts the raw events consumed.
@@ -189,56 +188,6 @@ func (t *Tree) Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Straggler flags one shard of a merged trace whose crawl root ran longer
-// than Threshold times the median shard duration.
-type Straggler struct {
-	Shard      int     // position of the root in shard order
-	Span       *Span   // the shard's root span
-	DurationMS float64 // the shard's duration
-	MedianMS   float64 // median root duration across shards
-	Ratio      float64 // DurationMS / MedianMS
-}
-
-// Stragglers detects slow shards in a scheduler-merged trace: each root span
-// is one shard's crawl, and a shard whose duration exceeds threshold× the
-// median is a straggler. A threshold <= 1 defaults to 1.5. Fewer than two
-// roots can have no stragglers.
-func (t *Tree) Stragglers(threshold float64) []Straggler {
-	if threshold <= 1 {
-		threshold = 1.5
-	}
-	var roots []*Span
-	for _, r := range t.Roots {
-		if !r.NoBegin {
-			roots = append(roots, r)
-		}
-	}
-	if len(roots) < 2 {
-		return nil
-	}
-	durs := make([]float64, len(roots))
-	for i, r := range roots {
-		durs[i] = r.Duration()
-	}
-	sorted := append([]float64(nil), durs...)
-	sort.Float64s(sorted)
-	median := sorted[len(sorted)/2]
-	if len(sorted)%2 == 0 {
-		median = (sorted[len(sorted)/2-1] + sorted[len(sorted)/2]) / 2
-	}
-	var out []Straggler
-	for i, r := range roots {
-		if median > 0 && durs[i] > threshold*median {
-			out = append(out, Straggler{
-				Shard: i, Span: r,
-				DurationMS: durs[i], MedianMS: median,
-				Ratio: durs[i] / median,
-			})
-		}
-	}
-	return out
 }
 
 // Delta is one structural difference between two traces.

@@ -95,33 +95,6 @@ func TestSlowest(t *testing.T) {
 	}
 }
 
-func TestStragglers(t *testing.T) {
-	var events []telemetry.SpanEvent
-	// four shard roots: three finish around 10s, one takes 30s
-	durations := []float64{10_000, 11_000, 30_000, 9000}
-	for i, d := range durations {
-		id := int64(i + 1)
-		events = append(events,
-			telemetry.SpanEvent{Kind: "B", Span: id, Name: "crawl", AtMS: 0},
-			telemetry.SpanEvent{Kind: "E", Span: id, Name: "crawl", AtMS: d},
-		)
-	}
-	tree := Build(events)
-	out := tree.Stragglers(0)
-	if len(out) != 1 {
-		t.Fatalf("want 1 straggler, got %+v", out)
-	}
-	if out[0].Shard != 2 || out[0].DurationMS != 30_000 {
-		t.Fatalf("straggler: %+v", out[0])
-	}
-	if out[0].Ratio < 2.5 || out[0].Ratio > 3.5 {
-		t.Fatalf("ratio %f", out[0].Ratio)
-	}
-	if got := Build(events[:2]).Stragglers(0); got != nil {
-		t.Fatalf("single shard cannot straggle: %+v", got)
-	}
-}
-
 func TestDiffEmptyOnIdentical(t *testing.T) {
 	a, b := sampleEvents(), sampleEvents()
 	if d := Diff(a, b); len(d) != 0 {
@@ -222,11 +195,6 @@ func TestRenderers(t *testing.T) {
 	tree.RenderSummary(&b)
 	if !strings.Contains(b.String(), "8 events, 4 spans, 1 roots") {
 		t.Fatalf("summary output:\n%s", b.String())
-	}
-	b.Reset()
-	tree.RenderStragglers(&b, 0)
-	if !strings.Contains(b.String(), "no straggler shards") {
-		t.Fatalf("straggler output:\n%s", b.String())
 	}
 	b.Reset()
 	tree.RenderSlowest(&b, "", 2)

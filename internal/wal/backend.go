@@ -230,15 +230,13 @@ type ShardRecovery struct {
 	RecorderVisits []bundle.Visit
 	Bodies         map[string]string
 	RecorderState  []byte
-	// TraceEvents / TraceNextID / TraceCrawlSpan rebuild the shard's flight
-	// recorder when the crawl ran with telemetry: the concatenated
-	// checkpoint deltas, the span-id cursor at the last checkpoint, and the
-	// crawl span the interrupted run left open (0 when telemetry was off —
-	// a real id sequence always has NextID > 1 once the crawl span begins).
-	TraceEvents    []telemetry.SpanEvent
-	TraceNextID    int64
-	TraceCrawlSpan int64
-	Stats          RecoverStats
+	// TraceEvents / TraceNextID rebuild the shard's flight recorder when the
+	// crawl ran with telemetry: the concatenated checkpoint deltas and the
+	// span-id cursor at the last checkpoint (0 when telemetry was off — a
+	// real id sequence starts at 1).
+	TraceEvents []telemetry.SpanEvent
+	TraceNextID int64
+	Stats       RecoverStats
 	// Backend continues the log at a fresh segment; its digest state equals
 	// Storage.Digest() over the recovered records.
 	Backend *Backend
@@ -426,7 +424,6 @@ func (out *ShardRecovery) apply(r Rec) error {
 			}
 			out.TraceEvents = append(out.TraceEvents, fc.Events...)
 			out.TraceNextID = fc.NextID
-			out.TraceCrawlSpan = fc.Crawl
 		}
 	default:
 		return fmt.Errorf("wal: unknown record kind %q", r.Kind)

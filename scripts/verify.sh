@@ -89,20 +89,31 @@ go run ./cmd/wpmd -smoke -dir "$smokedir/state" >/dev/null 2>&1 || {
     exit 1
 }
 
-echo "== wpmtrace smoke (record a traced crawl, analyse it, replay, demand an empty trace diff)"
+echo "== wpmtrace smoke (record a traced crawl, analyse it, replay at 1-3 workers, demand empty trace diffs)"
 tracedir=$(mktemp -d)
-go run ./cmd/wpmscan -sites 8 -subpages 1 -workers 2 \
+go build -o "$tracedir/wpmscan" ./cmd/wpmscan
+go build -o "$tracedir/wpmtrace" ./cmd/wpmtrace
+"$tracedir/wpmscan" -sites 8 -subpages 1 -workers 2 \
     -record-bundle "$tracedir/scan.bundle" -trace "$tracedir/record.trace" >/dev/null
-critical=$(go run ./cmd/wpmtrace critical "$tracedir/record.trace")
+critical=$("$tracedir/wpmtrace" critical "$tracedir/record.trace")
 echo "$critical" | grep -q "crawl" || {
     echo "wpmtrace critical path is empty or missing the crawl root:" >&2
     echo "$critical" >&2
     exit 1
 }
-go run ./cmd/wpmscan -sites 8 -subpages 1 -workers 2 \
-    -replay-bundle "$tracedir/scan.bundle" -trace "$tracedir/replay.trace" >/dev/null
-go run ./cmd/wpmtrace diff "$tracedir/record.trace" "$tracedir/replay.trace" || {
-    echo "record-vs-replay traces diverge; replay determinism is broken" >&2
+for w in 1 2 3; do
+    "$tracedir/wpmscan" -sites 8 -subpages 1 -workers "$w" \
+        -replay-bundle "$tracedir/scan.bundle" -trace "$tracedir/replay$w.trace" >/dev/null
+    "$tracedir/wpmtrace" diff "$tracedir/record.trace" "$tracedir/replay$w.trace" || {
+        echo "record-vs-replay traces diverge at $w replay workers; replay determinism is broken" >&2
+        exit 1
+    }
+done
+# the scheduler owns the crawl root and clock: a traced crawl is the same
+# bytes at any worker count
+"$tracedir/wpmscan" -sites 8 -subpages 1 -workers 1 -trace "$tracedir/serial.trace" >/dev/null
+cmp "$tracedir/serial.trace" "$tracedir/record.trace" || {
+    echo "the 1-worker and 2-worker traces of one crawl differ" >&2
     exit 1
 }
 rm -rf "$tracedir"
@@ -117,6 +128,9 @@ go test -run '^$' -fuzz '^FuzzUnmarshal$' -fuzztime 10s -fuzzminimizetime 1s -pa
 
 echo "== wal FuzzScan (hostile segments: Scan and RecoverShard never panic; longest intact prefix or a typed error; Scan is deterministic)"
 go test -run '^$' -fuzz '^FuzzScan$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/wal
+
+echo "== daemon FuzzCanonicalize (hostile job specs: no panic; canonical specs are fixed points with the same content address)"
+go test -run '^$' -fuzz '^FuzzCanonicalize$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/daemon
 
 echo "== quickstart (record, replay, panic if the replayed JS tallies diverge)"
 go run ./examples/quickstart >/dev/null
