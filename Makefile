@@ -1,14 +1,10 @@
-.PHONY: verify test build vet race fmt lint lint-fix telemetry-demo daemon-smoke
+.PHONY: verify test build vet race fmt lint telemetry-demo daemon-smoke
 
 verify: ## gofmt + vet + build + wpmlint + race-enabled tests
 	./scripts/verify.sh
 
-lint: ## wpmlint reliability invariants over the crawl-path packages (baselined)
-	go run ./cmd/wpmlint -baseline .wpmlint-baseline.json ./internal/...
-
-lint-fix: ## apply wpmlint's mechanical autofixes, then gofmt the result
-	go run ./cmd/wpmlint -fix ./internal/... || true
-	gofmt -l -w ./internal
+lint: ## wpmlint reliability invariants over the crawl-path packages
+	go run ./cmd/wpmlint ./internal/...
 
 daemon-smoke: ## wpmd end-to-end: start, submit, cache hit, metrics, drain
 	go run ./cmd/wpmd -smoke -dir $$(mktemp -d)/state

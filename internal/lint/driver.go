@@ -4,19 +4,19 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // Main is the wpmlint driver, factored out of cmd/wpmlint so tests can run
-// the whole CLI surface — flags, formats, baseline, fix, exit codes — against
-// in-memory writers.
+// the whole CLI surface — flag, formats, exit codes — against in-memory
+// writers.
 //
 // Exit codes are part of the contract scripts build on:
 //
-//	0  clean (or every finding baselined / fixed)
+//	0  clean
 //	1  findings
-//	2  usage error (bad flag, unknown rule, unknown format)
-//	3  load failure (missing package, Go-free directory, parse error)
+//	2  usage error (unknown flag, unknown format)
+//	3  load failure (missing package, Go-free directory, pattern matching
+//	   no package, parse error)
 //
 // 3 is distinct from 1 on purpose: a linter that cannot load what it was
 // pointed at must fail loudly, not report "clean" — the same gullibility
@@ -26,14 +26,7 @@ import (
 func Main(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("wpmlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		rules    = fs.String("rules", "", "comma-separated subset of rules (default: all: "+strings.Join(AllRules, ",")+")")
-		tests    = fs.Bool("tests", false, "also lint _test.go files")
-		format   = fs.String("format", "text", "output format: text, json or sarif")
-		basePath = fs.String("baseline", "", "suppress findings recorded in this baseline file")
-		update   = fs.Bool("update-baseline", false, "rewrite the -baseline file from the current findings and exit clean")
-		fix      = fs.Bool("fix", false, "apply mechanical autofixes (maprange key-sort, missing deferred End) before linting")
-	)
+	format := fs.String("format", "text", "output format: text or sarif")
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
@@ -41,29 +34,9 @@ func Main(argv []string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
 		args = []string{"./internal/..."}
 	}
-	switch *format {
-	case "text", "json", "sarif":
-	default:
-		fmt.Fprintf(stderr, "wpmlint: unknown format %q (have text, json, sarif)\n", *format)
+	if *format != "text" && *format != "sarif" {
+		fmt.Fprintf(stderr, "wpmlint: unknown format %q (have text, sarif)\n", *format)
 		return 2
-	}
-	if *update && *basePath == "" {
-		fmt.Fprintln(stderr, "wpmlint: -update-baseline requires -baseline <path>")
-		return 2
-	}
-	opts := Options{IncludeTests: *tests}
-	if *rules != "" {
-		opts.Rules = strings.Split(*rules, ",")
-		known := map[string]bool{}
-		for _, r := range AllRules {
-			known[r] = true
-		}
-		for _, r := range opts.Rules {
-			if !known[r] {
-				fmt.Fprintf(stderr, "wpmlint: unknown rule %q (have %s)\n", r, strings.Join(AllRules, ", "))
-				return 2
-			}
-		}
 	}
 
 	dirs, err := ExpandDirs(args)
@@ -71,51 +44,19 @@ func Main(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "wpmlint: %v\n", err)
 		return 3
 	}
-	if *fix {
-		fixedFiles, err := FixDirs(dirs, opts)
-		if err != nil {
-			fmt.Fprintf(stderr, "wpmlint: %v\n", err)
-			return 3
-		}
-		for _, f := range fixedFiles {
-			fmt.Fprintf(stderr, "wpmlint: fixed %s\n", f)
-		}
-	}
-	findings, err := LintDirs(dirs, opts)
+	findings, err := LintDirs(dirs)
 	if err != nil {
 		fmt.Fprintf(stderr, "wpmlint: %v\n", err)
 		return 3
 	}
-	if *update {
-		if err := WriteBaseline(*basePath, findings); err != nil {
-			fmt.Fprintf(stderr, "wpmlint: %v\n", err)
-			return 3
-		}
-		fmt.Fprintf(stderr, "wpmlint: baseline %s rewritten with %d finding(s)\n", *basePath, len(findings))
-		return 0
-	}
-	if *basePath != "" {
-		base, err := LoadBaseline(*basePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "wpmlint: %v\n", err)
-			return 3
-		}
-		findings = base.Filter(findings)
-	}
-	switch *format {
-	case "text":
-		for _, f := range findings {
-			fmt.Fprintln(stdout, f)
-		}
-	case "json":
-		if err := WriteJSON(stdout, findings); err != nil {
-			fmt.Fprintf(stderr, "wpmlint: %v\n", err)
-			return 3
-		}
-	case "sarif":
+	if *format == "sarif" {
 		if err := WriteSARIF(stdout, findings); err != nil {
 			fmt.Fprintf(stderr, "wpmlint: %v\n", err)
 			return 3
+		}
+	} else {
+		for _, f := range findings {
+			fmt.Fprintln(stdout, f)
 		}
 	}
 	if len(findings) > 0 {

@@ -85,34 +85,17 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Rule, f.Msg)
 }
 
-// Options configures a lint run.
-type Options struct {
-	// IncludeTests also lints _test.go files (off by default: tests may
-	// legitimately use wall clocks and unseeded randomness).
-	IncludeTests bool
-	// Rules restricts the run to a subset of AllRules; empty means all.
-	Rules []string
-}
-
 // LintDirs lints the packages in the given directories (after pattern
-// expansion — see ExpandDirs) and returns all findings sorted by position.
-// Any load failure — an unreadable or Go-free directory, an unparseable
-// file — is an error, never a silent skip: a linter that cannot load what it
-// was pointed at must not report "clean".
-func LintDirs(dirs []string, opts Options) ([]Finding, error) {
-	active := map[string]bool{}
-	if len(opts.Rules) == 0 {
-		for _, r := range AllRules {
-			active[r] = true
-		}
-	} else {
-		for _, r := range opts.Rules {
-			active[r] = true
-		}
-	}
+// expansion — see ExpandDirs) with every registered rule and returns all
+// findings sorted by position. Test files are not linted: tests may
+// legitimately use wall clocks and unseeded randomness. Any load failure — an
+// unreadable or Go-free directory, an unparseable file — is an error, never a
+// silent skip: a linter that cannot load what it was pointed at must not
+// report "clean".
+func LintDirs(dirs []string) ([]Finding, error) {
 	var findings []Finding
 	for _, dir := range dirs {
-		fs, err := lintDir(dir, opts, active)
+		fs, err := lintDir(dir)
 		if err != nil {
 			return nil, err
 		}
@@ -135,7 +118,8 @@ func LintDirs(dirs []string, opts Options) ([]Finding, error) {
 // names itself; a path ending in "/..." walks recursively. Walked testdata
 // trees are skipped (they hold deliberate violations), but naming a testdata
 // directory explicitly lints it — that is how the self-test fixture runs.
-// A nonexistent root is an error (a load failure the driver exits 3 on).
+// A nonexistent root, or a pattern that walks to no Go package, is an error
+// (a load failure the driver exits 3 on): linting nothing is not "clean".
 func ExpandDirs(args []string) ([]string, error) {
 	var out []string
 	seen := map[string]bool{}
@@ -160,6 +144,7 @@ func ExpandDirs(args []string) ([]string, error) {
 			add(root)
 			continue
 		}
+		matched := false
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err
@@ -178,6 +163,7 @@ func ExpandDirs(args []string) ([]string, error) {
 			for _, e := range ents {
 				if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
 					add(path)
+					matched = true
 					break
 				}
 			}
@@ -186,33 +172,17 @@ func ExpandDirs(args []string) ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
+		if !matched {
+			return nil, fmt.Errorf("lint: %s matches no Go package", a)
+		}
 	}
 	return out, nil
 }
 
-// lintDir parses and type-checks one directory's package and applies the
-// active rules.
-func lintDir(dir string, opts Options, active map[string]bool) ([]Finding, error) {
-	passes, err := loadDir(dir, opts)
-	if err != nil {
-		return nil, err
-	}
-	var findings []Finding
-	for _, p := range passes {
-		for _, r := range Rules {
-			if active[r.Name] {
-				r.Check(p)
-			}
-		}
-		findings = append(findings, applySuppressions(p.Fset, p.Files, p.findings)...)
-	}
-	return findings, nil
-}
-
-// loadDir parses and leniently type-checks one directory, returning one Pass
-// per package found there (external test packages type-check separately).
-// The -fix pipeline reuses this loader without running any rules.
-func loadDir(dir string, opts Options) ([]*Pass, error) {
+// lintDir parses and leniently type-checks one directory's package and
+// applies every rule. The go tool allows one package per directory outside
+// _test.go files, so the directory's files type-check together.
+func lintDir(dir string) ([]Finding, error) {
 	fset := token.NewFileSet()
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -226,7 +196,7 @@ func loadDir(dir string, opts Options) ([]*Pass, error) {
 			continue
 		}
 		anyGo = true
-		if !opts.IncludeTests && strings.HasSuffix(name, "_test.go") {
+		if strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
@@ -239,23 +209,13 @@ func loadDir(dir string, opts Options) ([]*Pass, error) {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
 	if len(files) == 0 {
-		return nil, nil // only test files, and tests excluded: nothing to lint
+		return nil, nil // only test files: nothing to lint
 	}
-	// external test packages (package foo_test) type-check separately; split
-	byPkg := map[string][]*ast.File{}
-	for _, f := range files {
-		byPkg[f.Name.Name] = append(byPkg[f.Name.Name], f)
+	p := loadPackage(fset, files[0].Name.Name, files)
+	for _, r := range Rules {
+		r.Check(p)
 	}
-	names := make([]string, 0, len(byPkg))
-	for n := range byPkg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	passes := make([]*Pass, 0, len(names))
-	for _, n := range names {
-		passes = append(passes, loadPackage(fset, n, byPkg[n]))
-	}
-	return passes, nil
+	return applySuppressions(p.Fset, p.Files, p.findings), nil
 }
 
 // lenientImporter resolves what it can from compiled stdlib packages and

@@ -6,37 +6,9 @@ import (
 	"path/filepath"
 )
 
-// slashPath normalises a finding's file path for machine-readable output:
-// cleaned and forward-slashed, so JSON/SARIF documents and baselines are
-// byte-identical across platforms.
+// slashPath normalises a finding's file path for SARIF output: cleaned and
+// forward-slashed, so SARIF documents are byte-identical across platforms.
 func slashPath(p string) string { return filepath.ToSlash(filepath.Clean(p)) }
-
-// WriteJSON renders findings as a stable, indented JSON document. The shape
-// is deliberately flat — one object per finding with rule/file/line/col/msg —
-// so shell pipelines and the golden-output test can consume it without a
-// schema.
-func WriteJSON(w io.Writer, findings []Finding) error {
-	type jsonFinding struct {
-		Rule string `json:"rule"`
-		File string `json:"file"`
-		Line int    `json:"line"`
-		Col  int    `json:"col"`
-		Msg  string `json:"msg"`
-	}
-	doc := struct {
-		Findings []jsonFinding `json:"findings"`
-		Count    int           `json:"count"`
-	}{Findings: []jsonFinding{}, Count: len(findings)}
-	for _, f := range findings {
-		doc.Findings = append(doc.Findings, jsonFinding{
-			Rule: f.Rule, File: slashPath(f.Pos.Filename),
-			Line: f.Pos.Line, Col: f.Pos.Column, Msg: f.Msg,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
 
 // The sarif* types model the minimal SARIF 2.1.0 subset wpmlint emits: one
 // run, the rule table from the registry, and one result per finding. Field

@@ -14,7 +14,7 @@ import (
 // import tables, cached CFGs and the package fact store — instead of walking
 // raw AST alone.
 type Rule struct {
-	// Name is the rule id used in findings, -rules, suppressions and SARIF.
+	// Name is the rule id used in findings, suppressions and SARIF.
 	Name string
 	// Doc is the one-line description rendered into SARIF rule metadata.
 	Doc string
@@ -22,8 +22,8 @@ type Rule struct {
 	Check func(*Pass)
 }
 
-// Rules is the registry in reporting order. The driver's -rules flag, the
-// SARIF rule table and AllRules all derive from it.
+// Rules is the registry in reporting order. Every lint run applies all of
+// them; the SARIF rule table and the rule docs derive from it.
 var Rules = []*Rule{
 	{Name: "wallclock", Doc: "no wall-clock reads in crawl-path packages (virtual time only)", Check: checkWallclock},
 	{Name: "randseed", Doc: "math/rand only through seeded constructors", Check: checkRandseed},
@@ -36,17 +36,6 @@ var Rules = []*Rule{
 	{Name: "lockedmutate", Doc: "struct fields must not be written both under and outside the struct's mutex", Check: checkLockedMutate},
 	{Name: "errswallow", Doc: "error results must be checked or visibly discarded with a justifying comment", Check: checkErrSwallow},
 	{Name: "chanbuffer", Doc: "no blocking channel send inside a loop without a draining select", Check: checkChanBuffer},
-}
-
-// AllRules lists the rule names in reporting order.
-var AllRules = ruleNames()
-
-func ruleNames() []string {
-	names := make([]string, len(Rules))
-	for i, r := range Rules {
-		names[i] = r.Name
-	}
-	return names
 }
 
 // RuleDoc returns the one-line doc for a rule name ("" when unknown).
@@ -108,9 +97,6 @@ func newPass(fset *token.FileSet, pkg string, files []*ast.File, info *types.Inf
 func (p *Pass) Report(rule string, pos token.Pos, msg string) {
 	p.findings = append(p.findings, Finding{Rule: rule, Pos: p.Fset.Position(pos), Msg: msg})
 }
-
-// FileImports returns the alias→path import table for a file.
-func (p *Pass) FileImports(f *ast.File) map[string]string { return p.imports[f] }
 
 // SelPkg reports the import path behind x in x.Sel within file f, "" when x
 // is not a package identifier.

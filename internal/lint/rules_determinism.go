@@ -87,7 +87,7 @@ func checkMaprange(p *Pass) {
 }
 
 // mapRangeSerialises reports whether rs ranges a map and its body calls a
-// serialiser. Shared with the maprange autofix.
+// serialiser.
 func mapRangeSerialises(p *Pass, rs *ast.RangeStmt) bool {
 	t := p.TypeOf(rs.X)
 	if t == nil {

@@ -96,71 +96,23 @@ func (p *Pass) spanPairsInBody(f *ast.File, body *ast.BlockStmt) {
 		}
 		return true
 	})
+	// passing the id to Begin (as a child's parent) or End is the span
+	// protocol itself, not an escape
+	isSpanCall := func(c *ast.CallExpr) bool {
+		sel, ok := c.Fun.(*ast.SelectorExpr)
+		return ok && (sel.Sel.Name == "Begin" || sel.Sel.Name == "End") && p.SelPkg(f, sel) == ""
+	}
 	for _, sp := range spans {
-		hasEnd, escapes := p.classifySpanUses(f, body, sp.name)
-		if escapes {
+		if cfg.VarEscapes(body, sp.name, isSpanCall).Any() {
 			continue
 		}
-		if !hasEnd {
+		if !containsEndOf(body, sp.name) {
 			p.Report("spanpair", sp.pos,
 				fmt.Sprintf("span %q is begun but never passed to End; it stays open on every path", sp.name))
 			continue
 		}
 		p.spanPathCheck(body, sp.name, sp.stmt)
 	}
-}
-
-// classifySpanUses scans a body for uses of the span variable v: whether it
-// ever reaches an End call, and whether it escapes the function (returned,
-// passed to a non-End call, re-assigned, stored in a composite literal or
-// sent on a channel).
-func (p *Pass) classifySpanUses(f *ast.File, body *ast.BlockStmt, v string) (hasEnd, escapes bool) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.CallExpr:
-			sel, ok := x.Fun.(*ast.SelectorExpr)
-			if ok && sel.Sel.Name == "End" {
-				for _, a := range x.Args {
-					if cfg.ContainsIdent(a, v) {
-						hasEnd = true
-					}
-				}
-				return false
-			}
-			if ok && sel.Sel.Name == "Begin" {
-				return true
-			}
-			for _, a := range x.Args {
-				if cfg.ContainsIdent(a, v) {
-					escapes = true
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, r := range x.Results {
-				if cfg.ContainsIdent(r, v) {
-					escapes = true
-				}
-			}
-		case *ast.AssignStmt:
-			for _, r := range x.Rhs {
-				if !p.isBeginCall(f, r) && cfg.ContainsIdent(r, v) {
-					escapes = true
-				}
-			}
-		case *ast.CompositeLit:
-			for _, el := range x.Elts {
-				if cfg.ContainsIdent(el, v) {
-					escapes = true
-				}
-			}
-		case *ast.SendStmt:
-			if cfg.ContainsIdent(x.Value, v) {
-				escapes = true
-			}
-		}
-		return true
-	})
-	return hasEnd, escapes
 }
 
 // spanPathCheck walks the CFG from the Begin statement and reports every path

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Full verification: vet, build, wpmlint (baselined + self-tests + SARIF
+# Full verification: vet, build, wpmlint (repo run + self-tests + SARIF
 # smoke), then the whole repo under the race detector. The experiments
 # package's full synthetic-web crawls are skipped in -short mode; set
 # WPM_FULL_RACE=1 to run the long tier. Plain `go test ./...` stays the quick
@@ -27,8 +27,8 @@ go build ./...
 wpmlint_bin=$(mktemp -d)/wpmlint
 go build -o "$wpmlint_bin" ./cmd/wpmlint
 
-echo "== wpmlint ./internal/... (reliability invariants, baselined)"
-"$wpmlint_bin" -baseline .wpmlint-baseline.json ./internal/...
+echo "== wpmlint ./internal/... (reliability invariants)"
+"$wpmlint_bin" ./internal/...
 
 echo "== wpmlint self-test (fixture must fail with exit 1: findings, not a load error)"
 set +e
@@ -40,15 +40,17 @@ if [ "$fixture_status" != 1 ]; then
     exit 1
 fi
 
-echo "== wpmlint load-failure self-test (missing package must exit 3, never look clean)"
-set +e
-"$wpmlint_bin" ./internal/no-such-package >/dev/null 2>&1
-load_status=$?
-set -e
-if [ "$load_status" != 3 ]; then
-    echo "wpmlint exited $load_status on a missing package (want 3)" >&2
-    exit 1
-fi
+echo "== wpmlint load-failure self-test (missing package or empty pattern must exit 3, never look clean)"
+for target in ./internal/no-such-package ./scripts/...; do
+    set +e
+    "$wpmlint_bin" "$target" >/dev/null 2>&1
+    load_status=$?
+    set -e
+    if [ "$load_status" != 3 ]; then
+        echo "wpmlint exited $load_status on $target (want 3)" >&2
+        exit 1
+    fi
+done
 
 echo "== wpmlint SARIF smoke (fixture output must match the committed golden schema)"
 set +e
