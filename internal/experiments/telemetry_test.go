@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 
 	"gullible/internal/faults"
@@ -111,5 +113,64 @@ func TestReliabilityTelemetryPerRun(t *testing.T) {
 	}
 	if diff := r.Vanilla.Metrics.Diff(r.Hardened.Metrics); len(diff) == 0 {
 		t.Fatal("vanilla and hardened pipelines produced identical metrics under faults")
+	}
+}
+
+// The HTTP series count what the browser sees: exchanges per resource type,
+// transport errors, and the body bytes and server delay of every response,
+// including one the visit watchdog gives up on. A small faulted scan pins
+// each value, so moving where they are counted cannot change them.
+func TestScanHTTPSeriesPinned(t *testing.T) {
+	profile := faults.DefaultProfile()
+	world := websim.New(websim.Options{Seed: 7, NumSites: 20})
+	tel := telemetry.New()
+	r, err := RunScanObserved(world, 20, ScanOptions{
+		MaxSubpages:     1,
+		FaultProfile:    &profile,
+		FaultSeed:       3,
+		MaxVisitSeconds: 30,
+		Telemetry:       tel,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int64{}
+	for k, v := range r.Metrics.Counters {
+		if strings.HasPrefix(k, "http_") {
+			got[k] = v
+		}
+	}
+	want := map[string]int64{
+		"http_body_bytes_total":                     152978,
+		"http_errors_total":                         30,
+		"http_exchanges_total{type=beacon}":         106,
+		"http_exchanges_total{type=csp_report}":     0,
+		"http_exchanges_total{type=font}":           25,
+		"http_exchanges_total{type=imageset}":       14,
+		"http_exchanges_total{type=image}":          282,
+		"http_exchanges_total{type=main_frame}":     54,
+		"http_exchanges_total{type=media}":          4,
+		"http_exchanges_total{type=object}":         0,
+		"http_exchanges_total{type=other}":          0,
+		"http_exchanges_total{type=script}":         268,
+		"http_exchanges_total{type=stylesheet}":     49,
+		"http_exchanges_total{type=sub_frame}":      50,
+		"http_exchanges_total{type=unknown}":        0,
+		"http_exchanges_total{type=websocket}":      0,
+		"http_exchanges_total{type=xmlhttprequest}": 95,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("http counters = %v, want %v", got, want)
+	}
+	// every delay is a 45 s tarpit, past the 30 s visit budget: each of these
+	// responses is one the watchdog abandons after counting it
+	wantDelay := telemetry.HistogramSnapshot{
+		Bounds:    telemetry.SecondsBuckets,
+		Counts:    []int64{0, 0, 0, 0, 0, 17, 0, 0, 0, 0},
+		Count:     17,
+		SumMicros: 765000000,
+	}
+	if d := r.Metrics.Histograms["http_delay_seconds"]; !reflect.DeepEqual(d, wantDelay) {
+		t.Errorf("http_delay_seconds = %+v, want %+v", d, wantDelay)
 	}
 }
