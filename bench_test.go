@@ -99,29 +99,6 @@ func BenchmarkScanCrawlTraceDisabled(b *testing.B) {
 	}
 }
 
-// BenchmarkScanCrawlTraceStreamed is BenchmarkScanCrawlTelemetry with a live
-// span tap attached — the wpmd SSE path, where every recorded span event is
-// also handed to a subscriber callback.
-func BenchmarkScanCrawlTraceStreamed(b *testing.B) {
-	world := websim.New(websim.Options{Seed: 9, NumSites: 100000})
-	tel := telemetry.New()
-	var streamed int64
-	tel.Spans.SetTap(func(telemetry.SpanEvent) { streamed++ })
-	tm := openwpm.NewTaskManager(openwpm.CrawlConfig{
-		OS: jsdom.Ubuntu, Mode: jsdom.Regular, Transport: world,
-		DwellSeconds: 60, JSInstrument: true, HTTPInstrument: true,
-		CookieInstrument: true, HTTPFilterJSOnly: true, HoneyProps: 4, MaxSubpages: 3,
-		Telemetry: tel,
-	})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tm.VisitSite(websim.SiteURL(i%100000 + 1))
-	}
-	if streamed == 0 {
-		b.Fatal("span tap saw no events")
-	}
-}
-
 // BenchmarkScanWorkers measures whole-scan throughput (crawl + analysis) at
 // several sharding widths. Sharding buys wall-clock only when GOMAXPROCS
 // grants real cores; the repo benchmark (cmd/wpmbench) measures 1…nproc.

@@ -16,8 +16,8 @@
 //	GET  /v1/jobs/{id}/artifact  sealed artifact bytes
 //	GET  /v1/jobs/{id}/trace     the job's span trace, JSON lines — pipe
 //	                             into wpmtrace for analysis
-//	GET  /v1/jobs/{id}/events    live job events (SSE): state transitions,
-//	                             crawl progress, spans (curl -N to follow)
+//	GET  /v1/jobs/{id}/events    live job events (SSE): state transitions
+//	                             and crawl progress (curl -N to follow)
 //	GET  /healthz                liveness (503 while draining)
 //	GET  /metrics                telemetry snapshot plus runtime gauges,
 //	                             Prometheus text exposition (?format=json

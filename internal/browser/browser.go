@@ -9,7 +9,6 @@ package browser
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"gullible/internal/httpsim"
@@ -122,6 +121,14 @@ type Browser struct {
 	// instrument installs by path: an instantiated image or a script run
 	mInstallsImage  *telemetry.Counter
 	mInstallsScript *telemetry.Counter
+	// HTTP exchanges by resource type (mHTTPOther for types outside
+	// httpsim.AllResourceTypes), transport errors, and the body bytes and
+	// server delay of every response
+	mHTTPByType map[httpsim.ResourceType]*telemetry.Counter
+	mHTTPOther  *telemetry.Counter
+	mHTTPErrors *telemetry.Counter
+	mHTTPBytes  *telemetry.Counter
+	mHTTPDelay  *telemetry.Histogram
 
 	clockMS      float64
 	visitStartMS float64
@@ -171,6 +178,14 @@ func New(opts Options) *Browser {
 		b.mInterpAllocs = tel.Counter("interp_allocs_total")
 		b.mInstallsImage = tel.Counter("js_instrument_installs_total", telemetry.L("path", "image"))
 		b.mInstallsScript = tel.Counter("js_instrument_installs_total", telemetry.L("path", "script"))
+		b.mHTTPByType = make(map[httpsim.ResourceType]*telemetry.Counter, len(httpsim.AllResourceTypes))
+		for _, t := range httpsim.AllResourceTypes {
+			b.mHTTPByType[t] = tel.Counter("http_exchanges_total", telemetry.L("type", string(t)))
+		}
+		b.mHTTPOther = tel.Counter("http_exchanges_total", telemetry.L("type", "unknown"))
+		b.mHTTPErrors = tel.Counter("http_errors_total")
+		b.mHTTPBytes = tel.Counter("http_body_bytes_total")
+		b.mHTTPDelay = tel.Histogram("http_delay_seconds", telemetry.SecondsBuckets)
 	}
 	return b
 }
@@ -287,8 +302,14 @@ func (b *Browser) fetch(url string, rtype httpsim.ResourceType, method, body str
 	if ck := b.Jar.HeaderFor(url); ck != "" {
 		req.Headers["Cookie"] = ck
 	}
+	if c, ok := b.mHTTPByType[rtype]; ok {
+		c.Inc()
+	} else {
+		b.mHTTPOther.Inc()
+	}
 	resp, err := b.Opts.Transport.RoundTrip(req)
 	if err != nil {
+		b.mHTTPErrors.Inc()
 		// some failures consume virtual time before surfacing (hangs burn
 		// the watchdog budget) or kill the whole visit (crashes); both are
 		// expressed through optional interfaces so the transport layer needs
@@ -307,7 +328,9 @@ func (b *Browser) fetch(url string, rtype httpsim.ResourceType, method, body str
 		}
 		return nil, err
 	}
+	b.mHTTPBytes.Add(int64(len(resp.Body)))
 	if resp.DelaySeconds > 0 {
+		b.mHTTPDelay.Observe(resp.DelaySeconds)
 		b.chargeSeconds(resp.DelaySeconds)
 		if b.budgetExhausted() {
 			// the response arrived only after the watchdog gave up
@@ -728,9 +751,4 @@ func (fh *frameHost) OpenWindow(url string) (*jsdom.DOM, error) {
 
 func (fh *frameHost) DocumentWrite(html string) {
 	fh.b.loadHTML(fh.dom, html)
-}
-
-// SortTimersForTest exposes deterministic timer ordering in tests.
-func (b *Browser) SortTimersForTest() {
-	sort.SliceStable(b.timers, func(i, j int) bool { return b.timers[i].at < b.timers[j].at })
 }

@@ -37,8 +37,7 @@ type Recorder struct {
 	// (streamed off the same append path as the storage backend).
 	Spool Spool
 
-	bodies      map[string]string
-	spoolErrors int
+	bodies map[string]string
 
 	// per-visit buffers, flushed by ObserveVisit
 	pendingExchanges []Exchange
@@ -82,19 +81,14 @@ func (r *Recorder) intern(content string) string {
 	return key
 }
 
-// spoolBody forwards a newly interned body to the spool, counting failures.
+// spoolBody forwards a newly interned body to the spool.
 func (r *Recorder) spoolBody(sha, content string) {
-	if r.Spool == nil {
-		return
-	}
-	if err := r.Spool.SpoolBody(sha, content); err != nil {
-		r.spoolErrors++
+	if r.Spool != nil {
+		// a failed append is the WAL writer's to count (Stats().Lost); the
+		// in-memory bundle keeps the body either way
+		_ = r.Spool.SpoolBody(sha, content)
 	}
 }
-
-// SpoolErrors reports how many spool appends failed (the in-memory bundle is
-// unaffected; the durable copy is missing those records).
-func (r *Recorder) SpoolErrors() int { return r.spoolErrors }
 
 // WrapTransport implements openwpm.Recorder.
 func (r *Recorder) WrapTransport(rt httpsim.RoundTripper) httpsim.RoundTripper {
@@ -171,9 +165,8 @@ func (r *Recorder) ObserveVisit(rec openwpm.VisitRecord) {
 	}
 	r.visits = append(r.visits, v)
 	if r.Spool != nil {
-		if err := r.Spool.SpoolVisit(v); err != nil {
-			r.spoolErrors++
-		}
+		// counted by the WAL writer, like a failed body append
+		_ = r.Spool.SpoolVisit(v)
 	}
 	r.pendingExchanges = nil
 	r.pendingJSCalls = nil
@@ -270,7 +263,6 @@ type RecorderState struct {
 	WriteSeq     map[string]int   `json:"writeSeq,omitempty"`
 	LastWriteSeq map[string]int   `json:"lastWriteSeq,omitempty"`
 	Drops        map[string][]int `json:"drops,omitempty"`
-	SpoolErrors  int              `json:"spoolErrors,omitempty"`
 }
 
 // StateJSON snapshots the recorder's resumable state as JSON. Call it at a
@@ -280,7 +272,6 @@ func (r *Recorder) StateJSON() []byte {
 		WriteSeq:     r.writeSeq,
 		LastWriteSeq: r.lastWriteSeq,
 		Drops:        r.drops,
-		SpoolErrors:  r.spoolErrors,
 	}
 	out, err := json.Marshal(s)
 	if err != nil {
@@ -316,7 +307,6 @@ func RestoreRecorder(meta map[string]string, bodies map[string]string, visits []
 		for t, seqs := range s.Drops {
 			r.drops[t] = append([]int(nil), seqs...)
 		}
-		r.spoolErrors = s.SpoolErrors
 	}
 	return r, nil
 }

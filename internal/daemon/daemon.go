@@ -114,7 +114,7 @@ type Job struct {
 	Cost   int64
 	Seq    uint64 // admission order, persisted so restarts replay FIFO
 
-	// events streams state transitions, crawl progress and span events to
+	// events streams state transitions and crawl progress to
 	// SSE subscribers; see eventHub.
 	events *eventHub
 
@@ -593,14 +593,6 @@ func (d *Daemon) executeCrawl(j *Job) ([]byte, ArtifactMeta, bool, error) {
 		// the sealed artifact carries no metrics and /metrics serves them
 		DetachMetrics: true,
 		Stop:          d.stop,
-	}
-	if d.tel.Enabled() {
-		// live span streaming to SSE subscribers; the tap runs under the
-		// shard recorder's lock, and publish is non-blocking by design
-		opts.SpanTap = func(shard int, ev telemetry.SpanEvent) {
-			span := ev
-			j.events.publish(JobEvent{Type: "span", Shard: shard, Span: &span})
-		}
 	}
 	if fss, lerr := sched.ListShardFSs(jdir); lerr == nil {
 		// sealed shard logs exist: recover their checkpoint and resume

@@ -21,7 +21,7 @@ const subBuffer = 256
 // subscriber buffer or connected after the replay ring had wrapped.
 type JobEvent struct {
 	Seq  int64  `json:"seq"`
-	Type string `json:"type"` // "state", "progress" or "span"
+	Type string `json:"type"` // "state" or "progress"
 
 	// state events
 	State  JobState `json:"state,omitempty"`
@@ -31,11 +31,6 @@ type JobEvent struct {
 	// progress events
 	Done  int `json:"done,omitempty"`
 	Total int `json:"total,omitempty"`
-
-	// span events: the shard that recorded the span plus the raw
-	// flight-recorder event (virtual-clock timestamps)
-	Shard int                  `json:"shard,omitempty"`
-	Span  *telemetry.SpanEvent `json:"span,omitempty"`
 }
 
 // subscriber is one attached event consumer.

@@ -26,7 +26,7 @@ import (
 //	GET  /v1/jobs/{id}/trace     the job's sealed span trace (JSON lines;
 //	                             analyse with wpmtrace)
 //	GET  /v1/jobs/{id}/events    live job event stream (SSE): state
-//	                             transitions, crawl progress, span events;
+//	                             transitions and crawl progress;
 //	                             Last-Event-ID resumes from the replay ring
 //	GET  /healthz                liveness; 503 while draining
 //	GET  /metrics                telemetry snapshot plus runtime gauges;

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -260,7 +261,7 @@ func TestJobEventStreamSSE(t *testing.T) {
 	go readSSE(t, bufio.NewScanner(res.Body), events)
 
 	var states []JobState
-	var progress, spans int
+	var progress int
 	deadline := time.After(120 * time.Second)
 	for {
 		select {
@@ -274,11 +275,8 @@ func TestJobEventStreamSSE(t *testing.T) {
 				states = append(states, ev.data.State)
 			case "progress":
 				progress++
-			case "span":
-				spans++
-				if ev.data.Span == nil {
-					t.Error("span event without payload")
-				}
+			default:
+				t.Errorf("unexpected %q event", ev.event)
 			}
 		case <-deadline:
 			t.Fatal("SSE stream never closed")
@@ -291,11 +289,10 @@ done:
 	if progress == 0 {
 		t.Error("no progress events streamed")
 	}
-	if spans == 0 {
-		t.Error("no span events streamed")
-	}
 
-	// a consumer attaching after completion gets one terminal state event
+	// a consumer attaching after completion gets the terminal state, then
+	// the job's whole stream replayed from the ring: seqs 1..N with no gap,
+	// state and progress events only, ending in done
 	res2, err := http.Get(srv.URL + "/v1/jobs/" + st.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
@@ -307,8 +304,19 @@ done:
 	for ev := range late {
 		lateEvents = append(lateEvents, ev)
 	}
-	if len(lateEvents) == 0 || lateEvents[0].data.State != JobDone {
+	if len(lateEvents) < 2 || lateEvents[0].data.State != JobDone {
 		t.Fatalf("late subscriber events: %+v", lateEvents)
+	}
+	for i, ev := range lateEvents[1:] {
+		if want := strconv.Itoa(i + 1); ev.id != want || ev.data.Seq != int64(i+1) {
+			t.Fatalf("late event %d has id %q seq %d, want %s (replay must start at 1 with no gaps)", i+1, ev.id, ev.data.Seq, want)
+		}
+		if ev.event != "state" && ev.event != "progress" {
+			t.Fatalf("late event %d is %q, want state or progress", i+1, ev.event)
+		}
+	}
+	if last := lateEvents[len(lateEvents)-1]; last.event != "state" || last.data.State != JobDone {
+		t.Fatalf("replay ends with %+v, want the done state", last)
 	}
 
 	// unknown jobs 404

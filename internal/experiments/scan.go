@@ -140,9 +140,6 @@ type ScanOptions struct {
 	// bundle's report so artifacts stay digest-identical across runs that
 	// share a process-lifetime registry; see sched.Crawl.DetachMetrics.
 	DetachMetrics bool
-	// SpanTap streams every span event live, tagged with its recording
-	// shard; see sched.Crawl.SpanTap for the concurrency contract.
-	SpanTap func(shard int, ev telemetry.SpanEvent)
 
 	// Backend, when non-nil, gives each shard a durable storage backend
 	// (the WAL); see sched.Crawl.Backend for the contract.
@@ -191,7 +188,6 @@ func RunScanObserved(world *websim.World, numSites int, opts ScanOptions, progre
 		BundleMeta:    opts.BundleMeta,
 		Telemetry:     opts.Telemetry,
 		DetachMetrics: opts.DetachMetrics,
-		SpanTap:       opts.SpanTap,
 		Backend:       opts.Backend,
 		Stop:          opts.Stop,
 		Resume:        opts.Resume,

@@ -206,17 +206,6 @@ func (in *Injector) CountsByName() map[string]int {
 	return out
 }
 
-// KindsInjected reports how many distinct fault kinds have fired.
-func (in *Injector) KindsInjected() int {
-	n := 0
-	for _, c := range in.Counts() {
-		if c > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // fnvHash hashes mixed parts with FNV-1a (same scheme as websim's seeds).
 func fnvHash(parts ...any) uint64 {
 	h := uint64(14695981039346656037)

@@ -439,10 +439,6 @@ func (d *DOM) Untouched() bool {
 	return d.It.Steps() == d.seal.steps && d.It.Allocs() == d.seal.allocs && d.It.GraphDigest() == d.seal.digest
 }
 
-// PageListeners returns registered page listeners for an event type; the
-// crawler can fire them to simulate interaction.
-func (d *DOM) PageListeners(event string) []*minjs.Object { return d.pageListeners[event] }
-
 // ListenHostEvent registers an extension-side listener for events delivered
 // through the original native dispatchEvent. This models the content script
 // of OpenWPM's extension receiving instrumentation messages.

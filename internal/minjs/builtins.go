@@ -54,7 +54,10 @@ func installBuiltins(it *Interp) {
 		}
 		target := this.Obj
 		boundThis := arg(args, 0)
-		pre := append([]Value(nil), args[1:]...)
+		var pre []Value
+		if len(args) > 1 {
+			pre = append(pre, args[1:]...)
+		}
 		name := "bound"
 		if nv, err := it.GetMember(this, "name"); err == nil && nv.Kind == KindString {
 			name = "bound " + nv.Str

@@ -67,16 +67,15 @@ type imageProp struct {
 }
 
 type imageObj struct {
-	class    string
-	proto    int32
-	props    []imageProp
-	elems    []imageVal
-	notExt   bool
-	ver      uint32
-	fn       *FuncLit // non-nil for script functions
-	env      int32    // closure scope slot of a script function
-	this     imageVal
-	override string // ToStringOverride
+	class  string
+	proto  int32
+	props  []imageProp
+	elems  []imageVal
+	notExt bool
+	ver    uint32
+	fn     *FuncLit // non-nil for script functions
+	env    int32    // closure scope slot of a script function
+	this   imageVal
 }
 
 type imageScope struct {
@@ -227,15 +226,14 @@ func (o *Object) eachOwn(fn func(key string, p *Property)) {
 // objSnap is an object's state before the recorded run; its own
 // properties are props[off:off+n] of the recording's flat snapshot.
 type objSnap struct {
-	class    string
-	proto    *Object
-	elems    []Value
-	notExt   bool
-	ver      uint32
-	env      *Scope
-	this     Value
-	override string
-	off, n   int
+	class  string
+	proto  *Object
+	elems  []Value
+	notExt bool
+	ver    uint32
+	env    *Scope
+	this   Value
+	off, n int
 }
 
 type propSnap struct {
@@ -259,7 +257,7 @@ func snapshot(g *realmGraph) ([]objSnap, []propSnap, [][]Value) {
 			s.elems = append([]Value(nil), o.Elems...)
 		}
 		if fd := o.fnd; fd != nil {
-			s.env, s.this, s.override = fd.Env, fd.ThisVal, fd.ToStringOverride
+			s.env, s.this = fd.Env, fd.ThisVal
 		}
 		o.eachOwn(func(key string, p *Property) { props = append(props, propSnap{key, p, *p}) })
 		s.n = len(props) - s.off
@@ -490,7 +488,7 @@ func (r *recorder) build(it *Interp) (*Image, error) {
 			}
 		}
 		if fd := o.fnd; fd != nil {
-			ob.fn, ob.env, ob.this, ob.override = fd.Fn, r.scopeSlot(fd.Env), r.val(fd.ThisVal), fd.ToStringOverride
+			ob.fn, ob.env, ob.this = fd.Fn, r.scopeSlot(fd.Env), r.val(fd.ThisVal)
 		}
 	}
 	img.scopes = make([]imageScope, len(r.after.scopes))
@@ -565,7 +563,7 @@ func (r *recorder) changed(i int32, o *Object) bool {
 			return false
 		}
 	}
-	if fd := o.fnd; fd != nil && (fd.Env != s.env || !sameValue(fd.ThisVal, s.this) || fd.ToStringOverride != s.override) {
+	if fd := o.fnd; fd != nil && (fd.Env != s.env || !sameValue(fd.ThisVal, s.this)) {
 		r.fail("program altered function %q", o.NativeFnName())
 		return false
 	}
@@ -829,7 +827,7 @@ func (it *Interp) Instantiate(img *Image) bool {
 		}
 		if ob.fn != nil {
 			fd := o.fnd
-			fd.Fn, fd.Env, fd.ThisVal, fd.ToStringOverride = ob.fn, scopes[ob.env], ob.this.in(slots), ob.override
+			fd.Fn, fd.Env, fd.ThisVal = ob.fn, scopes[ob.env], ob.this.in(slots)
 		}
 	}
 	for i := range img.edits {
@@ -948,7 +946,6 @@ func (it *Interp) GraphDigest() [32]byte {
 				num(int64(fd.Fn.Line))
 				str(fd.Fn.SrcText)
 			}
-			str(fd.ToStringOverride)
 			val(fd.ThisVal)
 			if fd.Env != nil {
 				num(int64(g.sindex[fd.Env]))

@@ -163,6 +163,8 @@ func TestThisBinding(t *testing.T) {
 	wantNum(t, run(t, `function f() { return this.v } f.call({v: 8})`), 8)
 	wantNum(t, run(t, `function f(a, b) { return this.v + a + b } f.apply({v: 1}, [2, 3])`), 6)
 	wantNum(t, run(t, `function f(a) { return this.v + a } var g = f.bind({v: 10}); g(5)`), 15)
+	// bind with no arguments at all binds undefined and no leading args
+	wantNum(t, run(t, `function f(a) { return a } f.bind()(4)`), 4)
 }
 
 func TestTryCatchThrow(t *testing.T) {

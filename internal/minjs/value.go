@@ -364,11 +364,6 @@ type fnData struct {
 	ThisVal    Value      // bound this for arrow functions
 	Native     NativeFunc // host function
 	NativeName string     // name reported by native toString
-	// ToStringOverride, when non-empty, is returned by
-	// Function.prototype.toString instead of the real source. The stealth
-	// instrumentation uses this to mimic exportFunction: the wrapper's
-	// source text is indistinguishable from the native function's.
-	ToStringOverride string
 }
 
 // funcObject co-allocates an Object with its fnData so creating a function
@@ -385,14 +380,6 @@ func (o *Object) NativeFnName() string {
 		return ""
 	}
 	return o.fnd.NativeName
-}
-
-// SetToStringOverride replaces the text Function.prototype.toString reports
-// for this callable.
-func (o *Object) SetToStringOverride(src string) {
-	if o.fnd != nil {
-		o.fnd.ToStringOverride = src
-	}
 }
 
 // NewObject returns a plain object with the given prototype. The property
@@ -652,9 +639,6 @@ func (o *Object) FunctionSource() string {
 	fd := o.fnd
 	if fd == nil {
 		return "function () { }"
-	}
-	if fd.ToStringOverride != "" {
-		return fd.ToStringOverride
 	}
 	if fd.Native != nil {
 		return NativeSource(fd.NativeName)

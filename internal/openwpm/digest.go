@@ -9,20 +9,15 @@ import (
 	"strings"
 )
 
-// DigestState is the incremental form of Storage.Digest(): records are fed
-// one at a time, in storage-accept order, and Sum() is a deterministic
-// SHA-256 over everything fed so far. Storage.Digest() is defined in terms
-// of this type, and the WAL backend maintains one per shard as records are
-// appended (and re-fed on recovery), so "backend digest equals storage
-// digest" holds by construction — both sides hash the identical stream
-// through the identical code.
+// digestState accumulates Storage.Digest(): records are fed one at a time,
+// in table order, and sum() is a deterministic SHA-256 over everything fed.
 //
 // Insertion-ordered tables (visits, crashes, requests, js calls, cookies)
 // each keep a running hasher; the sorted sections (content-addressed
 // scripts, tamper records, dropped-write counters) keep compact state and
-// are serialised in key order at Sum() time. The final digest hashes the
+// are serialised in key order at sum() time. The final digest hashes the
 // per-section digests, labelled, in a fixed order.
-type DigestState struct {
+type digestState struct {
 	visits   hash.Hash
 	crashes  hash.Hash
 	requests hash.Hash
@@ -42,9 +37,9 @@ type scriptDigest struct {
 	seen  map[string]bool
 }
 
-// NewDigestState returns an empty accumulator.
-func NewDigestState() *DigestState {
-	return &DigestState{
+// newDigestState returns an empty accumulator.
+func newDigestState() *digestState {
+	return &digestState{
 		visits:   sha256.New(),
 		crashes:  sha256.New(),
 		requests: sha256.New(),
@@ -56,35 +51,35 @@ func NewDigestState() *DigestState {
 	}
 }
 
-func (d *DigestState) AddVisit(v VisitRecord) {
+func (d *digestState) addVisit(v VisitRecord) {
 	fmt.Fprintf(d.visits, "visit|%s|%s|%s|%t|%t|%q|%d|%t|%d|%s|%t\n",
 		v.SiteURL, v.FinalURL, v.Site, v.Subpage, v.OK, v.Error,
 		v.CSPReports, v.InstrumentInstalled, v.Restarts, v.ErrorClass, v.Salvaged)
 }
 
-func (d *DigestState) AddCrash(c CrashRecord) {
+func (d *digestState) addCrash(c CrashRecord) {
 	fmt.Fprintf(d.crashes, "crash|%s|%s|%d|%s|%q\n", c.SiteURL, c.PageURL, c.Attempt, c.Class, c.Error)
 }
 
-func (d *DigestState) AddRequest(r RequestRecord) {
+func (d *digestState) addRequest(r RequestRecord) {
 	fmt.Fprintf(d.requests, "request|%s|%s|%s|%s|%d|%s|%g|%d\n",
 		r.Method, r.URL, r.TopURL, r.Type, r.Status, r.CType, r.Time, r.BodySize)
 }
 
-func (d *DigestState) AddJSCall(c JSCall) {
+func (d *digestState) addJSCall(c JSCall) {
 	fmt.Fprintf(d.jscalls, "jscall|%s|%s|%s|%q|%q|%q|%s|%g\n",
 		c.TopURL, c.FrameURL, c.Symbol, c.Operation, c.Value, c.Args, c.ScriptURL, c.Time)
 }
 
-func (d *DigestState) AddCookie(c CookieEntry) {
+func (d *digestState) addCookie(c CookieEntry) {
 	fmt.Fprintf(d.cookies, "cookie|%q|%q|%s|%s|%g|%t|%t|%g\n",
 		c.Name, c.Value, c.Domain, c.TopURL, c.Expires, c.ViaJS, c.FirstParty, c.Time)
 }
 
-// AddScript feeds one accepted content write. Only the content's hash, type
+// addScript feeds one accepted content write. Only the content's hash, type
 // and serving URLs are digest-relevant; duplicate URLs for the same hash
 // collapse exactly as Storage.AddScriptFile collapses them.
-func (d *DigestState) AddScript(url, sha, ctype string) {
+func (d *digestState) addScript(url, sha, ctype string) {
 	s, ok := d.scripts[sha]
 	if !ok {
 		s = &scriptDigest{ctype: ctype, seen: map[string]bool{}}
@@ -96,24 +91,20 @@ func (d *DigestState) AddScript(url, sha, ctype string) {
 	}
 }
 
-// AddTamper feeds one stored tamper record; duplicates for the same body
+// addTamper feeds one stored tamper record; duplicates for the same body
 // (shards that both analysed it) collapse to the first, matching
 // Storage.Merge.
-func (d *DigestState) AddTamper(t TamperRecord) {
+func (d *digestState) addTamper(t TamperRecord) {
 	if _, ok := d.tampers[t.SHA256]; !ok {
 		d.tampers[t.SHA256] = t
 	}
 }
 
-// AddDrop feeds one dropped write on table.
-func (d *DigestState) AddDrop(table string) { d.dropped[table]++ }
+// addDropped feeds n dropped writes on table.
+func (d *digestState) addDropped(table string, n int) { d.dropped[table] += n }
 
-// AddDropped feeds n dropped writes on table (bulk form for Digest()).
-func (d *DigestState) AddDropped(table string, n int) { d.dropped[table] += n }
-
-// Sum finalises the digest over everything fed so far. It does not consume
-// the state: more records may be fed and Sum called again.
-func (d *DigestState) Sum() string {
+// sum finalises the digest over everything fed.
+func (d *digestState) sum() string {
 	h := sha256.New()
 	for _, sec := range []struct {
 		name string

@@ -498,36 +498,34 @@ func (s *Storage) RequestsByType() map[httpsim.ResourceType]int {
 // tables hash in insertion order; the content-addressed script store, the
 // tamper table and the dropped-write counters hash in sorted key order.
 // Replaying a crawl from its execution bundle must reproduce this digest
-// exactly. The computation is DigestState fed from the tables, so a durable
-// backend that fed the same accept stream incrementally arrives at the same
-// value.
+// exactly.
 func (s *Storage) Digest() string {
-	d := NewDigestState()
+	d := newDigestState()
 	for _, v := range s.Visits {
-		d.AddVisit(v)
+		d.addVisit(v)
 	}
 	for _, c := range s.Crashes {
-		d.AddCrash(c)
+		d.addCrash(c)
 	}
 	for _, r := range s.Requests {
-		d.AddRequest(r)
+		d.addRequest(r)
 	}
 	for _, c := range s.JSCalls {
-		d.AddJSCall(c)
+		d.addJSCall(c)
 	}
 	for _, c := range s.Cookies {
-		d.AddCookie(c)
+		d.addCookie(c)
 	}
 	for k, f := range s.ScriptFiles {
 		for _, u := range f.URLs {
-			d.AddScript(u, k, f.CType)
+			d.addScript(u, k, f.CType)
 		}
 	}
 	for _, t := range s.Tampers {
-		d.AddTamper(t)
+		d.addTamper(t)
 	}
 	for t, n := range s.Dropped {
-		d.AddDropped(t, n)
+		d.addDropped(t, n)
 	}
-	return d.Sum()
+	return d.sum()
 }

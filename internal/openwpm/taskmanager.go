@@ -226,9 +226,6 @@ func NewTaskManager(cfg CrawlConfig) *TaskManager {
 		// each drop decision, so faulted crawls replay their lost writes
 		cfg.Transport = cfg.Recorder.WrapTransport(cfg.Transport)
 	}
-	// the meter goes outermost so it counts exactly what the browser sees;
-	// it too preserves the StorageFault capability for the sniff below
-	cfg.Transport = httpsim.Meter(cfg.Transport, cfg.Telemetry)
 	tm := &TaskManager{Cfg: cfg, Storage: NewStorage(), meters: newCrawlMeters(cfg.Telemetry)}
 	tm.Storage.SetTelemetry(cfg.Telemetry)
 	// a fault-injecting transport may also fail storage writes; the hook is
@@ -897,9 +894,6 @@ func (bm *BrowserManager) noteFailure() {
 		}
 	}
 }
-
-// Tripped reports whether the per-site circuit breaker has opened.
-func (bm *BrowserManager) Tripped() bool { return bm.tripped }
 
 // Browser exposes the live browser (tests inspect realms after visits).
 func (bm *BrowserManager) Browser() *browser.Browser { return bm.b }

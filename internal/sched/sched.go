@@ -127,14 +127,6 @@ type Crawl struct {
 	// between a cold run and a restart-resumed one — so callers that demand
 	// digest-identical artifacts across runs detach it.
 	DetachMetrics bool
-	// SpanTap, when non-nil, observes every span event live as the shard
-	// flight recorders accept them, tagged with the recording shard. Live
-	// events are the shard's raw stream, not Result.Trace's: they carry
-	// shard-local span ids, visits are roots timed on the site's own clock,
-	// and the crawl root (which the merge synthesises) never streams. It is
-	// invoked from worker goroutines under the recorder lock: it must be
-	// fast, concurrency-safe, and must not call back into telemetry.
-	SpanTap func(shard int, ev telemetry.SpanEvent)
 	// OnProgress receives crawl progress: a tick every ProgressEvery sites
 	// plus always one final (total, total) call when the crawl completes.
 	// It is invoked from worker goroutines and must be safe for concurrent
@@ -330,10 +322,6 @@ func Run(c Crawl) (*Result, error) {
 				// Metrics stay shared (atomic, order-independent).
 				if st.flight == nil {
 					st.flight = telemetry.NewFlight(telemetry.DefaultFlightCapacity)
-				}
-				if c.SpanTap != nil {
-					shard := st.Shard.Index
-					st.flight.SetTap(func(ev telemetry.SpanEvent) { c.SpanTap(shard, ev) })
 				}
 				cfg.Telemetry = &telemetry.Telemetry{
 					Metrics: cfg.Telemetry.Metrics,

@@ -166,42 +166,6 @@ func TestTraceIdenticalAcrossResumeAndRecovery(t *testing.T) {
 	}
 }
 
-// TestSpanTapStreamsEveryEvent: the live tap must see exactly the events the
-// shard recorders accept — the merged trace minus the crawl root's begin and
-// end, which the scheduler synthesises, when nothing is overwritten — tagged
-// with a valid shard index.
-func TestSpanTapStreamsEveryEvent(t *testing.T) {
-	const sites, workers = 8, 2
-	var mu sync.Mutex
-	var streamed int
-	res, err := sched.Run(sched.Crawl{
-		Sites:     websim.Tranco(sites),
-		Workers:   workers,
-		Config:    crawlConfig(websim.New(websim.Options{Seed: 3, NumSites: sites}), telemetry.New()),
-		Telemetry: telemetry.New(),
-		SpanTap: func(shard int, ev telemetry.SpanEvent) {
-			mu.Lock()
-			defer mu.Unlock()
-			if shard < 0 || shard >= workers {
-				t.Errorf("tap saw shard %d, want [0,%d)", shard, workers)
-			}
-			if ev.Kind != "B" && ev.Kind != "E" {
-				t.Errorf("tap saw event kind %q", ev.Kind)
-			}
-			streamed++
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if streamed == 0 {
-		t.Fatal("tap saw no events")
-	}
-	if streamed != len(res.Trace)-2 {
-		t.Fatalf("tap streamed %d events, merged trace has %d (want 2 more: the crawl root)", streamed, len(res.Trace))
-	}
-}
-
 // TestMergedTraceShardOrder: parts must concatenate in shard order after the
 // one crawl root, which opens the trace as span 1.
 func TestMergedTraceShardOrder(t *testing.T) {

@@ -41,7 +41,6 @@ type Flight struct {
 	n      int // number of live events
 	nextID int64
 	total  int64 // events ever recorded (including overwritten)
-	tap    func(SpanEvent)
 }
 
 // NewFlight returns a flight recorder holding at most capacity events.
@@ -61,9 +60,6 @@ func (f *Flight) push(ev SpanEvent) {
 		f.n++
 	}
 	f.total++
-	if f.tap != nil {
-		f.tap(ev)
-	}
 }
 
 // Begin records a span-begin event and returns the new span id. parent is

@@ -7,23 +7,9 @@ import (
 )
 
 // This file is the trace plane's flight-recorder surface: incremental event
-// export for WAL checkpointing (EventsSince/RestoreFlight), live span
-// streaming (SetTap), deterministic cross-shard merging (MergeTraces) and the
-// JSON-lines parser (ReadTrace) shared by wpmtrace and the daemon.
-
-// SetTap installs a live observer called for every event the recorder
-// accepts, under the recorder's lock and in record order. The tap must be
-// fast and must not call back into the Flight (it would deadlock); the
-// daemon's SSE hub copies the event onto a bounded channel and returns.
-// A nil tap detaches the observer.
-func (f *Flight) SetTap(tap func(SpanEvent)) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	f.tap = tap
-	f.mu.Unlock()
-}
+// export for WAL checkpointing (EventsSince/RestoreFlight), deterministic
+// cross-shard merging (MergeTraces) and the JSON-lines parser (ReadTrace)
+// shared by wpmtrace and the daemon.
 
 // Cursor is the recorder's monotone event count (including overwritten
 // events) — the resume token EventsSince consumes.

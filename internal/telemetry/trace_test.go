@@ -302,29 +302,6 @@ func TestDroppedConcurrent(t *testing.T) {
 	}
 }
 
-// TestFlightTap: the tap sees every event in record order, including ones
-// the ring later overwrites.
-func TestFlightTap(t *testing.T) {
-	f := NewFlight(2)
-	var seen []SpanEvent
-	f.SetTap(func(ev SpanEvent) { seen = append(seen, ev) })
-	a := f.Begin("visit", 0, 0)
-	f.End(a, "visit", 1)
-	b := f.Begin("visit", 0, 2)
-	f.End(b, "visit", 3)
-	if len(seen) != 4 {
-		t.Fatalf("tap saw %d events, want 4", len(seen))
-	}
-	if seen[0].Span != a || seen[0].Kind != "B" {
-		t.Fatalf("tap order broken: %+v", seen)
-	}
-	f.SetTap(nil)
-	f.End(b, "visit", 4)
-	if len(seen) != 4 {
-		t.Fatalf("detached tap still firing")
-	}
-}
-
 // TestReadTraceRoundTrip: WriteTrace then ReadTrace is the identity.
 func TestReadTraceRoundTrip(t *testing.T) {
 	f := NewFlight(16)

@@ -74,13 +74,10 @@ type checkRec struct {
 
 // Backend is the WAL-backed openwpm.Backend (and bundle.Spool) for one crawl
 // shard: every accepted storage record and every spooled bundle record is
-// appended to the shard's log, and an incremental DigestState shadows the
-// storage digest so the durable stream can be checked against the in-memory
-// one at any point. A Backend serves one shard on one goroutine, like the
-// storage it backs.
+// appended to the shard's log. A Backend serves one shard on one goroutine,
+// like the storage it backs.
 type Backend struct {
 	w      *Writer
-	digest *openwpm.DigestState
 	bodies map[string]bool // content-pool SHAs already logged
 }
 
@@ -91,50 +88,39 @@ func Open(fs FS, meta ShardMeta, opts Options) (*Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Backend{w: w, digest: openwpm.NewDigestState(), bodies: map[string]bool{}}
+	b := &Backend{w: w, bodies: map[string]bool{}}
 	if err := w.Append(recMeta, meta); err != nil {
 		return nil, err
 	}
 	return b, nil
 }
 
-// Digest is the incremental digest over every record offered to the backend;
-// fault-free it equals Storage.Digest() on the same stream at every site
-// boundary.
-func (b *Backend) Digest() string { return b.digest.Sum() }
-
 // Stats exposes the underlying writer's durability accounting.
 func (b *Backend) Stats() WriterStats { return b.w.Stats() }
 
 func (b *Backend) AppendVisit(v openwpm.VisitRecord) error {
-	b.digest.AddVisit(v)
 	return b.w.Append(recVisit, v)
 }
 
 func (b *Backend) AppendCrash(c openwpm.CrashRecord) error {
-	b.digest.AddCrash(c)
 	return b.w.Append(recCrash, c)
 }
 
 func (b *Backend) AppendRequest(r openwpm.RequestRecord) error {
-	b.digest.AddRequest(r)
 	return b.w.Append(recRequest, r)
 }
 
 func (b *Backend) AppendCookie(c openwpm.CookieEntry) error {
-	b.digest.AddCookie(c)
 	return b.w.Append(recCookie, c)
 }
 
 func (b *Backend) AppendJSCall(c openwpm.JSCall) error {
-	b.digest.AddJSCall(c)
 	return b.w.Append(recJSCall, c)
 }
 
 // AppendScriptFile logs an accepted content write: the body goes to the
 // shared content pool once per SHA, the URL→SHA association every time.
 func (b *Backend) AppendScriptFile(url, sha, content, ctype string) error {
-	b.digest.AddScript(url, sha, ctype)
 	var err error
 	if !b.bodies[sha] {
 		b.bodies[sha] = true
@@ -147,12 +133,10 @@ func (b *Backend) AppendScriptFile(url, sha, content, ctype string) error {
 }
 
 func (b *Backend) AppendTamper(t openwpm.TamperRecord) error {
-	b.digest.AddTamper(t)
 	return b.w.Append(recTamper, t)
 }
 
 func (b *Backend) AppendDrop(table, site string) error {
-	b.digest.AddDrop(table)
 	return b.w.Append(recDrop, dropRec{Table: table, Site: site})
 }
 
@@ -211,8 +195,8 @@ type RecoverScan struct {
 }
 
 // ShardRecovery is the rebuilt durable state of one crawl shard: everything
-// committed up to the last checkpoint, plus a continuation Backend whose
-// digest state already reflects the replayed records.
+// committed up to the last checkpoint, plus a continuation Backend that
+// appends after them.
 type ShardRecovery struct {
 	Meta    ShardMeta
 	Storage *openwpm.Storage
@@ -237,8 +221,7 @@ type ShardRecovery struct {
 	TraceEvents []telemetry.SpanEvent
 	TraceNextID int64
 	Stats       RecoverStats
-	// Backend continues the log at a fresh segment; its digest state equals
-	// Storage.Digest() over the recovered records.
+	// Backend continues the log at a fresh segment.
 	Backend *Backend
 }
 
@@ -248,7 +231,7 @@ func (r *ShardRecovery) Done() int { return len(r.Outcomes) }
 // RecoverShard rebuilds a shard from its log: scan the committed record
 // stream, truncate back to the last checkpoint (physically — the discarded
 // tail belongs to the site that was in flight when the process died), replay
-// the surviving records into storage/digest/recorder state, and open a
+// the surviving records into storage and recorder state, and open a
 // continuation writer on a fresh segment. The in-flight site is simply
 // re-crawled by the resumed scheduler; determinism makes the merged result
 // byte-identical to an uninterrupted run.
@@ -299,7 +282,7 @@ func RecoverShard(fs FS, opts Options) (*ShardRecovery, error) {
 	if err != nil {
 		return nil, err
 	}
-	out.Backend = &Backend{w: w, digest: openwpm.NewDigestState(), bodies: map[string]bool{}}
+	out.Backend = &Backend{w: w, bodies: map[string]bool{}}
 
 	for _, r := range recs[1 : keep+1] {
 		if err := out.apply(r); err != nil {
@@ -318,7 +301,6 @@ func RecoverShard(fs FS, opts Options) (*ShardRecovery, error) {
 // tables directly — re-running Storage's Add methods would sanitise twice.
 func (out *ShardRecovery) apply(r Rec) error {
 	s := out.Storage
-	d := out.Backend.digest
 	switch r.Kind {
 	case recVisit:
 		var v openwpm.VisitRecord
@@ -326,35 +308,30 @@ func (out *ShardRecovery) apply(r Rec) error {
 			return fmt.Errorf("wal: replay visit: %w", err)
 		}
 		s.Visits = append(s.Visits, v)
-		d.AddVisit(v)
 	case recCrash:
 		var c openwpm.CrashRecord
 		if err := json.Unmarshal(r.Data, &c); err != nil {
 			return fmt.Errorf("wal: replay crash: %w", err)
 		}
 		s.Crashes = append(s.Crashes, c)
-		d.AddCrash(c)
 	case recRequest:
 		var q openwpm.RequestRecord
 		if err := json.Unmarshal(r.Data, &q); err != nil {
 			return fmt.Errorf("wal: replay request: %w", err)
 		}
 		s.Requests = append(s.Requests, q)
-		d.AddRequest(q)
 	case recCookie:
 		var c openwpm.CookieEntry
 		if err := json.Unmarshal(r.Data, &c); err != nil {
 			return fmt.Errorf("wal: replay cookie: %w", err)
 		}
 		s.Cookies = append(s.Cookies, c)
-		d.AddCookie(c)
 	case recJSCall:
 		var c openwpm.JSCall
 		if err := json.Unmarshal(r.Data, &c); err != nil {
 			return fmt.Errorf("wal: replay jscall: %w", err)
 		}
 		s.JSCalls = append(s.JSCalls, c)
-		d.AddJSCall(c)
 	case recBody:
 		var b bodyRec
 		if err := json.Unmarshal(r.Data, &b); err != nil {
@@ -379,7 +356,6 @@ func (out *ShardRecovery) apply(r Rec) error {
 				URL: sc.URL, SHA256: sc.SHA, Content: content,
 				CType: sc.CType, URLs: []string{sc.URL},
 			}
-			d.AddScript(sc.URL, sc.SHA, sc.CType)
 			return nil
 		}
 		for _, u := range f.URLs {
@@ -389,21 +365,18 @@ func (out *ShardRecovery) apply(r Rec) error {
 		}
 		f.URLs = append(f.URLs, sc.URL)
 		s.ScriptFiles[sc.SHA] = f
-		d.AddScript(sc.URL, sc.SHA, sc.CType)
 	case recTamper:
 		var t openwpm.TamperRecord
 		if err := json.Unmarshal(r.Data, &t); err != nil {
 			return fmt.Errorf("wal: replay tamper: %w", err)
 		}
 		s.Tampers = append(s.Tampers, t)
-		d.AddTamper(t)
 	case recDrop:
 		var dr dropRec
 		if err := json.Unmarshal(r.Data, &dr); err != nil {
 			return fmt.Errorf("wal: replay drop: %w", err)
 		}
 		s.Dropped[dr.Table]++
-		d.AddDrop(dr.Table)
 	case recBVisit:
 		var v bundle.Visit
 		if err := json.Unmarshal(r.Data, &v); err != nil {

@@ -26,26 +26,32 @@ func shardMeta(sites []string) wal.ShardMeta {
 
 // TestCrossBackendEquivalence is the acceptance criterion that "memory" and
 // "wal" are interchangeable: the same crawl through MemBackend and through
-// the WAL backend yields identical Storage.Digest() values, and the WAL
-// backend's own incremental digest equals both.
+// the WAL backend yields identical Storage.Digest() values, and the closed
+// log, recovered, rebuilds storage with that digest too.
 func TestCrossBackendEquivalence(t *testing.T) {
 	const sites = 8
-	run := func(be openwpm.Backend) *openwpm.TaskManager {
+	run := func(be openwpm.Backend, hooks openwpm.CrawlHooks) *openwpm.TaskManager {
 		world := websim.New(websim.Options{Seed: 21, NumSites: sites})
 		cfg := testConfig(world)
 		cfg.Backend = be
 		tm := openwpm.NewTaskManager(cfg)
-		tm.CrawlFromHooked(websim.Tranco(sites), &openwpm.Checkpoint{}, openwpm.CrawlHooks{})
+		tm.CrawlFromHooked(websim.Tranco(sites), &openwpm.Checkpoint{}, hooks)
 		return tm
 	}
 
-	mem := run(openwpm.MemBackend{})
+	mem := run(openwpm.MemBackend{}, openwpm.CrawlHooks{})
 	fs := wal.NewMemFS()
 	be, err := wal.Open(fs, shardMeta(websim.Tranco(sites)), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	durable := run(be)
+	durable := run(be, openwpm.CrawlHooks{
+		OnSite: func(o openwpm.SiteOutcome) {
+			if err := be.AppendCheckpoint(o, nil, nil); err != nil {
+				t.Fatalf("checkpoint: %v", err)
+			}
+		},
+	})
 	if err := be.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -54,8 +60,15 @@ func TestCrossBackendEquivalence(t *testing.T) {
 	if d := durable.Storage.Digest(); d != memDigest {
 		t.Fatalf("storage digest differs across backends: memory %s, wal %s", memDigest, d)
 	}
-	if d := be.Digest(); d != memDigest {
-		t.Fatalf("WAL incremental digest %s differs from Storage.Digest() %s", d, memDigest)
+	rec, err := wal.RecoverShard(fs, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Done() != sites || rec.Stats.Discarded != 0 {
+		t.Fatalf("recovered %d/%d sites, discarded %d records of a closed log", rec.Done(), sites, rec.Stats.Discarded)
+	}
+	if d := rec.Storage.Digest(); d != memDigest {
+		t.Fatalf("recovered WAL storage digest %s differs from the memory run's %s", d, memDigest)
 	}
 	if n := len(durable.Storage.BackendErrors); n != 0 {
 		t.Fatalf("fault-free crawl recorded %d backend errors", n)
@@ -64,8 +77,7 @@ func TestCrossBackendEquivalence(t *testing.T) {
 
 // TestRecoverShardRebuildsStorage crawls with per-site checkpoints, abandons
 // the writer mid-log (process kill), and requires RecoverShard to rebuild
-// storage whose digest matches the WAL's own digest over the recovered
-// stream, with the in-flight tail discarded.
+// storage whose digest matches the live crawl's.
 func TestRecoverShardRebuildsStorage(t *testing.T) {
 	const sites = 6
 	urls := websim.Tranco(sites)
@@ -96,9 +108,6 @@ func TestRecoverShardRebuildsStorage(t *testing.T) {
 	}
 	if rec.Meta.Index != 0 || len(rec.Meta.Sites) != sites {
 		t.Fatalf("shard metadata did not survive: %+v", rec.Meta)
-	}
-	if a, b := rec.Storage.Digest(), rec.Backend.Digest(); a != b {
-		t.Fatalf("recovered storage digest %s differs from replayed WAL digest %s", a, b)
 	}
 	if a, b := rec.Storage.Digest(), tm.Storage.Digest(); a != b {
 		t.Fatalf("recovery after final checkpoint lost records: recovered %s, live %s", a, b)

@@ -362,6 +362,3 @@ func (w *Writer) Close() error {
 
 // Stats returns the writer's durability accounting.
 func (w *Writer) Stats() WriterStats { return w.stats }
-
-// SegIndex is the index of the segment currently being written.
-func (w *Writer) SegIndex() int { return w.segIndex }

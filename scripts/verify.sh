@@ -83,6 +83,11 @@ go test -race -run 'KillAndRecoverFromWAL|RecoverShardRebuildsStorage|Truncation
 echo "== go test -race ./internal/daemon/... (crawl-as-a-service: cache keying, admission, drain+recover)"
 go test -race ./internal/daemon/...
 
+# a test that fails under -count=N is a bug, not noise: the event stream's
+# gap-free replay must hold on every repetition
+echo "== go test -race -count=3 -run TestJobEventStreamSSE ./internal/daemon (event stream replays without gaps)"
+go test -race -count=3 -run TestJobEventStreamSSE ./internal/daemon
+
 echo "== wpmd smoke (start, submit, poll, artifact, digest-identical cache hit, metrics, drain)"
 smokedir=$(mktemp -d)
 trap 'rm -rf "$smokedir"' EXIT
