@@ -5,13 +5,12 @@
 //	wpmbundle replay -in crawl.bundle.json -variant stealth -out replay.bundle.json
 //	wpmbundle diff   -a crawl.bundle.json -b replay.bundle.json
 //	wpmbundle verify -in crawl.bundle.json
-//	wpmbundle merge  -out merged.bundle.json shard0.json shard1.json ...
 //
 // record runs a crawl of the synthetic web (optionally under seeded fault
 // injection) and archives it; replay re-executes a bundle offline, possibly
 // under a variant observer configuration; diff compares two bundles per
-// visit; verify checks a bundle's integrity digest and content pool; merge
-// combines per-shard bundles (in shard order) into one sealed archive.
+// visit; verify checks a bundle's integrity digest, content pool and
+// storage-drop table.
 package main
 
 import (
@@ -30,7 +29,7 @@ import (
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: wpmbundle <record|replay|diff|verify|merge> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: wpmbundle <record|replay|diff|verify> [flags]")
 	os.Exit(2)
 }
 
@@ -48,8 +47,6 @@ func main() {
 		err = cmdDiff(os.Args[2:])
 	case "verify":
 		err = cmdVerify(os.Args[2:])
-	case "merge":
-		err = cmdMerge(os.Args[2:])
 	default:
 		usage()
 	}
@@ -178,33 +175,6 @@ func cmdDiff(args []string) error {
 	return nil
 }
 
-func cmdMerge(args []string) error {
-	fs := flag.NewFlagSet("merge", flag.ExitOnError)
-	out := fs.String("out", "merged.bundle.json", "output bundle path")
-	fs.Parse(args)
-	parts := fs.Args()
-	if len(parts) < 1 {
-		return fmt.Errorf("at least one shard bundle path is required (in shard order)")
-	}
-	bundles := make([]*bundle.Bundle, len(parts))
-	for i, path := range parts {
-		b, err := bundle.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("shard %d (%s): %w", i, path, err)
-		}
-		bundles[i] = b
-	}
-	m, err := bundle.Merge(bundles, nil)
-	if err != nil {
-		return err
-	}
-	if err := m.WriteFile(*out); err != nil {
-		return err
-	}
-	fmt.Printf("%s\nwrote %s (digest %s)\n", m.Stats(), *out, m.Digest)
-	return nil
-}
-
 func cmdVerify(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
 	in := fs.String("in", "", "bundle to verify (required)")
@@ -212,7 +182,7 @@ func cmdVerify(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("-in is required")
 	}
-	b, err := bundle.ReadFile(*in) // ReadFile verifies digest, pool and report
+	b, err := bundle.ReadFile(*in) // ReadFile verifies digest, pool, drops and report
 	if err != nil {
 		return err
 	}

@@ -165,9 +165,9 @@ type Visit struct {
 	Tampers []openwpm.TamperRecord `json:"tampers,omitempty"`
 	// StorageWrites counts, per table, the storage fault-filter
 	// consultations this visit consumed. StorageDrops sequence numbers are
-	// bundle-global, so merging shard bundles needs these per-visit counts
-	// to renumber a shard's drops to their global positions (and a sharded
-	// replay needs them to localise the global positions back).
+	// bundle-global, so sealing a sharded recording needs these per-visit
+	// counts to renumber a shard's drops to their global positions (and a
+	// sharded replay needs them to localise the global positions back).
 	StorageWrites map[string]int `json:"storageWrites,omitempty"`
 }
 
@@ -221,9 +221,11 @@ func (b *Bundle) Seal() error {
 	return nil
 }
 
-// / Verify checks structural integrity: the digest matches the canonical
-// encoding, every body reference resolves and hashes to its key, and the
-// embedded crawl report accounts for every site.
+// Verify checks structural integrity: the digest matches the canonical
+// encoding, every body reference resolves and hashes to its key, each
+// table's storage drops are write positions the visits account for (strictly
+// increasing from 1, the last within the visits' StorageWrites total), and
+// the embedded crawl report accounts for every site.
 func (b *Bundle) Verify() error {
 	if b.Manifest.Format != Format {
 		return fmt.Errorf("bundle: unsupported format %d (want %d)", b.Manifest.Format, Format)
@@ -258,6 +260,24 @@ func (b *Bundle) Verify() error {
 			}
 		}
 	}
+	writes := map[string]int{}
+	for _, v := range b.Visits {
+		for table, n := range v.StorageWrites {
+			writes[table] += n
+		}
+	}
+	for table, seqs := range b.StorageDrops {
+		prev := 0
+		for _, seq := range seqs {
+			if seq <= prev {
+				return fmt.Errorf("bundle: storage drops of table %s are not strictly increasing from 1 (%d after %d)", table, seq, prev)
+			}
+			prev = seq
+		}
+		if prev > writes[table] {
+			return fmt.Errorf("bundle: table %s drops write %d but its visits account for only %d writes", table, prev, writes[table])
+		}
+	}
 	if b.Report != nil && !b.Report.Accounted() {
 		return fmt.Errorf("bundle: crawl report does not account for every site")
 	}
@@ -276,11 +296,11 @@ func Unmarshal(data []byte) (*Bundle, error) {
 	var b Bundle
 	if err := json.Unmarshal(data, &b); err != nil {
 		if len(data) == 0 {
-			return nil, fmt.Errorf("bundle: file is empty — likely an interrupted write; recover the crawl from its WAL and re-merge")
+			return nil, fmt.Errorf("bundle: file is empty — likely an interrupted write; recover the crawl from its WAL and resume it")
 		}
 		var syn *json.SyntaxError
 		if errors.As(err, &syn) && syn.Offset >= int64(len(data)) {
-			return nil, fmt.Errorf("bundle: file appears truncated after %d bytes: %w — likely an interrupted write; recover the crawl from its WAL and re-merge", len(data), err)
+			return nil, fmt.Errorf("bundle: file appears truncated after %d bytes: %w — likely an interrupted write; recover the crawl from its WAL and resume it", len(data), err)
 		}
 		return nil, fmt.Errorf("bundle: decode: %w", err)
 	}

@@ -46,7 +46,7 @@ func recordCrawl(cfg openwpm.CrawlConfig, sites []string, meta map[string]string
 	cfg.Recorder = rec
 	tm := openwpm.NewTaskManager(cfg)
 	report := tm.CrawlFromHooked(sites, &openwpm.Checkpoint{}, openwpm.CrawlHooks{})
-	b, err := rec.Finalize(tm.Cfg, sites, report)
+	b, err := Finalize([]*Recorder{rec}, tm.Cfg, sites, tm.Storage.Crashes, report)
 	return b, report, tm, err
 }
 
@@ -72,7 +72,7 @@ func recordReplay(t *testing.T, b *Bundle) (*Bundle, *openwpm.CrawlReport, *open
 	if rt.Misses != 0 {
 		t.Fatalf("identity replay had %d transport misses (want 0)", rt.Misses)
 	}
-	b2, err := rec.Finalize(tm.Cfg, b.Sites, rep)
+	b2, err := Finalize([]*Recorder{rec}, tm.Cfg, b.Sites, tm.Storage.Crashes, rep)
 	if err != nil {
 		t.Fatalf("finalize replay bundle: %v", err)
 	}
@@ -140,6 +140,37 @@ func TestBundleFileRoundTripAndVerify(t *testing.T) {
 	os.WriteFile(bad, tampered, 0o644)
 	if _, err := ReadFile(bad); err == nil {
 		t.Fatal("tampered bundle passed verification")
+	}
+
+	// malformed storage drops must not verify: each table's drop list
+	// increases strictly from 1 and ends within the visits' write count
+	writes := b.StorageWritesFor(b.Sites)
+	if writes["javascript"] < 3 || writes["javascript_tamper"] != 0 {
+		t.Fatalf("crawl wrote %v; the drop cases need 3+ javascript and no javascript_tamper writes", writes)
+	}
+	for _, drops := range []map[string][]int{
+		{"javascript": {3, 2}, "javascript_tamper": {9}},
+		{"javascript": {3, 2}},
+		{"javascript": {0}},
+		{"javascript": {writes["javascript"] + 1}},
+		{"javascript_tamper": {9}},
+	} {
+		bad := *b
+		bad.StorageDrops = drops
+		if err := bad.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		if err := bad.Verify(); err == nil {
+			t.Fatalf("storage drops %v passed verification", drops)
+		}
+	}
+	edges := *b
+	edges.StorageDrops = map[string][]int{"javascript": {1, writes["javascript"]}}
+	if err := edges.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := edges.Verify(); err != nil {
+		t.Fatalf("drops of the first and last write fail verification: %v", err)
 	}
 
 	// an unsealed bundle must not verify
@@ -268,7 +299,7 @@ func TestDiffFlagsVariantDivergence(t *testing.T) {
 		c.HoneyProps = 0
 		c.Recorder = rec
 	})
-	b2, err := rec.Finalize(tm.Cfg, b.Sites, rep)
+	b2, err := Finalize([]*Recorder{rec}, tm.Cfg, b.Sites, tm.Storage.Crashes, rep)
 	if err != nil {
 		t.Fatalf("finalize: %v", err)
 	}

@@ -2,107 +2,71 @@ package bundle
 
 import (
 	"fmt"
-	"sort"
+	"maps"
 
 	"gullible/internal/openwpm"
 )
 
-// Merge combines per-shard bundles — recorded by parallel workers over
-// contiguous slices of one site list — into a single canonical, digest-sealed
-// archive. Parts must be given in shard order (the order their site slices
-// partition the input list) so concatenating their sites, visits and crashes
-// reconstructs the serial crawl stream exactly.
+// Finalize assembles and seals the bundle of a finished crawl from its shard
+// recorders. Recorders must be given in shard order (the order their site
+// slices partition sites) so concatenating their visits reconstructs the
+// serial crawl stream exactly. cfg is the effective (defaulted) configuration
+// the crawl ran with, crashes its browser-restart table (the merged storage's
+// Crashes) and report its final accounting: the sharded scheduler passes the
+// report it re-folded in global site order, so the sealed bytes are
+// identical no matter how many workers recorded the crawl.
 //
-// report, when non-nil, becomes the merged bundle's crawl report; the sharded
-// scheduler passes the globally re-folded report here so the sealed bytes are
-// identical no matter how many workers recorded the crawl (summing per-shard
-// float totals in shard-completion order would not be). A nil report falls
-// back to summing the parts' reports with CrawlReport.Merge.
-//
-// StorageDrops sequence numbers are bundle-global, so each part's drops are
-// renumbered by the total per-table writes of the parts before it (from the
-// per-visit StorageWrites counts); the merged archive then replays its losses
-// correctly both serially and resharded (ReplayTransport.OffsetStorage).
-func Merge(parts []*Bundle, report *openwpm.CrawlReport) (*Bundle, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("bundle: merge of zero bundles")
+// StorageDrops sequence numbers are bundle-global, so each recorder's drops
+// move past the writes its predecessors' visits account for (their per-visit
+// StorageWrites counts, as StorageWritesFor sums them); the archive then
+// replays its losses correctly both serially and resharded
+// (ReplayTransport.OffsetStorage).
+func Finalize(recs []*Recorder, cfg openwpm.CrawlConfig, sites []string, crashes []openwpm.CrashRecord, report *openwpm.CrawlReport) (*Bundle, error) {
+	if len(recs) == 0 {
+		return nil, fmt.Errorf("bundle: finalize of zero recorders")
 	}
-	for i, p := range parts {
-		if p == nil {
-			return nil, fmt.Errorf("bundle: merge part %d is nil", i)
-		}
-		if p.Manifest.Format != Format {
-			return nil, fmt.Errorf("bundle: merge part %d has format %d (want %d)", i, p.Manifest.Format, Format)
-		}
-		if p.Config != parts[0].Config {
-			return nil, fmt.Errorf("bundle: merge part %d config differs from part 0 — shards of one crawl must share a configuration", i)
-		}
-		if !sameMeta(p.Manifest.Meta, parts[0].Manifest.Meta) {
-			return nil, fmt.Errorf("bundle: merge part %d manifest meta differs from part 0", i)
-		}
-	}
-	m := &Bundle{
-		Manifest: Manifest{Format: Format, Tool: Tool, Meta: parts[0].Manifest.Meta},
-		Config:   parts[0].Config,
+	b := &Bundle{
+		Manifest: Manifest{Format: Format, Tool: Tool, Meta: recs[0].meta},
+		Config:   ConfigOf(cfg),
+		Sites:    append([]string(nil), sites...),
+		Crashes:  crashes,
+		Report:   report,
 	}
 	offsets := map[string]int{} // per-table global write position so far
-	for i, p := range parts {
-		m.Sites = append(m.Sites, p.Sites...)
-		m.Visits = append(m.Visits, p.Visits...)
-		m.Crashes = append(m.Crashes, p.Crashes...)
-		for sha, body := range p.Bodies {
-			if prev, ok := m.Bodies[sha]; ok && prev != body {
-				return nil, fmt.Errorf("bundle: merge part %d body pool conflicts at %s", i, sha)
-			}
-			if m.Bodies == nil {
-				m.Bodies = map[string]string{}
-			}
-			m.Bodies[sha] = body
+	for i, r := range recs {
+		if !maps.Equal(r.meta, recs[0].meta) {
+			return nil, fmt.Errorf("bundle: recorder %d manifest meta differs from recorder 0", i)
 		}
-		writes := p.StorageWritesFor(p.Sites)
-		for table, seqs := range p.StorageDrops {
-			if len(seqs) == 0 {
-				continue
+		b.Visits = append(b.Visits, r.visits...)
+		for sha, body := range r.bodies {
+			if b.Bodies == nil {
+				b.Bodies = map[string]string{}
 			}
-			if max := seqs[len(seqs)-1]; max > writes[table] {
-				// drops reference write positions the per-visit counts cannot
-				// account for: an old-format part without StorageWrites
-				return nil, fmt.Errorf("bundle: merge part %d drops write %d of table %s but its visits account for only %d writes (bundle predates per-visit write counts?)", i, max, table, writes[table])
-			}
-			if m.StorageDrops == nil {
-				m.StorageDrops = map[string][]int{}
-			}
+			b.Bodies[sha] = body
+		}
+		for table, seqs := range r.drops {
 			for _, seq := range seqs {
-				m.StorageDrops[table] = append(m.StorageDrops[table], seq+offsets[table])
+				if b.StorageDrops == nil {
+					b.StorageDrops = map[string][]int{}
+				}
+				b.StorageDrops[table] = append(b.StorageDrops[table], seq+offsets[table])
 			}
 		}
-		for table, n := range writes {
-			offsets[table] += n
-		}
-	}
-	for table := range m.StorageDrops {
-		sort.Ints(m.StorageDrops[table])
-	}
-	dedupeTampers(m.Visits)
-	if report != nil {
-		m.Report = report
-	} else {
-		sum := openwpm.NewCrawlReport()
-		for _, p := range parts {
-			if p.Report != nil {
-				sum.Merge(p.Report)
+		for _, v := range r.visits {
+			for table, n := range v.StorageWrites {
+				offsets[table] += n
 			}
 		}
-		m.Report = sum
 	}
-	if err := m.Seal(); err != nil {
+	dedupeTampers(b.Visits)
+	if err := b.Seal(); err != nil {
 		return nil, err
 	}
-	return m, nil
+	return b, nil
 }
 
 // dedupeTampers keeps each script body's static-analysis record only on the
-// first visit (in merged order) that served the body. The storage layer
+// first visit (in shard order) that served the body. The storage layer
 // analyses content once per store, so every shard's recorder attaches a row
 // at its own shard-local first sighting; a serial recording attaches it at
 // the global first sighting — which is exactly the earliest surviving row
@@ -113,7 +77,7 @@ func dedupeTampers(visits []Visit) {
 		if len(visits[i].Tampers) == 0 {
 			continue
 		}
-		var kept []openwpm.TamperRecord // fresh slice: parts stay unmutated
+		var kept []openwpm.TamperRecord // fresh slice: recorders stay unmutated
 		for _, tr := range visits[i].Tampers {
 			if !seen[tr.SHA256] {
 				seen[tr.SHA256] = true
@@ -122,19 +86,6 @@ func dedupeTampers(visits []Visit) {
 		}
 		visits[i].Tampers = kept
 	}
-}
-
-// sameMeta compares manifest label maps by value.
-func sameMeta(a, b map[string]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
-			return false
-		}
-	}
-	return true
 }
 
 // StorageWritesFor sums the per-visit storage write counts of the given

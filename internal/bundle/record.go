@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"gullible/internal/faults"
 	"gullible/internal/httpsim"
@@ -29,7 +28,8 @@ type Spool interface {
 // everything buffered since the previous visit row belongs to them.
 //
 // A Recorder serves one crawl on one goroutine (sharded crawls need one
-// recorder per worker); Finalize assembles the Bundle.
+// recorder per worker); Finalize assembles the Bundle from a crawl's
+// recorders.
 type Recorder struct {
 	meta map[string]string
 
@@ -46,8 +46,7 @@ type Recorder struct {
 	pendingScripts   []ScriptRef
 	pendingTampers   []openwpm.TamperRecord
 
-	visits  []Visit
-	crashes []openwpm.CrashRecord
+	visits []Visit
 
 	// storage-fault archive: writeSeq counts fault-filter consultations per
 	// table; drops holds the 1-based sequence numbers that were dropped, and
@@ -193,16 +192,6 @@ func (r *Recorder) visitWrites() map[string]int {
 	return out
 }
 
-// ObserveCrash archives a browser-restart row (crashes happen mid-visit, so
-// they keep their own table rather than a per-visit buffer).
-func (r *Recorder) ObserveCrash(rec openwpm.CrashRecord) {
-	r.crashes = append(r.crashes, rec)
-}
-
-// ObserveRequest is a no-op: the transport wrapper sees the same traffic
-// with bodies and fault metadata the request table lacks.
-func (r *Recorder) ObserveRequest(openwpm.RequestRecord) {}
-
 // ObserveCookie buffers a cookie row for the current visit.
 func (r *Recorder) ObserveCookie(c openwpm.CookieEntry) {
 	r.pendingCookies = append(r.pendingCookies, c)
@@ -229,36 +218,10 @@ func (r *Recorder) ObserveTamperReport(rec openwpm.TamperRecord) {
 	r.pendingTampers = append(r.pendingTampers, rec)
 }
 
-// Finalize assembles and seals the bundle for a finished crawl. cfg should
-// be the task manager's effective configuration (tm.Cfg) so defaulted fields
-// are archived as they ran.
-func (r *Recorder) Finalize(cfg openwpm.CrawlConfig, sites []string, report *openwpm.CrawlReport) (*Bundle, error) {
-	b := &Bundle{
-		Manifest: Manifest{Format: Format, Tool: Tool, Meta: r.meta},
-		Config:   ConfigOf(cfg),
-		Sites:    append([]string(nil), sites...),
-		Visits:   r.visits,
-		Crashes:  r.crashes,
-		Bodies:   r.bodies,
-		Report:   report,
-	}
-	if len(r.drops) > 0 {
-		b.StorageDrops = map[string][]int{}
-		for table, seqs := range r.drops {
-			b.StorageDrops[table] = append([]int(nil), seqs...)
-			sort.Ints(b.StorageDrops[table])
-		}
-	}
-	if err := b.Seal(); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
 // RecorderState is the compact resumable part of a Recorder at a site
 // boundary: the storage-fault bookkeeping that cannot be rebuilt from the
-// archived visits alone. Bodies, visits and crashes are recovered from the
-// spooled stream; this blob rides inside checkpoint records.
+// archived visits alone. Bodies and visits are recovered from the spooled
+// stream; this blob rides inside checkpoint records.
 type RecorderState struct {
 	WriteSeq     map[string]int   `json:"writeSeq,omitempty"`
 	LastWriteSeq map[string]int   `json:"lastWriteSeq,omitempty"`
@@ -281,18 +244,16 @@ func (r *Recorder) StateJSON() []byte {
 }
 
 // RestoreRecorder rebuilds a Recorder from recovered durable state: the
-// bundle meta, the spooled body pool and visit stream, the crash rows (which
-// share the storage crash table), and the RecorderState blob from the last
-// checkpoint. The restored recorder continues exactly where the checkpoint
-// left it — pending buffers are empty because checkpoints land on visit
-// boundaries.
-func RestoreRecorder(meta map[string]string, bodies map[string]string, visits []Visit, crashes []openwpm.CrashRecord, state []byte) (*Recorder, error) {
+// bundle meta, the spooled body pool and visit stream, and the RecorderState
+// blob from the last checkpoint. The restored recorder continues exactly
+// where the checkpoint left it — pending buffers are empty because
+// checkpoints land on visit boundaries.
+func RestoreRecorder(meta map[string]string, bodies map[string]string, visits []Visit, state []byte) (*Recorder, error) {
 	r := NewRecorder(meta)
 	for sha, content := range bodies {
 		r.bodies[sha] = content
 	}
 	r.visits = append(r.visits, visits...)
-	r.crashes = append(r.crashes, crashes...)
 	if len(state) > 0 {
 		var s RecorderState
 		if err := json.Unmarshal(state, &s); err != nil {

@@ -207,7 +207,7 @@ func (b *Bundle) ShardTransport(before []string, policy MissPolicy, fallback htt
 }
 
 // OffsetStorage pre-positions the storage-fault replay state as if offset
-// writes per table had already happened. A merged bundle's StorageDrops use
+// writes per table had already happened. A bundle's StorageDrops use
 // crawl-global write positions; a sharded replay gives each worker its own
 // transport and offsets it by the total writes of the shards before it
 // (Bundle.StorageWritesFor over the preceding sites), so every worker drops

@@ -114,9 +114,9 @@ type ScanOptions struct {
 	BreakerThreshold int
 
 	// RecordBundle archives the scan into an execution bundle. Each worker
-	// records its own shard and the scheduler merges the shard bundles into
-	// one sealed archive — recording no longer forces a single worker, and
-	// the merged bundle's digest is identical at any worker count.
+	// records its own shard and the scheduler seals one archive from the
+	// shard recorders — recording no longer forces a single worker, and the
+	// bundle's digest is identical at any worker count.
 	RecordBundle bool
 	// BundleMeta labels the recorded bundle's manifest (seeds, scenario
 	// names — deterministic content only).

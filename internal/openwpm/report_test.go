@@ -3,44 +3,7 @@ package openwpm
 import (
 	"strings"
 	"testing"
-
-	"gullible/internal/telemetry"
 )
-
-// Merging into a zero-value report (not NewCrawlReport) must not panic on the
-// nil ErrorClasses map and must carry the metrics snapshot across.
-func TestReportMergeZeroValueReceiver(t *testing.T) {
-	snap := &telemetry.Snapshot{Counters: map[string]int64{"crawl_pages_total": 3}}
-	o := NewCrawlReport()
-	o.Sites, o.Completed, o.Salvaged = 5, 3, 1
-	o.Failed = 1
-	o.ErrorClasses["hang"] = 2
-	o.Metrics = snap
-
-	r := &CrawlReport{}
-	r.Merge(o)
-	if r.Sites != 5 || r.Completed != 3 || r.Salvaged != 1 || r.Failed != 1 {
-		t.Fatalf("merged counts wrong: %+v", r)
-	}
-	if r.ErrorClasses["hang"] != 2 {
-		t.Fatalf("ErrorClasses not merged: %v", r.ErrorClasses)
-	}
-	if r.Metrics != snap {
-		t.Fatal("Metrics snapshot not carried by merge")
-	}
-
-	// Keep-first: a second shard's snapshot must not replace the first —
-	// sharded workers share one registry, so summing would double-count.
-	o2 := NewCrawlReport()
-	o2.Metrics = &telemetry.Snapshot{Counters: map[string]int64{"crawl_pages_total": 99}}
-	r.Merge(o2)
-	if r.Metrics != snap {
-		t.Fatal("Merge replaced the first metrics snapshot")
-	}
-
-	// Merging a metrics-free report into a zero receiver must also be safe.
-	(&CrawlReport{}).Merge(&CrawlReport{Sites: 1, Completed: 1})
-}
 
 // Absorb on a zero-value report must initialise ErrorClasses itself.
 func TestReportAbsorbZeroValueReceiver(t *testing.T) {

@@ -146,10 +146,12 @@ type Storage struct {
 	// Dropped counts writes lost to storage faults, per table.
 	Dropped map[string]int
 
-	// Observer, when set, sees every record the store accepts — after
-	// sanitisation and after the fault filter, so an observer archives
-	// exactly what the measurement database holds. Package bundle
-	// implements it to record crawls into execution bundles.
+	// Observer, when set, sees the accepted visit, cookie, JS-call, script
+	// and tamper records — after sanitisation and after the fault filter, so
+	// an observer archives exactly what the measurement database holds.
+	// Package bundle implements it to record crawls into execution bundles;
+	// a bundle takes its crash table from the storage and its HTTP
+	// exchanges from the transport.
 	Observer StorageObserver
 
 	// Backend, when set, receives the same accepted stream as a durable
@@ -212,13 +214,11 @@ func (s *Storage) SetTelemetry(tel *telemetry.Telemetry) {
 	}
 }
 
-// StorageObserver receives every accepted storage write. Implementations
+// StorageObserver receives accepted storage writes. Implementations
 // must tolerate being called from the single goroutine driving a crawl;
 // sharded crawls use one observer per worker storage.
 type StorageObserver interface {
 	ObserveVisit(VisitRecord)
-	ObserveCrash(CrashRecord)
-	ObserveRequest(RequestRecord)
 	ObserveCookie(CookieEntry)
 	ObserveJSCall(JSCall)
 	// ObserveScriptFile reports one accepted body write (url may repeat
@@ -278,9 +278,6 @@ func (s *Storage) AddCrash(rec CrashRecord) {
 	s.writeMeters["crashes"].Inc()
 	rec.Error = Sanitize(rec.Error)
 	s.Crashes = append(s.Crashes, rec)
-	if s.Observer != nil {
-		s.Observer.ObserveCrash(rec)
-	}
 	if s.Backend != nil {
 		s.backendErr("crashes", s.Backend.AppendCrash(rec))
 	}
@@ -292,9 +289,6 @@ func (s *Storage) AddRequest(rec RequestRecord) {
 		return
 	}
 	s.Requests = append(s.Requests, rec)
-	if s.Observer != nil {
-		s.Observer.ObserveRequest(rec)
-	}
 	if s.Backend != nil {
 		s.backendErr("http_requests", s.Backend.AppendRequest(rec))
 	}

@@ -588,35 +588,6 @@ func (r *CrawlReport) AbsorbOutcome(o SiteOutcome) {
 	}
 }
 
-// Merge folds another report into r (sharded crawls). The receiver may be a
-// zero-value report: nil maps are initialised rather than written through.
-// Metrics snapshots are not summed — sharded workers share one registry, so
-// the first non-nil snapshot wins and callers overwrite it with a final
-// whole-crawl snapshot after merging.
-func (r *CrawlReport) Merge(o *CrawlReport) {
-	if r.ErrorClasses == nil && len(o.ErrorClasses) > 0 {
-		r.ErrorClasses = map[string]int{}
-	}
-	if r.Metrics == nil {
-		r.Metrics = o.Metrics
-	}
-	r.Sites += o.Sites
-	r.Completed += o.Completed
-	r.Salvaged += o.Salvaged
-	r.Failed += o.Failed
-	r.Skipped += o.Skipped
-	r.CircuitBroken += o.CircuitBroken
-	r.Restarts += o.Restarts
-	r.PageVisits += o.PageVisits
-	r.PageErrors += o.PageErrors
-	r.DroppedWrites += o.DroppedWrites
-	r.VirtualSeconds += o.VirtualSeconds
-	r.BackoffSeconds += o.BackoffSeconds
-	for k, n := range o.ErrorClasses {
-		r.ErrorClasses[k] += n
-	}
-}
-
 // CompletionRate is the fraction of sites that produced usable data
 // (completed or salvaged). Salvaged sites carry only partial records —
 // FullCompletionRate excludes them when the distinction matters.

@@ -88,7 +88,7 @@ func Recover(fss []wal.FS, opts wal.Options) (*Checkpoint, ShardRecoveries, erro
 			st.traceCursor = st.flight.Cursor()
 		}
 		if r.Meta.Record {
-			rec, err := bundle.RestoreRecorder(r.Meta.Meta, r.Bodies, r.RecorderVisits, r.Storage.Crashes, r.RecorderState)
+			rec, err := bundle.RestoreRecorder(r.Meta.Meta, r.Bodies, r.RecorderVisits, r.RecorderState)
 			if err != nil {
 				return nil, nil, fmt.Errorf("sched: recover shard %d: %w", r.Meta.Index, err)
 			}

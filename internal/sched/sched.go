@@ -1,8 +1,9 @@
 // Package sched implements the sharded crawl scheduler: a deterministic
 // site→shard partitioner, a pool of per-shard TaskManagers (each with its own
 // transport, recorder and checkpoint), and a merge stage that recombines the
-// shards' storages, reports, telemetry and execution bundles into results
-// that are byte-identical no matter how many workers ran the crawl.
+// shards' storages, reports and telemetry, and seals one execution bundle
+// from the shard recorders, into results that are byte-identical no matter
+// how many workers ran the crawl.
 //
 // The determinism contract the scheduler maintains:
 //
@@ -21,7 +22,7 @@
 // The one documented exception is storage-fault injection (faults.Profile
 // StoragePerMille): live drop decisions key on a global per-table write
 // sequence, so which writes are lost depends on how the crawl was sharded.
-// Replays are exempt — a merged bundle archives its drops at global write
+// Replays are exempt — the sealed bundle archives its drops at global write
 // positions, and resharded replays localise them with per-visit write counts.
 package sched
 
@@ -99,8 +100,8 @@ type Crawl struct {
 	// be constructed here, not shared. Recorder is attached by the
 	// scheduler — leave it nil.
 	Config func(Shard) openwpm.CrawlConfig
-	// Record archives each shard under its own bundle recorder and merges
-	// the shard bundles into one sealed archive (Result.Bundle).
+	// Record archives each shard under its own bundle recorder and seals
+	// one archive from the shard recorders (Result.Bundle).
 	Record bool
 	// Backend, when non-nil, builds a per-shard durable storage backend
 	// (package wal's Open, typically). It is called once per shard on a
@@ -111,7 +112,7 @@ type Crawl struct {
 	// backends — that is the caller's job (Checkpoint.CloseBackends), since
 	// an interrupted checkpoint keeps its backends live for resumption.
 	Backend func(Shard) openwpm.Backend
-	// BundleMeta labels the merged bundle's manifest (deterministic content
+	// BundleMeta labels the bundle's manifest (deterministic content
 	// only — seeds and scenario names, never timestamps).
 	BundleMeta map[string]string
 	// Telemetry, when non-nil, is the registry shared by every worker; the
@@ -158,9 +159,9 @@ type ShardState struct {
 	FaultKinds map[string]int
 
 	// cfg is the effective (defaulted) configuration of the shard's most
-	// recent TaskManager, kept for bundle finalisation.
-	cfg      openwpm.CrawlConfig
-	cfgValid bool
+	// recent TaskManager, kept for bundle finalisation; nil until the shard
+	// runs.
+	cfg *openwpm.CrawlConfig
 
 	// flight is the shard's span recorder (nil with telemetry off) and
 	// traceCursor the flight cursor of the last WAL checkpoint: together
@@ -239,7 +240,7 @@ type Result struct {
 	// Report is the crawl accounting, re-folded from per-site outcomes in
 	// global site order.
 	Report *openwpm.CrawlReport
-	// Bundle is the merged, sealed execution bundle when Crawl.Record was
+	// Bundle is the sealed execution bundle when Crawl.Record was
 	// set.
 	Bundle *bundle.Bundle
 	// Metrics is the final whole-crawl telemetry snapshot when
@@ -264,7 +265,7 @@ type faultCounter interface{ CountsByName() map[string]int }
 
 // Run executes a sharded crawl: partition, crawl every shard on its own
 // worker, then merge. The error path is loud — a failed bundle finalisation
-// or merge fails the run instead of silently dropping the archive.
+// fails the run instead of silently dropping the archive.
 func Run(c Crawl) (*Result, error) {
 	crawlGCTuneOn()
 	defer crawlGCTuneOff()
@@ -329,7 +330,8 @@ func Run(c Crawl) (*Result, error) {
 				}
 			}
 			tm := openwpm.NewTaskManager(cfg)
-			st.cfg, st.cfgValid = tm.Cfg, true
+			effective := tm.Cfg // a copy: the TaskManager is not kept alive
+			st.cfg = &effective
 			hooks := openwpm.CrawlHooks{
 				OnSite: func(o openwpm.SiteOutcome) {
 					st.Outcomes = append(st.Outcomes, o)
@@ -427,7 +429,7 @@ func Run(c Crawl) (*Result, error) {
 	if c.Telemetry.Enabled() {
 		// one snapshot after every worker finished: the workers share the
 		// registry, so per-shard snapshots would multiply-count the crawl.
-		// Attached before bundle merging so the sealed archive embeds it —
+		// Attached before the bundle is sealed so the archive embeds it —
 		// unless DetachMetrics: a process-lifetime registry (the daemon's)
 		// would make otherwise-identical artifacts digest-diverge.
 		res.Metrics = c.Telemetry.Snapshot()
@@ -436,28 +438,28 @@ func Run(c Crawl) (*Result, error) {
 		}
 	}
 	if c.Record {
-		parts := make([]*bundle.Bundle, len(cp.Shards))
+		recs := make([]*bundle.Recorder, len(cp.Shards))
+		var cfg *openwpm.CrawlConfig
 		for i, st := range cp.Shards {
 			if st.Recorder == nil {
 				st.Recorder = bundle.NewRecorder(c.BundleMeta)
 			}
-			if !st.cfgValid {
-				// zero-site shard: no worker ran, archive the effective
-				// configuration it would have used
-				st.cfg = openwpm.NewTaskManager(c.Config(st.Shard)).Cfg
-				st.cfgValid = true
+			recs[i] = st.Recorder
+			if cfg == nil {
+				cfg = st.cfg
 			}
-			b, err := st.Recorder.Finalize(st.cfg, st.Shard.Sites, st.Checkpoint.Report)
-			if err != nil {
-				return nil, fmt.Errorf("sched: finalize shard %d bundle: %w", st.Shard.Index, err)
-			}
-			parts[i] = b
 		}
-		merged, err := bundle.Merge(parts, report)
+		if cfg == nil {
+			// no shard ran (an empty crawl, or a recovered one that was
+			// already complete): archive the effective configuration shard 0
+			// would have used
+			cfg = &openwpm.NewTaskManager(c.Config(cp.Shards[0].Shard)).Cfg
+		}
+		b, err := bundle.Finalize(recs, *cfg, c.Sites, storage.Crashes, report)
 		if err != nil {
-			return nil, fmt.Errorf("sched: merge shard bundles: %w", err)
+			return nil, fmt.Errorf("sched: finalize bundle: %w", err)
 		}
-		res.Bundle = merged
+		res.Bundle = b
 	}
 	if c.OnProgress != nil {
 		// crawls whose site count is not a multiple of ProgressEvery still

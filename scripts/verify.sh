@@ -116,11 +116,17 @@ for w in 1 2 3; do
         exit 1
     }
 done
-# the scheduler owns the crawl root and clock: a traced crawl is the same
-# bytes at any worker count
-"$tracedir/wpmscan" -sites 8 -subpages 1 -workers 1 -trace "$tracedir/serial.trace" >/dev/null
+# the scheduler owns the crawl root and clock and seals the bundle once from
+# the shard recorders: a recorded, traced crawl is the same bytes at any
+# worker count
+"$tracedir/wpmscan" -sites 8 -subpages 1 -workers 1 \
+    -record-bundle "$tracedir/serial.bundle" -trace "$tracedir/serial.trace" >/dev/null
 cmp "$tracedir/serial.trace" "$tracedir/record.trace" || {
     echo "the 1-worker and 2-worker traces of one crawl differ" >&2
+    exit 1
+}
+cmp "$tracedir/serial.bundle" "$tracedir/scan.bundle" || {
+    echo "the 1-worker and 2-worker bundles of one crawl differ" >&2
     exit 1
 }
 rm -rf "$tracedir"
