@@ -49,13 +49,14 @@ func truncateTail(t *testing.T, fs *wal.MemFS, frac float64) {
 }
 
 // crashConfig is crawlConfig behind a crash-heavy fault injector (six times
-// the default crash rates, no storage drops) under the hardened pipeline.
-// Each call builds a fresh injector, so every shard of every run gets its own.
+// the default crash rates, default storage drops) under the hardened
+// pipeline. Each call builds a fresh injector, so every shard of every run,
+// and every resumed shard, gets its own: storage drops must not depend on
+// where a shard started or resumed.
 func crashConfig(world *websim.World) func(sched.Shard) openwpm.CrawlConfig {
 	base := crawlConfig(world, nil)
 	return func(sh sched.Shard) openwpm.CrawlConfig {
 		p := faults.DefaultProfile()
-		p.StoragePerMille = 0
 		for i := range p.Buckets {
 			p.Buckets[i].CrashPerMille *= 6
 		}
