@@ -1,9 +1,9 @@
 // Command wpmreliability runs the fault-injection reliability experiment:
-// the same ranked prefix of the synthetic web is crawled twice under an
-// identical seeded fault stream — once with the blind pre-hardening retry
+// the same ranked prefix of the synthetic web is crawled twice under the
+// same seeded fault function — once with the blind pre-hardening retry
 // loop, once with the hardened pipeline (watchdog, error taxonomy, backoff,
 // circuit breaker, partial-result salvage) — and the completion accounting
-// of both runs is compared.
+// of both runs is compared. Each column counts the faults its own run met.
 //
 // The -telemetry flag instruments both runs (each with its own registry) and
 // writes their metrics snapshots as one JSON document keyed by pipeline;

@@ -164,11 +164,29 @@ type Visit struct {
 	// visit (one per first-seen script body, findings only).
 	Tampers []openwpm.TamperRecord `json:"tampers,omitempty"`
 	// StorageWrites counts, per table, the storage fault-filter
-	// consultations this visit consumed. StorageDrops sequence numbers are
-	// bundle-global, so sealing a sharded recording needs these per-visit
-	// counts to renumber a shard's drops to their global positions (and a
-	// sharded replay needs them to localise the global positions back).
+	// consultations this visit consumed.
 	StorageWrites map[string]int `json:"storageWrites,omitempty"`
+	// StorageDrops lists the writes the storage fault injector dropped
+	// during this visit; replays drop the same writes.
+	StorageDrops []StorageDrop `json:"storageDrops,omitempty"`
+}
+
+// StorageDrop locates one dropped storage write (faults.PageCursor): the
+// N-th write to Table since the main-frame request for Page.
+type StorageDrop struct {
+	Page  string `json:"page"`
+	Table string `json:"table"`
+	N     int    `json:"n"`
+}
+
+// requested reports whether the visit made a main-frame request for page.
+func (v *Visit) requested(page string) bool {
+	for _, e := range v.Exchanges {
+		if e.Type == string(httpsim.TypeMainFrame) && e.URL == page {
+			return true
+		}
+	}
+	return false
 }
 
 // Bundle is a complete archived crawl.
@@ -180,9 +198,6 @@ type Bundle struct {
 	Visits []Visit  `json:"visits,omitempty"`
 	// Crashes is the browser-restart table (crash-recovery bookkeeping).
 	Crashes []openwpm.CrashRecord `json:"crashes,omitempty"`
-	// StorageDrops lists, per table, the 1-based write sequence numbers the
-	// storage fault injector dropped; replays reproduce the same losses.
-	StorageDrops map[string][]int `json:"storageDrops,omitempty"`
 	// Bodies is the content-addressed body pool: SHA-256 hex → content.
 	Bodies map[string]string `json:"bodies,omitempty"`
 	// Report is the crawl's final accounting.
@@ -222,10 +237,10 @@ func (b *Bundle) Seal() error {
 }
 
 // Verify checks structural integrity: the digest matches the canonical
-// encoding, every body reference resolves and hashes to its key, each
-// table's storage drops are write positions the visits account for (strictly
-// increasing from 1, the last within the visits' StorageWrites total), and
-// the embedded crawl report accounts for every site.
+// encoding, every body reference resolves and hashes to its key, every
+// storage drop is a write its visit accounts for (N from 1 to the visit's
+// StorageWrites for the table, on a page the visit requested as a main
+// frame), and the embedded crawl report accounts for every site.
 func (b *Bundle) Verify() error {
 	if b.Manifest.Format != Format {
 		return fmt.Errorf("bundle: unsupported format %d (want %d)", b.Manifest.Format, Format)
@@ -259,23 +274,13 @@ func (b *Bundle) Verify() error {
 				return fmt.Errorf("bundle: script %s references missing body %s", s.URL, s.SHA)
 			}
 		}
-	}
-	writes := map[string]int{}
-	for _, v := range b.Visits {
-		for table, n := range v.StorageWrites {
-			writes[table] += n
-		}
-	}
-	for table, seqs := range b.StorageDrops {
-		prev := 0
-		for _, seq := range seqs {
-			if seq <= prev {
-				return fmt.Errorf("bundle: storage drops of table %s are not strictly increasing from 1 (%d after %d)", table, seq, prev)
+		for _, d := range v.StorageDrops {
+			if d.N < 1 || d.N > v.StorageWrites[d.Table] {
+				return fmt.Errorf("bundle: visit %s drops %s write %d but makes %d", v.Record.SiteURL, d.Table, d.N, v.StorageWrites[d.Table])
 			}
-			prev = seq
-		}
-		if prev > writes[table] {
-			return fmt.Errorf("bundle: table %s drops write %d but its visits account for only %d writes", table, prev, writes[table])
+			if !v.requested(d.Page) {
+				return fmt.Errorf("bundle: visit %s drops a write on %s, which it never requested as a main frame", v.Record.SiteURL, d.Page)
+			}
 		}
 	}
 	if b.Report != nil && !b.Report.Accounted() {

@@ -54,7 +54,7 @@ func recordCrawl(cfg openwpm.CrawlConfig, sites []string, meta map[string]string
 // configuration first.
 func replayCrawl(b *Bundle, policy MissPolicy, mutate func(*openwpm.CrawlConfig)) (*openwpm.CrawlReport, *openwpm.TaskManager, *ReplayTransport) {
 	cfg := b.Config.CrawlConfig()
-	rt := b.ShardTransport(nil, policy, nil)
+	rt := NewReplayTransport(b, policy, nil)
 	cfg.Transport = rt
 	if mutate != nil {
 		mutate(&cfg)
@@ -142,34 +142,37 @@ func TestBundleFileRoundTripAndVerify(t *testing.T) {
 		t.Fatal("tampered bundle passed verification")
 	}
 
-	// malformed storage drops must not verify: each table's drop list
-	// increases strictly from 1 and ends within the visits' write count
-	writes := b.StorageWritesFor(b.Sites)
-	if writes["javascript"] < 3 || writes["javascript_tamper"] != 0 {
-		t.Fatalf("crawl wrote %v; the drop cases need 3+ javascript and no javascript_tamper writes", writes)
+	// malformed storage drops must not verify: a drop's N runs from 1 to
+	// its visit's write count for the table, on a page the visit requested
+	// as a main frame
+	v := b.Visits[0]
+	writes := v.StorageWrites["http_requests"]
+	if writes < 1 || v.StorageWrites["javascript_tamper"] != 0 {
+		t.Fatalf("first visit wrote %v; the drop cases need http_requests and no javascript_tamper writes", v.StorageWrites)
 	}
-	for _, drops := range []map[string][]int{
-		{"javascript": {3, 2}, "javascript_tamper": {9}},
-		{"javascript": {3, 2}},
-		{"javascript": {0}},
-		{"javascript": {writes["javascript"] + 1}},
-		{"javascript_tamper": {9}},
-	} {
-		bad := *b
-		bad.StorageDrops = drops
-		if err := bad.Seal(); err != nil {
+	page := v.Record.SiteURL
+	withDrops := func(drops ...StorageDrop) *Bundle {
+		c := *b
+		c.Visits = append([]Visit(nil), b.Visits...)
+		c.Visits[0].StorageDrops = drops
+		if err := c.Seal(); err != nil {
 			t.Fatal(err)
 		}
-		if err := bad.Verify(); err == nil {
-			t.Fatalf("storage drops %v passed verification", drops)
+		return &c
+	}
+	for _, d := range []StorageDrop{
+		{Page: page, Table: "http_requests", N: 0},
+		{Page: page, Table: "http_requests", N: writes + 1},
+		{Page: page, Table: "javascript_tamper", N: 1},
+		{Page: "https://never-requested.example/", Table: "http_requests", N: 1},
+		{Page: b.Visits[1].Record.SiteURL, Table: "http_requests", N: 1},
+	} {
+		if err := withDrops(d).Verify(); err == nil {
+			t.Fatalf("storage drop %+v passed verification", d)
 		}
 	}
-	edges := *b
-	edges.StorageDrops = map[string][]int{"javascript": {1, writes["javascript"]}}
-	if err := edges.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	if err := edges.Verify(); err != nil {
+	first, last := StorageDrop{Page: page, Table: "http_requests", N: 1}, StorageDrop{Page: page, Table: "http_requests", N: writes}
+	if err := withDrops(first, last).Verify(); err != nil {
 		t.Fatalf("drops of the first and last write fail verification: %v", err)
 	}
 

@@ -15,12 +15,6 @@ import (
 // Crashes) and report its final accounting: the sharded scheduler passes the
 // report it re-folded in global site order, so the sealed bytes are
 // identical no matter how many workers recorded the crawl.
-//
-// StorageDrops sequence numbers are bundle-global, so each recorder's drops
-// move past the writes its predecessors' visits account for (their per-visit
-// StorageWrites counts, as StorageWritesFor sums them); the archive then
-// replays its losses correctly both serially and resharded
-// (ReplayTransport.OffsetStorage).
 func Finalize(recs []*Recorder, cfg openwpm.CrawlConfig, sites []string, crashes []openwpm.CrashRecord, report *openwpm.CrawlReport) (*Bundle, error) {
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("bundle: finalize of zero recorders")
@@ -32,7 +26,6 @@ func Finalize(recs []*Recorder, cfg openwpm.CrawlConfig, sites []string, crashes
 		Crashes:  crashes,
 		Report:   report,
 	}
-	offsets := map[string]int{} // per-table global write position so far
 	for i, r := range recs {
 		if !maps.Equal(r.meta, recs[0].meta) {
 			return nil, fmt.Errorf("bundle: recorder %d manifest meta differs from recorder 0", i)
@@ -43,19 +36,6 @@ func Finalize(recs []*Recorder, cfg openwpm.CrawlConfig, sites []string, crashes
 				b.Bodies = map[string]string{}
 			}
 			b.Bodies[sha] = body
-		}
-		for table, seqs := range r.drops {
-			for _, seq := range seqs {
-				if b.StorageDrops == nil {
-					b.StorageDrops = map[string][]int{}
-				}
-				b.StorageDrops[table] = append(b.StorageDrops[table], seq+offsets[table])
-			}
-		}
-		for _, v := range r.visits {
-			for table, n := range v.StorageWrites {
-				offsets[table] += n
-			}
 		}
 	}
 	dedupeTampers(b.Visits)
@@ -89,8 +69,8 @@ func dedupeTampers(visits []Visit) {
 }
 
 // StorageWritesFor sums the per-visit storage write counts of the given
-// sites — typically a contiguous shard prefix of the bundle's site list, to
-// compute the global write offset at which the next shard starts.
+// sites. The benchmark harness (cmd/wpmbench) sizes its replay offsets with
+// it.
 func (b *Bundle) StorageWritesFor(sites []string) map[string]int {
 	in := map[string]bool{}
 	for _, s := range sites {

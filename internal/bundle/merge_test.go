@@ -10,44 +10,10 @@ import (
 
 // mkRecorder builds a shard recorder that archived one site's visit, for
 // Finalize unit tests.
-func mkRecorder(site string, writes map[string]int, drops map[string][]int) *Recorder {
+func mkRecorder(site string) *Recorder {
 	r := NewRecorder(map[string]string{"scenario": "merge-unit"})
-	r.visits = []Visit{{
-		Record:        openwpm.VisitRecord{SiteURL: site, Site: site},
-		StorageWrites: writes,
-	}}
-	for table, seqs := range drops {
-		r.drops[table] = seqs
-	}
+	r.visits = []Visit{{Record: openwpm.VisitRecord{SiteURL: site, Site: site}}}
 	return r
-}
-
-func TestMergeRenumbersStorageDrops(t *testing.T) {
-	// shard 0: 10 js writes, dropped the 3rd; shard 1: 5 js writes, dropped
-	// its local 2nd and 4th — globally writes 12 and 14
-	a := mkRecorder("https://a.example/", map[string]int{"javascript": 10}, map[string][]int{"javascript": {3}})
-	b := mkRecorder("https://b.example/", map[string]int{"javascript": 5, "content": 2}, map[string][]int{"javascript": {2, 4}, "content": {1}})
-	sites := []string{"https://a.example/", "https://b.example/"}
-	m, err := Finalize([]*Recorder{a, b}, openwpm.CrawlConfig{}, sites, nil, nil)
-	if err != nil {
-		t.Fatalf("Finalize: %v", err)
-	}
-	if got, want := m.StorageDrops["javascript"], []int{3, 12, 14}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("merged javascript drops = %v, want %v", got, want)
-	}
-	// content had no writes in shard 0, so shard 1's drop keeps its position
-	if got, want := m.StorageDrops["content"], []int{1}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("merged content drops = %v, want %v", got, want)
-	}
-	if got := len(m.Visits); got != 2 {
-		t.Fatalf("merged bundle has %d visits, want 2", got)
-	}
-	if m.Digest == "" {
-		t.Fatal("merged bundle is unsealed")
-	}
-	if err := m.Verify(); err != nil {
-		t.Fatalf("merged bundle fails verification: %v", err)
-	}
 }
 
 func TestMergeValidation(t *testing.T) {
@@ -56,8 +22,8 @@ func TestMergeValidation(t *testing.T) {
 	}
 
 	// a resumed crawl labelled differently from the run it continues
-	a := mkRecorder("https://a.example/", nil, nil)
-	other := mkRecorder("https://b.example/", nil, nil)
+	a := mkRecorder("https://a.example/")
+	other := mkRecorder("https://b.example/")
 	other.meta = map[string]string{"scenario": "something-else"}
 	sites := []string{"https://a.example/", "https://b.example/"}
 	if _, err := Finalize([]*Recorder{a, other}, openwpm.CrawlConfig{}, sites, nil, nil); err == nil || !strings.Contains(err.Error(), "meta") {
@@ -71,9 +37,9 @@ func TestMergeDedupesTamperRows(t *testing.T) {
 	// recording would
 	rec := openwpm.TamperRecord{SHA256: "aa", URL: "https://cdn.example/d.js", Parsed: true,
 		Findings: []openwpm.TamperFinding{{Rule: "webdriver-probe", Line: 3}}}
-	a := mkRecorder("https://a.example/", nil, nil)
+	a := mkRecorder("https://a.example/")
 	a.visits[0].Tampers = []openwpm.TamperRecord{rec}
-	b := mkRecorder("https://b.example/", nil, nil)
+	b := mkRecorder("https://b.example/")
 	b.visits[0].Tampers = []openwpm.TamperRecord{rec}
 	m, err := Finalize([]*Recorder{a, b}, openwpm.CrawlConfig{}, []string{"https://a.example/", "https://b.example/"}, nil, nil)
 	if err != nil {
@@ -88,28 +54,6 @@ func TestMergeDedupesTamperRows(t *testing.T) {
 	// the recorders must not have been mutated
 	if len(b.visits[0].Tampers) != 1 {
 		t.Fatal("Finalize mutated a recorder's tamper rows")
-	}
-}
-
-func TestOffsetStorageLocalisesGlobalDrops(t *testing.T) {
-	b := &Bundle{
-		Manifest:     Manifest{Format: Format, Tool: Tool},
-		Sites:        []string{"https://a.example/"},
-		Visits:       []Visit{{StorageWrites: map[string]int{"javascript": 20}}},
-		StorageDrops: map[string][]int{"javascript": {3, 12, 14}},
-	}
-	if err := b.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	rt := NewReplayTransport(b, MissFail, nil)
-	// this worker starts after 10 global writes: its local writes 1..4 are
-	// global 11..14, so global drops 12 and 14 hit local writes 2 and 4
-	rt.OffsetStorage(map[string]int{"javascript": 10})
-	want := []bool{false, true, false, true}
-	for i, w := range want {
-		if got := rt.StorageFault("javascript"); got != w {
-			t.Fatalf("offset write %d: StorageFault = %v, want %v", i+1, got, w)
-		}
 	}
 }
 

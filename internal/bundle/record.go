@@ -3,8 +3,6 @@ package bundle
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"fmt"
 
 	"gullible/internal/faults"
 	"gullible/internal/httpsim"
@@ -23,9 +21,10 @@ type Spool interface {
 
 // Recorder archives a crawl into a Bundle. It implements openwpm.Recorder:
 // a transport wrapper captures every HTTP exchange (responses and errors
-// alike) and every storage-fault drop decision, while the storage-observer
-// side receives each accepted record. Visits arrive last for their page, so
-// everything buffered since the previous visit row belongs to them.
+// alike), counts every storage write and archives each drop at its page
+// position, while the storage-observer side receives each accepted record.
+// Visits arrive last for their page, so everything buffered since the
+// previous visit row belongs to them.
 //
 // A Recorder serves one crawl on one goroutine (sharded crawls need one
 // recorder per worker); Finalize assembles the Bundle from a crawl's
@@ -45,28 +44,16 @@ type Recorder struct {
 	pendingCookies   []openwpm.CookieEntry
 	pendingScripts   []ScriptRef
 	pendingTampers   []openwpm.TamperRecord
+	pendingWrites    map[string]int
+	pendingDrops     []StorageDrop
 
 	visits []Visit
-
-	// storage-fault archive: writeSeq counts fault-filter consultations per
-	// table; drops holds the 1-based sequence numbers that were dropped, and
-	// lastWriteSeq remembers each table's count at the previous visit row so
-	// ObserveVisit can attribute the delta to the closing visit.
-	writeSeq     map[string]int
-	drops        map[string][]int
-	lastWriteSeq map[string]int
 }
 
 // NewRecorder creates a Recorder. meta labels the bundle manifest; it must
 // be deterministic content (seeds, scenario names — never timestamps).
 func NewRecorder(meta map[string]string) *Recorder {
-	return &Recorder{
-		meta:         meta,
-		bodies:       map[string]string{},
-		writeSeq:     map[string]int{},
-		drops:        map[string][]int{},
-		lastWriteSeq: map[string]int{},
-	}
+	return &Recorder{meta: meta, bodies: map[string]string{}}
 }
 
 // intern stores content in the body pool and returns its SHA-256 key.
@@ -96,17 +83,19 @@ func (r *Recorder) WrapTransport(rt httpsim.RoundTripper) httpsim.RoundTripper {
 
 // recorderTransport records every round trip. It always advertises the
 // StorageFault capability: delegating to the wrapped transport when present,
-// archiving each drop decision either way, so replays can reproduce the
-// exact storage losses of a faulted crawl.
+// and archiving each drop at its page position either way, so replays can
+// reproduce the exact storage losses of a faulted crawl.
 type recorderTransport struct {
-	rec  *Recorder
-	next httpsim.RoundTripper
+	rec   *Recorder
+	next  httpsim.RoundTripper
+	pages faults.PageCursor
 }
 
 // RoundTrip archives the exchange and passes the result through unchanged —
 // the browser type-asserts fault metadata on the raw error, so errors must
 // not be wrapped here.
 func (t *recorderTransport) RoundTrip(req *httpsim.Request) (*httpsim.Response, error) {
+	t.pages.Observe(req)
 	resp, err := t.next.RoundTrip(req)
 	e := Exchange{
 		Method: req.Method,
@@ -139,13 +128,17 @@ func (t *recorderTransport) RoundTrip(req *httpsim.Request) (*httpsim.Response, 
 // StorageFault implements the storage fault hook, archiving the decision.
 func (t *recorderTransport) StorageFault(table string) bool {
 	r := t.rec
-	r.writeSeq[table]++
+	page, n := t.pages.Next(table)
+	if r.pendingWrites == nil {
+		r.pendingWrites = map[string]int{}
+	}
+	r.pendingWrites[table]++
 	drop := false
 	if sf, ok := t.next.(interface{ StorageFault(table string) bool }); ok {
 		drop = sf.StorageFault(table)
 	}
 	if drop {
-		r.drops[table] = append(r.drops[table], r.writeSeq[table])
+		r.pendingDrops = append(r.pendingDrops, StorageDrop{Page: page, Table: table, N: n})
 	}
 	return drop
 }
@@ -160,7 +153,8 @@ func (r *Recorder) ObserveVisit(rec openwpm.VisitRecord) {
 		Cookies:       r.pendingCookies,
 		Scripts:       r.pendingScripts,
 		Tampers:       r.pendingTampers,
-		StorageWrites: r.visitWrites(),
+		StorageWrites: r.pendingWrites,
+		StorageDrops:  r.pendingDrops,
 	}
 	r.visits = append(r.visits, v)
 	if r.Spool != nil {
@@ -172,24 +166,8 @@ func (r *Recorder) ObserveVisit(rec openwpm.VisitRecord) {
 	r.pendingCookies = nil
 	r.pendingScripts = nil
 	r.pendingTampers = nil
-}
-
-// visitWrites snapshots the per-table fault-filter consultations consumed
-// since the previous visit row; nil when the visit wrote nothing.
-func (r *Recorder) visitWrites() map[string]int {
-	var out map[string]int
-	for table, seq := range r.writeSeq {
-		d := seq - r.lastWriteSeq[table]
-		if d == 0 {
-			continue
-		}
-		if out == nil {
-			out = map[string]int{}
-		}
-		out[table] = d
-		r.lastWriteSeq[table] = seq
-	}
-	return out
+	r.pendingWrites = nil
+	r.pendingDrops = nil
 }
 
 // ObserveCookie buffers a cookie row for the current visit.
@@ -218,56 +196,16 @@ func (r *Recorder) ObserveTamperReport(rec openwpm.TamperRecord) {
 	r.pendingTampers = append(r.pendingTampers, rec)
 }
 
-// RecorderState is the compact resumable part of a Recorder at a site
-// boundary: the storage-fault bookkeeping that cannot be rebuilt from the
-// archived visits alone. Bodies and visits are recovered from the spooled
-// stream; this blob rides inside checkpoint records.
-type RecorderState struct {
-	WriteSeq     map[string]int   `json:"writeSeq,omitempty"`
-	LastWriteSeq map[string]int   `json:"lastWriteSeq,omitempty"`
-	Drops        map[string][]int `json:"drops,omitempty"`
-}
-
-// StateJSON snapshots the recorder's resumable state as JSON. Call it at a
-// visit boundary (after ObserveVisit), where the pending buffers are empty.
-func (r *Recorder) StateJSON() []byte {
-	s := RecorderState{
-		WriteSeq:     r.writeSeq,
-		LastWriteSeq: r.lastWriteSeq,
-		Drops:        r.drops,
-	}
-	out, err := json.Marshal(s)
-	if err != nil {
-		return nil
-	}
-	return out
-}
-
 // RestoreRecorder rebuilds a Recorder from recovered durable state: the
-// bundle meta, the spooled body pool and visit stream, and the RecorderState
-// blob from the last checkpoint. The restored recorder continues exactly
-// where the checkpoint left it — pending buffers are empty because
-// checkpoints land on visit boundaries.
-func RestoreRecorder(meta map[string]string, bodies map[string]string, visits []Visit, state []byte) (*Recorder, error) {
+// bundle meta and the spooled body pool and visit stream. The restored
+// recorder continues exactly where the last checkpoint left it: checkpoints
+// land on visit boundaries, where the pending buffers are empty, and each
+// archived visit carries its own storage writes and drops.
+func RestoreRecorder(meta map[string]string, bodies map[string]string, visits []Visit) *Recorder {
 	r := NewRecorder(meta)
 	for sha, content := range bodies {
 		r.bodies[sha] = content
 	}
 	r.visits = append(r.visits, visits...)
-	if len(state) > 0 {
-		var s RecorderState
-		if err := json.Unmarshal(state, &s); err != nil {
-			return nil, fmt.Errorf("bundle: recorder state: %w", err)
-		}
-		for t, n := range s.WriteSeq {
-			r.writeSeq[t] = n
-		}
-		for t, n := range s.LastWriteSeq {
-			r.lastWriteSeq[t] = n
-		}
-		for t, seqs := range s.Drops {
-			r.drops[t] = append([]int(nil), seqs...)
-		}
-	}
-	return r, nil
+	return r
 }

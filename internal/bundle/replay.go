@@ -94,7 +94,9 @@ func parseClass(s string) faults.Class {
 // cursor over its recorded sequence — so a request that first failed and
 // then succeeded on retry replays as exactly that sequence. A cursor that
 // runs past its sequence keeps serving the final exchange (variant replays
-// may repeat requests more often than the recording did).
+// may repeat requests more often than the recording did). A storage write is
+// dropped exactly when the recording dropped the write at the same page
+// position (faults.PageCursor).
 //
 // One ReplayTransport serves one goroutine; sharded replays give each
 // worker its own transport over the shared read-only bundle.
@@ -108,9 +110,8 @@ type ReplayTransport struct {
 	byURL     map[string][]int
 	cursor    map[string]int
 
-	// storage-fault replay state
-	dropSeq    map[string]int
-	dropCursor map[string]int
+	drops map[StorageDrop]bool
+	pages faults.PageCursor
 
 	// Hits and Misses count recorded vs unrecorded requests served.
 	Hits   int
@@ -121,16 +122,18 @@ type ReplayTransport struct {
 // under MissPassthrough and may be nil otherwise.
 func NewReplayTransport(b *Bundle, policy MissPolicy, fallback httpsim.RoundTripper) *ReplayTransport {
 	t := &ReplayTransport{
-		bundle:     b,
-		policy:     policy,
-		fallback:   fallback,
-		byFull:     map[string][]int{},
-		byURL:      map[string][]int{},
-		cursor:     map[string]int{},
-		dropSeq:    map[string]int{},
-		dropCursor: map[string]int{},
+		bundle:   b,
+		policy:   policy,
+		fallback: fallback,
+		byFull:   map[string][]int{},
+		byURL:    map[string][]int{},
+		cursor:   map[string]int{},
+		drops:    map[StorageDrop]bool{},
 	}
 	for _, v := range b.Visits {
+		for _, d := range v.StorageDrops {
+			t.drops[d] = true
+		}
 		for _, e := range v.Exchanges {
 			i := len(t.exchanges)
 			t.exchanges = append(t.exchanges, e)
@@ -146,6 +149,7 @@ func NewReplayTransport(b *Bundle, policy MissPolicy, fallback httpsim.RoundTrip
 // RoundTrip serves the next recorded exchange for the request, or applies
 // the miss policy.
 func (t *ReplayTransport) RoundTrip(req *httpsim.Request) (*httpsim.Response, error) {
+	t.pages.Observe(req)
 	fk := req.Method + "\x00" + req.URL + "\x00" + req.TopURL
 	key, seq := fk, t.byFull[fk]
 	if len(seq) == 0 {
@@ -194,47 +198,15 @@ func (t *ReplayTransport) RoundTrip(req *httpsim.Request) (*httpsim.Response, er
 	return resp, nil
 }
 
-// ShardTransport gives one shard of a replay its transport: served from b,
-// and offset by the storage writes of before, the sites of the shards that
-// precede it, so the bundle-global storage-drop positions localise to the
-// shard. fallback serves misses under MissPassthrough and may be nil.
-func (b *Bundle) ShardTransport(before []string, policy MissPolicy, fallback httpsim.RoundTripper) *ReplayTransport {
-	rt := NewReplayTransport(b, policy, fallback)
-	if len(before) > 0 {
-		rt.OffsetStorage(b.StorageWritesFor(before))
-	}
-	return rt
-}
+// OffsetStorage does nothing: storage drops are archived at page positions,
+// which no shard boundary moves, so a sharded replay needs no offset. The
+// benchmark harness (cmd/wpmbench) still calls it.
+func (t *ReplayTransport) OffsetStorage(map[string]int) {}
 
-// OffsetStorage pre-positions the storage-fault replay state as if offset
-// writes per table had already happened. A bundle's StorageDrops use
-// crawl-global write positions; a sharded replay gives each worker its own
-// transport and offsets it by the total writes of the shards before it
-// (Bundle.StorageWritesFor over the preceding sites), so every worker drops
-// exactly the writes its slice of the crawl lost. Call before the first
-// request; a serial replay needs no offset.
-func (t *ReplayTransport) OffsetStorage(offset map[string]int) {
-	for table, n := range offset {
-		t.dropSeq[table] = n
-		drops := t.bundle.StorageDrops[table]
-		c := 0
-		for c < len(drops) && drops[c] <= n {
-			c++
-		}
-		t.dropCursor[table] = c
-	}
-}
-
-// StorageFault replays the recorded storage-drop sequence: the n-th write
-// to a table is dropped on replay exactly when it was dropped during
-// recording.
+// StorageFault replays the recorded storage drops: a write is dropped on
+// replay exactly when the recording dropped the write at the same page
+// position.
 func (t *ReplayTransport) StorageFault(table string) bool {
-	t.dropSeq[table]++
-	drops := t.bundle.StorageDrops[table]
-	c := t.dropCursor[table]
-	if c < len(drops) && drops[c] == t.dropSeq[table] {
-		t.dropCursor[table] = c + 1
-		return true
-	}
-	return false
+	page, n := t.pages.Next(table)
+	return t.drops[StorageDrop{Page: page, Table: table, N: n}]
 }

@@ -40,9 +40,9 @@ type Config struct {
 	TenantBudget int64
 	// Executors is the number of concurrent job runners (default 2).
 	Executors int
-	// CrawlWorkers is the sched worker count inside one crawl job (default
-	// 1; 0 is normalised to 1 so the shard layout — and therefore WAL
-	// recovery — does not depend on the machine the daemon restarts on).
+	// CrawlWorkers is the sched worker count inside one crawl or replay job
+	// (default 1; 0 is normalised to 1 so the shard layout — and therefore
+	// WAL recovery — does not depend on the machine the daemon restarts on).
 	CrawlWorkers int
 	// Fsync is the WAL sync policy for crawl jobs (default checkpoint).
 	Fsync wal.SyncPolicy
@@ -700,7 +700,8 @@ func (d *Daemon) executeReplay(j *Job) ([]byte, ArtifactMeta, error) {
 	// the sealed bundle: the artifact must be digest-identical no matter
 	// what else the daemon ran
 	res, _, _, err := experiments.Replay(src, policy, mut, sched.Crawl{
-		Record: true, BundleMeta: bundleMeta(j), Telemetry: d.tel, DetachMetrics: true,
+		Workers: d.cfg.CrawlWorkers,
+		Record:  true, BundleMeta: bundleMeta(j), Telemetry: d.tel, DetachMetrics: true,
 	})
 	if err != nil {
 		return nil, ArtifactMeta{}, err

@@ -70,37 +70,22 @@ func VariantMutator(variant string) (func(*openwpm.CrawlConfig), error) {
 	return nil, fmt.Errorf("experiments: unknown bundle-diff variant %q (want stealth, headless, legacy or nohoney)", variant)
 }
 
-// Replay re-executes b offline through sched.Run at one worker. c supplies
-// recording and telemetry (Record, BundleMeta, Telemetry, DetachMetrics);
-// Replay fills in the sites, the worker count and a Config that gives every
+// Replay re-executes b offline through sched.Run. c supplies the worker
+// count, recording and telemetry (Workers, Record, BundleMeta, Telemetry,
+// DetachMetrics); Replay fills in the sites and a Config that gives every
 // shard b's recorded configuration, changed by mutate when non-nil, served by
-// its own Bundle.ShardTransport. hits and misses are summed over those
-// transports.
-//
-// The width is pinned by storage-fault drops. A bundle archives them at
-// crawl-global write positions, and Bundle.ShardTransport offsets each
-// shard's cursor by the recording's per-shard write counts. A variant
-// observer changes how many writes each visit makes, so a sharded variant
-// replay drops different records: the faults=default replay golden, replayed
-// under stealth at two workers, seals e548a7a1… where one worker seals
-// f4ad8fb9…. Parallel variant replays need per-visit drop localisation
-// first; traces, storage and identity replays are already the same at any
-// width.
+// its own bundle.ReplayTransport. hits and misses are summed over those
+// transports. Storage drops replay by page position, so the result is the
+// same at any worker count.
 func Replay(b *bundle.Bundle, policy bundle.MissPolicy, mutate func(*openwpm.CrawlConfig), c sched.Crawl) (res *sched.Result, hits, misses int, err error) {
-	c.Workers = 1
-	return replayAt(b, policy, mutate, c)
-}
-
-// replayAt is Replay at c.Workers workers.
-func replayAt(b *bundle.Bundle, policy bundle.MissPolicy, mutate func(*openwpm.CrawlConfig), c sched.Crawl) (res *sched.Result, hits, misses int, err error) {
 	var (
 		mu  sync.Mutex // Config runs on the worker goroutines
 		rts []*bundle.ReplayTransport
 	)
 	c.Sites = b.Sites
-	c.Config = func(sh sched.Shard) openwpm.CrawlConfig {
+	c.Config = func(sched.Shard) openwpm.CrawlConfig {
 		cfg := b.Config.CrawlConfig()
-		rt := b.ShardTransport(b.Sites[:sh.Start], policy, nil)
+		rt := bundle.NewReplayTransport(b, policy, nil)
 		mu.Lock()
 		rts = append(rts, rt)
 		mu.Unlock()
@@ -166,7 +151,7 @@ func RunBundleDiff(worldSeed int64, opts BundleDiffOptions) (*BundleDiffResult, 
 	}
 	base := recorded.Bundle
 
-	replayed, hits, misses, err := Replay(base, opts.MissPolicy, mutate, sched.Crawl{Record: true, BundleMeta: meta})
+	replayed, hits, misses, err := Replay(base, opts.MissPolicy, mutate, sched.Crawl{Workers: 1, Record: true, BundleMeta: meta})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: replay variant crawl: %w", err)
 	}

@@ -13,19 +13,22 @@ import (
 )
 
 // ReliabilityResult compares the vanilla (pre-hardening) and hardened crawl
-// pipelines under identical fault seeds: same synthetic web, same injected
-// fault sequence, two recovery strategies.
+// pipelines under identical fault seeds: same synthetic web, same fault
+// function, two recovery strategies.
 type ReliabilityResult struct {
 	Sites     int
 	WorldSeed int64
 	FaultSeed int64
 
-	// FaultKinds tallies the faults the hardened run was subjected to, by
-	// kind name (the vanilla run sees the same seeded stream).
-	FaultKinds map[string]int
-
 	Vanilla  *openwpm.CrawlReport
 	Hardened *openwpm.CrawlReport
+
+	// VanillaFaults and HardenedFaults tally the faults each run was
+	// subjected to, by kind name. The runs share the fault function but
+	// issue different requests and writes (retries, salvage), so the
+	// tallies differ.
+	VanillaFaults  map[string]int
+	HardenedFaults map[string]int
 
 	// VanillaTrace and HardenedTrace hold each run's flight-recorder span
 	// events when ReliabilityOptions.Telemetry is set (nil otherwise).
@@ -51,7 +54,8 @@ type ReliabilityOptions struct {
 	// CrawlSecondsPerSite sizes the crawl-level virtual budget both
 	// pipelines get (default 60 s per site). The budget is what makes hangs
 	// hurt the vanilla pipeline: with no watchdog, each hang burns minutes
-	// of it.
+	// of it. It is enforced per shard (openwpm.CrawlConfig.MaxCrawlSeconds
+	// of the shard's size), so which sites it skips can depend on Workers.
 	CrawlSecondsPerSite float64
 	// Telemetry instruments both runs. Each run gets its own fresh registry
 	// (attached to its CrawlReport.Metrics) so the vanilla and hardened
@@ -67,8 +71,8 @@ type ReliabilityOptions struct {
 // RunReliability crawls the same ranked prefix twice under the same fault
 // seed — once with the blind pre-hardening retry loop, once with the
 // hardened pipeline (watchdog, classification, backoff, breaker, salvage) —
-// and returns both crawl reports. Each run gets a fresh world and a fresh
-// injector, so the fault streams are identical.
+// and returns both crawl reports. Each run gets a fresh world and fresh
+// injectors with the same seed, so both face the same fault function.
 func RunReliability(worldSeed, faultSeed int64, opts ReliabilityOptions) *ReliabilityResult {
 	if opts.NumSites == 0 {
 		opts.NumSites = 500
@@ -96,8 +100,9 @@ func RunReliability(worldSeed, faultSeed int64, opts ReliabilityOptions) *Reliab
 			Telemetry: tel,
 			Stop:      opts.Stop,
 			Config: func(sh sched.Shard) openwpm.CrawlConfig {
-				// per-shard injector (same seed: fault decisions hash per
-				// URL) and a budget slice proportional to the shard's size
+				// per-shard injector (same seed: fault decisions hash the
+				// request or the page position) and a budget slice
+				// proportional to the shard's size
 				inj := faults.NewInjector(faultSeed, opts.Profile, world)
 				inj.RankOf = func(u string) int { return websim.RankOf(httpsim.Host(u)) }
 				inj.SetTelemetry(tel)
@@ -128,24 +133,25 @@ func RunReliability(worldSeed, faultSeed int64, opts ReliabilityOptions) *Reliab
 		return res.Report, res.Trace, res.FaultKinds, res.Interrupted
 	}
 
-	vanilla, vtrace, _, vint := run(false)
+	vanilla, vtrace, vkinds, vint := run(false)
 	r := &ReliabilityResult{
-		Sites:        opts.NumSites,
-		WorldSeed:    worldSeed,
-		FaultSeed:    faultSeed,
-		Vanilla:      vanilla,
-		VanillaTrace: vtrace,
-		Interrupted:  vint,
+		Sites:         opts.NumSites,
+		WorldSeed:     worldSeed,
+		FaultSeed:     faultSeed,
+		Vanilla:       vanilla,
+		VanillaFaults: vkinds,
+		VanillaTrace:  vtrace,
+		Interrupted:   vint,
 	}
 	if vint {
 		// the experiment is a paired comparison; an interrupted first leg
 		// makes the second pointless
 		return r
 	}
-	hardened, htrace, kinds, hint := run(true)
+	hardened, htrace, hkinds, hint := run(true)
 	r.Hardened = hardened
+	r.HardenedFaults = hkinds
 	r.HardenedTrace = htrace
-	r.FaultKinds = kinds
 	r.Interrupted = hint
 	return r
 }
@@ -169,11 +175,18 @@ func TableReliability(r *ReliabilityResult) *Table {
 	row("circuit-broken sites", func(c *openwpm.CrawlReport) any { return c.CircuitBroken })
 	row("virtual seconds", func(c *openwpm.CrawlReport) any { return fmt.Sprintf("%.0f", c.VirtualSeconds+c.BackoffSeconds) })
 	row("dropped writes", func(c *openwpm.CrawlReport) any { return c.DroppedWrites })
-	for _, k := range sortedKeysByCount(r.FaultKinds) {
-		t.AddRow("injected "+k+" faults", r.FaultKinds[k], r.FaultKinds[k])
+	both := map[string]int{}
+	for k, n := range r.VanillaFaults {
+		both[k] += n
+	}
+	for k, n := range r.HardenedFaults {
+		both[k] += n
+	}
+	for _, k := range sortedKeysByCount(both) {
+		t.AddRow("injected "+k+" faults", r.VanillaFaults[k], r.HardenedFaults[k])
 	}
 	t.Notes = append(t.Notes,
-		"both pipelines face the identical seeded fault stream; the hardened pipeline's watchdog, classification, backoff and salvage convert budget-devouring hangs and hard failures into completed or salvaged sites",
+		"both pipelines face the same seeded fault function, but they issue different requests and writes, so each column counts its own injected faults; the hardened pipeline's watchdog, classification, backoff and salvage convert budget-devouring hangs and hard failures into completed or salvaged sites",
 	)
 	return t
 }

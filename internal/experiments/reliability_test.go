@@ -75,8 +75,10 @@ func TestFaultedScanAccountingAndDeterminism(t *testing.T) {
 }
 
 // TestRunReliabilityHardenedVsVanilla checks the vanilla-vs-hardened
-// comparison: same fault stream, and the hardened pipeline keeps at least as
-// many sites as the blind-retry one.
+// comparison: same fault function, the hardened pipeline keeps at least as
+// many sites as the blind-retry one, and each table column reports its own
+// run's injected faults. Every injected storage fault drops exactly one
+// write, so in each column the two counts must agree.
 func TestRunReliabilityHardenedVsVanilla(t *testing.T) {
 	r := RunReliability(42, 7, ReliabilityOptions{NumSites: 60})
 	if r.Vanilla.Sites != 60 || r.Hardened.Sites != 60 {
@@ -85,17 +87,30 @@ func TestRunReliabilityHardenedVsVanilla(t *testing.T) {
 	if !r.Vanilla.Accounted() || !r.Hardened.Accounted() {
 		t.Fatalf("unaccounted reports:\nvanilla %+v\nhardened %+v", r.Vanilla, r.Hardened)
 	}
-	if len(r.FaultKinds) == 0 {
+	if len(r.VanillaFaults) == 0 || len(r.HardenedFaults) == 0 {
 		t.Fatal("no faults recorded — the comparison measured nothing")
 	}
 	if r.Hardened.CompletionRate() < r.Vanilla.CompletionRate() {
 		t.Fatalf("hardened pipeline completed less than vanilla: %.3f < %.3f",
 			r.Hardened.CompletionRate(), r.Vanilla.CompletionRate())
 	}
-	tbl := TableReliability(r).String()
+	tbl := TableReliability(r)
 	for _, want := range []string{"completion rate", "vanilla", "hardened"} {
-		if !strings.Contains(tbl, want) {
+		if !strings.Contains(tbl.String(), want) {
 			t.Fatalf("reliability table missing %q:\n%s", want, tbl)
+		}
+	}
+	rows := map[string][]string{}
+	for _, row := range tbl.Rows {
+		rows[row[0]] = row[1:]
+	}
+	dropped, injected := rows["dropped writes"], rows["injected storage faults"]
+	if injected == nil || dropped[0] == "0" && dropped[1] == "0" {
+		t.Fatalf("no storage faults injected — the column check measures nothing:\n%s", tbl)
+	}
+	for i, run := range []string{"vanilla", "hardened"} {
+		if injected[i] != dropped[i] {
+			t.Errorf("%s column: %s injected storage faults but %s dropped writes", run, injected[i], dropped[i])
 		}
 	}
 }

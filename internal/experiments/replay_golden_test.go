@@ -98,8 +98,8 @@ func wpmbundleCrawl(g replayGolden, faultMode string) (sched.Crawl, error) {
 }
 
 // replayRun replays b under a variant observer (strict miss policy, as
-// `wpmbundle replay` defaults to) and re-records the replay, through Replay
-// at one worker or, for workers > 1, through the same path unpinned.
+// `wpmbundle replay` defaults to) at the given width and re-records the
+// replay.
 func replayRun(t *testing.T, b *bundle.Bundle, variant string, workers int) replayRunGolden {
 	t.Helper()
 	var mutate func(*openwpm.CrawlConfig)
@@ -110,11 +110,7 @@ func replayRun(t *testing.T, b *bundle.Bundle, variant string, workers int) repl
 		}
 		mutate = m
 	}
-	replay := Replay
-	if workers > 1 {
-		replay = replayAt
-	}
-	res, hits, misses, err := replay(b, bundle.MissFail, mutate,
+	res, hits, misses, err := Replay(b, bundle.MissFail, mutate,
 		sched.Crawl{Workers: workers, Record: true, BundleMeta: b.Manifest.Meta})
 	if err != nil {
 		t.Fatalf("replay %s at %d workers: %v", variant, workers, err)

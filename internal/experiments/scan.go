@@ -173,9 +173,9 @@ func RunScan(world *websim.World, numSites, maxSubpages int, progress func(done,
 // a tick every 1000 sites plus always a final (total, total) call; when
 // opts.Telemetry is set, the crawl_progress_done/crawl_progress_total gauges
 // also track every visit. Each worker gets its own injector (same seed),
-// recorder and replay cursor, so fault sequencing, recording and replay all
-// stay deterministic per shard; merged storage, report and bundle bytes are
-// identical at any worker count.
+// recorder and replay transport; fault decisions hash the request or the
+// page position, never the shard, so merged storage, report and bundle bytes
+// are identical at any worker count.
 func RunScanObserved(world *websim.World, numSites int, opts ScanOptions, progress func(done, total int)) (*ScanResult, error) {
 	urls := opts.Sites
 	if len(urls) == 0 {
@@ -192,7 +192,7 @@ func RunScanObserved(world *websim.World, numSites int, opts ScanOptions, progre
 		Stop:          opts.Stop,
 		Resume:        opts.Resume,
 		OnProgress:    progress,
-		Config: func(sh sched.Shard) openwpm.CrawlConfig {
+		Config: func(sched.Shard) openwpm.CrawlConfig {
 			cfg := scanCrawlConfig(world, opts.MaxSubpages)
 			cfg.MaxVisitSeconds = opts.MaxVisitSeconds
 			if opts.MaxRetries > 0 {
@@ -205,7 +205,7 @@ func RunScanObserved(world *websim.World, numSites int, opts ScanOptions, progre
 				// faults (errors and storage drops) replay with it, so a live
 				// injector on top would double-fault. Passthrough misses go
 				// to the live world.
-				cfg.Transport = opts.ReplayBundle.ShardTransport(urls[:sh.Start], opts.MissPolicy, world)
+				cfg.Transport = bundle.NewReplayTransport(opts.ReplayBundle, opts.MissPolicy, world)
 			case opts.FaultProfile != nil:
 				inj := faults.NewInjector(opts.FaultSeed, *opts.FaultProfile, world)
 				inj.RankOf = func(u string) int { return websim.RankOf(httpsim.Host(u)) }

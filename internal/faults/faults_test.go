@@ -194,29 +194,36 @@ func TestMalformedBodyTruncatedDeterministically(t *testing.T) {
 	}
 }
 
+// TestStorageFaultDeterministic: storage faults key on the page position,
+// so a repeated main-frame request for a page (a retry, or the page in
+// another shard or a resumed crawl) repeats the page's decisions whatever
+// came before it, while another page gets decisions of its own.
 func TestStorageFaultDeterministic(t *testing.T) {
-	p := DefaultProfile()
-	p.StoragePerMille = 200
-	seq := func() []bool {
-		in := NewInjector(11, p, &okTransport{})
+	p := Profile{StoragePerMille: 200}
+	visit := func(in *Injector, url string) []bool {
+		if _, err := in.RoundTrip(&httpsim.Request{URL: url, TopURL: url, Type: httpsim.TypeMainFrame}); err != nil {
+			t.Fatal(err)
+		}
 		var out []bool
-		for i := 0; i < 200; i++ {
-			out = append(out, in.StorageFault("javascript"))
+		for i := 0; i < 100; i++ {
+			out = append(out, in.StorageFault("javascript"), in.StorageFault("http_requests"))
 		}
 		return out
 	}
-	a, b := seq(), seq()
-	drops := 0
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("storage fault sequence diverged at %d", i)
-		}
-		if a[i] {
-			drops++
-		}
+	in := NewInjector(11, p, &okTransport{})
+	a := visit(in, "https://a.example/")
+	b := visit(in, "https://b.example/")
+	if again := visit(in, "https://a.example/"); !reflect.DeepEqual(again, a) {
+		t.Fatal("a repeated main-frame request changed the page's storage decisions")
 	}
-	if drops == 0 || drops == len(a) {
-		t.Fatalf("implausible drop count %d/%d", drops, len(a))
+	if fresh := visit(NewInjector(11, p, &okTransport{}), "https://a.example/"); !reflect.DeepEqual(fresh, a) {
+		t.Fatal("a fresh injector decided the page's storage writes differently")
+	}
+	if reflect.DeepEqual(a, b) {
+		t.Fatal("two pages got identical storage decisions")
+	}
+	if n := in.Counts()[KindStorage]; n == 0 || n == 3*len(a) {
+		t.Fatalf("implausible drop count %d/%d", n, 3*len(a))
 	}
 }
 

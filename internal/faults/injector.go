@@ -7,14 +7,15 @@ import (
 	"gullible/internal/telemetry"
 )
 
-// Injector wraps a RoundTripper and injects faults per the profile. All
-// decisions derive from hashing (seed, visited site, URL, kind), so the same
-// seed over the same request sequence injects exactly the same faults —
-// independently of wall-clock time or scheduling.
+// Injector wraps a RoundTripper and injects faults per the profile. Request
+// faults hash (seed, visited site, URL, kind); storage faults hash (seed,
+// page, table, n), the write's position as a PageCursor reports it. So the
+// same seed over the same pages injects exactly the same faults, however the
+// crawl was sharded or resumed, and independently of wall-clock time.
 //
-// An Injector is safe for concurrent use, but fault *sequencing* (recovery
-// counters, storage drops) is deterministic only when the request order is;
-// sharded crawls should use one Injector per worker.
+// An Injector is safe for concurrent use, but recovery counters and the page
+// cursor follow the request order; sharded crawls use one Injector per
+// worker.
 type Injector struct {
 	Seed    int64
 	Profile Profile
@@ -30,7 +31,7 @@ type Injector struct {
 	armed        map[string]int // top URL → requests until the crash fires
 	crashes      map[string]int // top URL → crashes already fired
 	counts       map[Kind]int
-	storageSeq   map[string]int // table → write sequence number
+	pages        PageCursor
 	kindMeters   [numKinds]*telemetry.Counter
 }
 
@@ -57,7 +58,6 @@ func NewInjector(seed int64, p Profile, next httpsim.RoundTripper) *Injector {
 		armed:        map[string]int{},
 		crashes:      map[string]int{},
 		counts:       map[Kind]int{},
-		storageSeq:   map[string]int{},
 	}
 }
 
@@ -89,6 +89,7 @@ func (in *Injector) RoundTrip(req *httpsim.Request) (*httpsim.Response, error) {
 	k := key(req)
 
 	in.mu.Lock()
+	in.pages.Observe(req)
 	// A previously armed crash fires on the n-th subresource of the visit.
 	if n, ok := in.armed[req.TopURL]; ok && req.Type != httpsim.TypeMainFrame {
 		n--
@@ -162,17 +163,17 @@ func (in *Injector) RoundTrip(req *httpsim.Request) (*httpsim.Response, error) {
 	return resp, nil
 }
 
-// StorageFault decides whether the n-th write to a storage table is lost.
-// Package openwpm sniffs this method off the transport to wire storage-layer
-// faults without importing this package.
+// StorageFault decides whether the n-th write to a table since the page's
+// main-frame request is lost. Package openwpm sniffs this method off the
+// transport to wire storage-layer faults without importing this package.
 func (in *Injector) StorageFault(table string) bool {
 	if in.Profile.StoragePerMille <= 0 {
 		return false
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.storageSeq[table]++
-	hit := fnvHash(in.Seed, "storage", table, in.storageSeq[table])%1000 < uint64(in.Profile.StoragePerMille)
+	page, n := in.pages.Next(table)
+	hit := fnvHash(in.Seed, "storage", page, table, n)%1000 < uint64(in.Profile.StoragePerMille)
 	if hit {
 		in.counts[KindStorage]++
 		in.kindMeters[KindStorage].Inc()

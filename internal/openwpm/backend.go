@@ -27,9 +27,9 @@ type Backend interface {
 	// owned the lost write, so replay can attribute drops deterministically.
 	AppendDrop(table, site string) error
 	// AppendCheckpoint marks a durable site boundary: outcome is the site
-	// just accounted, recorder is an opaque serialised recorder-state blob
-	// (nil when the crawl is not being recorded) and trace is an opaque
-	// flight-recorder delta blob (nil when telemetry is off). Recovery
+	// just accounted and trace is an opaque flight-recorder delta blob (nil
+	// when telemetry is off). recorder is always nil: a recorder's state
+	// rides in its spooled visits. Recovery
 	// truncates the log back to the last checkpoint, so everything before a
 	// checkpoint is committed and everything after it is re-crawled.
 	AppendCheckpoint(outcome SiteOutcome, recorder, trace []byte) error

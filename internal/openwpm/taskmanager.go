@@ -60,7 +60,9 @@ type CrawlConfig struct {
 	MaxVisitSeconds float64
 	// MaxCrawlSeconds caps the whole crawl's virtual time (visiting plus
 	// backoff). Once exhausted, remaining sites are recorded as skipped
-	// rather than visited — never silently dropped. 0 means unlimited.
+	// rather than visited — never silently dropped. 0 means unlimited. The
+	// budget belongs to one TaskManager, which in a sharded crawl is one
+	// shard: which sites a budget skips can depend on the worker count.
 	MaxCrawlSeconds float64
 	// BackoffBaseSeconds enables exponential backoff between browser
 	// restarts (base * 2^attempt, plus deterministic jitter). 0 disables.

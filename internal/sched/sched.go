@@ -12,18 +12,13 @@
 //     reconstructs the serial visit order exactly (round-robin would not).
 //   - Per-site work is position-independent: a site's records are a pure
 //     function of (site, configuration, seed) — the openwpm layer restarts
-//     window numbering per site, fault decisions are hashed per URL, and the
-//     shared telemetry registry is commutative (atomic counters, integer
-//     histogram sums).
+//     window numbering per site, request faults are hashed per URL and
+//     storage faults per page position (faults.PageCursor), and the shared
+//     telemetry registry is commutative (atomic counters, integer histogram
+//     sums).
 //   - Report folding is order-fixed: float totals are summed by re-folding
 //     per-site outcomes in global site order, never by adding per-shard
 //     subtotals (float addition is not associative).
-//
-// The one documented exception is storage-fault injection (faults.Profile
-// StoragePerMille): live drop decisions key on a global per-table write
-// sequence, so which writes are lost depends on how the crawl was sharded.
-// Replays are exempt — the sealed bundle archives its drops at global write
-// positions, and resharded replays localise them with per-visit write counts.
 package sched
 
 import (
@@ -336,10 +331,7 @@ func Run(c Crawl) (*Result, error) {
 				OnSite: func(o openwpm.SiteOutcome) {
 					st.Outcomes = append(st.Outcomes, o)
 					if st.Backend != nil {
-						var rs, ts []byte
-						if st.Recorder != nil {
-							rs = st.Recorder.StateJSON()
-						}
+						var ts []byte
 						if st.flight != nil {
 							var events []telemetry.SpanEvent
 							events, st.traceCursor = st.flight.EventsSince(st.traceCursor)
@@ -350,7 +342,7 @@ func Run(c Crawl) (*Result, error) {
 						}
 						// append failures are already counted by the backend
 						// (writer stats + telemetry); the crawl keeps going
-						_ = st.Backend.AppendCheckpoint(o, rs, ts)
+						_ = st.Backend.AppendCheckpoint(o, nil, ts)
 					}
 					n := done.Add(1)
 					gDone.Set(n)

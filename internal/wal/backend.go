@@ -64,8 +64,7 @@ type dropRec struct {
 }
 
 type checkRec struct {
-	Outcome  openwpm.SiteOutcome `json:"outcome"`
-	Recorder json.RawMessage     `json:"recorder,omitempty"`
+	Outcome openwpm.SiteOutcome `json:"outcome"`
 	// Trace is the flight-recorder delta since the previous checkpoint (a
 	// telemetry.FlightCheckpoint), so recovery can rebuild the span stream
 	// alongside the storage tables.
@@ -142,9 +141,10 @@ func (b *Backend) AppendDrop(table, site string) error {
 
 // AppendCheckpoint writes the durable site boundary and commits it per the
 // sync policy — under the default SyncCheckpoint policy this is where fsync
-// happens.
-func (b *Backend) AppendCheckpoint(outcome openwpm.SiteOutcome, recorder, trace []byte) error {
-	if err := b.w.Append(recCheckpoint, checkRec{Outcome: outcome, Recorder: recorder, Trace: trace}); err != nil {
+// happens. The recorder blob is not logged: a recording resumes from its
+// spooled visits alone.
+func (b *Backend) AppendCheckpoint(outcome openwpm.SiteOutcome, _, trace []byte) error {
+	if err := b.w.Append(recCheckpoint, checkRec{Outcome: outcome, Trace: trace}); err != nil {
 		return err
 	}
 	return b.w.Commit()
@@ -209,11 +209,10 @@ type ShardRecovery struct {
 	// Outcomes are the per-site outcomes in crawl order; len(Outcomes) is
 	// the shard's resume position.
 	Outcomes []openwpm.SiteOutcome
-	// RecorderVisits / Bodies / RecorderState rebuild the bundle recorder
-	// when the crawl was recorded.
+	// RecorderVisits / Bodies rebuild the bundle recorder when the crawl was
+	// recorded.
 	RecorderVisits []bundle.Visit
 	Bodies         map[string]string
-	RecorderState  []byte
 	// TraceEvents / TraceNextID rebuild the shard's flight recorder when the
 	// crawl ran with telemetry: the concatenated checkpoint deltas and the
 	// span-id cursor at the last checkpoint (0 when telemetry was off — a
@@ -389,7 +388,6 @@ func (out *ShardRecovery) apply(r Rec) error {
 			return fmt.Errorf("wal: replay checkpoint: %w", err)
 		}
 		out.Outcomes = append(out.Outcomes, c.Outcome)
-		out.RecorderState = c.Recorder
 		if len(c.Trace) > 0 {
 			var fc telemetry.FlightCheckpoint
 			if err := json.Unmarshal(c.Trace, &fc); err != nil {

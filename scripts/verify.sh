@@ -96,7 +96,7 @@ go run ./cmd/wpmd -smoke -dir "$smokedir/state" >/dev/null 2>&1 || {
     exit 1
 }
 
-echo "== wpmtrace smoke (record a traced crawl, analyse it, replay at 1-3 workers, demand empty trace diffs)"
+echo "== wpmtrace smoke (record a traced crawl, analyse it, replay at 1-3 workers, demand empty trace diffs; faulted bundles cmp-equal at 1-3 workers)"
 tracedir=$(mktemp -d)
 go build -o "$tracedir/wpmscan" ./cmd/wpmscan
 go build -o "$tracedir/wpmtrace" ./cmd/wpmtrace
@@ -129,6 +129,18 @@ cmp "$tracedir/serial.bundle" "$tracedir/scan.bundle" || {
     echo "the 1-worker and 2-worker bundles of one crawl differ" >&2
     exit 1
 }
+# storage faults key on the write's page position, never on the shard, so a
+# faulted recording is the same bytes at any worker count too
+for w in 1 2 3; do
+    "$tracedir/wpmscan" -sites 60 -subpages 1 -faults default -workers "$w" \
+        -record-bundle "$tracedir/faulted$w.bundle" >/dev/null 2>&1
+done
+for w in 2 3; do
+    cmp "$tracedir/faulted1.bundle" "$tracedir/faulted$w.bundle" || {
+        echo "the 1-worker and $w-worker bundles of one faulted crawl differ" >&2
+        exit 1
+    }
+done
 rm -rf "$tracedir"
 
 echo "== minjs FuzzRun (hostile scripts: no panic, interrupt-or-complete, deterministic)"
