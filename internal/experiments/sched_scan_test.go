@@ -61,6 +61,130 @@ func TestScanWorkersClampToSites(t *testing.T) {
 	}
 }
 
+// TestShardedRecordReplayMatchesSerial: recording with four workers yields a
+// merged archive whose storage digest matches the serial run's, and replaying
+// that archive — serially or resharded — reproduces the same JS tallies and
+// digest byte for byte.
+func TestShardedRecordReplayMatchesSerial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full synthetic-web crawl; skipped in -short mode (verify.sh races the whole repo short, the long tier runs it in full)")
+	}
+	const n = 40
+	meta := map[string]string{"scenario": "sched-scan"}
+	scan := func(opts ScanOptions) *ScanResult {
+		world := websim.New(websim.Options{Seed: 13, NumSites: n})
+		r, err := RunScanObserved(world, n, opts, nil)
+		if err != nil {
+			t.Fatalf("RunScanObserved(workers=%d): %v", opts.Workers, err)
+		}
+		return r
+	}
+
+	serial := scan(ScanOptions{MaxSubpages: 1, Workers: 1, RecordBundle: true, BundleMeta: meta})
+	digest := serial.Storage.Digest()
+	jsCalls := len(serial.Storage.JSCalls)
+
+	sharded := scan(ScanOptions{MaxSubpages: 1, Workers: 4, RecordBundle: true, BundleMeta: meta})
+	if sharded.Workers != 4 {
+		t.Fatalf("sharded scan used %d workers, want 4", sharded.Workers)
+	}
+	if got := sharded.Storage.Digest(); got != digest {
+		t.Fatalf("sharded storage digest %s differs from serial %s", got, digest)
+	}
+	if serial.Report.String() != sharded.Report.String() {
+		t.Fatalf("sharded report diverges from serial:\nserial:\n%s\nsharded:\n%s",
+			serial.Report, sharded.Report)
+	}
+	if serial.Bundle.Digest != sharded.Bundle.Digest {
+		t.Fatalf("merged bundle digest %s differs from serial recording %s",
+			sharded.Bundle.Digest, serial.Bundle.Digest)
+	}
+	if err := sharded.Bundle.Verify(); err != nil {
+		t.Fatalf("merged bundle fails verification: %v", err)
+	}
+
+	// serial replay of the 4-worker merged archive
+	one, _, misses, err := Replay(sharded.Bundle, bundle.MissFail, nil, sched.Crawl{})
+	if err != nil {
+		t.Fatalf("serial replay: %v", err)
+	}
+	if misses != 0 {
+		t.Fatalf("serial replay of merged bundle missed %d requests", misses)
+	}
+	if got := one.Storage.Digest(); got != digest {
+		t.Fatalf("serial replay digest %s differs from recording %s", got, digest)
+	}
+	if got := len(one.Storage.JSCalls); got != jsCalls {
+		t.Fatalf("serial replay recorded %d JS calls, recording had %d", got, jsCalls)
+	}
+
+	// resharded replay: 3 workers over a bundle recorded at 4
+	world := websim.New(websim.Options{Seed: 13, NumSites: n})
+	replayed, err := RunScanObserved(world, n, ScanOptions{
+		MaxSubpages: 1, Workers: 3,
+		ReplayBundle: sharded.Bundle, MissPolicy: bundle.MissFail,
+	}, nil)
+	if err != nil {
+		t.Fatalf("resharded replay: %v", err)
+	}
+	if got := replayed.Storage.Digest(); got != digest {
+		t.Fatalf("resharded replay digest %s differs from recording %s", got, digest)
+	}
+	if got := len(replayed.Storage.JSCalls); got != jsCalls {
+		t.Fatalf("resharded replay recorded %d JS calls, recording had %d", got, jsCalls)
+	}
+}
+
+// TestShardedReplayLocalisesStorageDrops: each archived visit lists its
+// dropped writes by page position, so a replay at any worker count — serial,
+// or sharded differently from the recording — drops exactly the writes the
+// recording dropped.
+func TestShardedReplayLocalisesStorageDrops(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full synthetic-web crawl; skipped in -short mode (verify.sh races the whole repo short, the long tier runs it in full)")
+	}
+	const n = 30
+	profile := faults.Profile{StoragePerMille: 150}
+	world := websim.New(websim.Options{Seed: 21, NumSites: n})
+	rec, err := RunScanObserved(world, n, ScanOptions{
+		MaxSubpages: 1, Workers: 2,
+		FaultProfile: &profile, FaultSeed: 9,
+		RecordBundle: true, BundleMeta: map[string]string{"scenario": "storage-faults"},
+	}, nil)
+	if err != nil {
+		t.Fatalf("recording scan: %v", err)
+	}
+	if rec.Report.DroppedWrites == 0 {
+		t.Fatal("storage-fault profile injected no drops — test exercises nothing")
+	}
+	digest := rec.Storage.Digest()
+
+	// serial replay reproduces the drops at their page positions
+	one, _, _, err := Replay(rec.Bundle, bundle.MissFail, nil, sched.Crawl{})
+	if err != nil {
+		t.Fatalf("serial replay: %v", err)
+	}
+	if got := one.Storage.Digest(); got != digest {
+		t.Fatalf("serial replay digest %s differs from faulted recording %s", got, digest)
+	}
+
+	// sharded replay at a worker count different from the recording's
+	world2 := websim.New(websim.Options{Seed: 21, NumSites: n})
+	replayed, err := RunScanObserved(world2, n, ScanOptions{
+		MaxSubpages: 1, Workers: 3,
+		ReplayBundle: rec.Bundle, MissPolicy: bundle.MissFail,
+	}, nil)
+	if err != nil {
+		t.Fatalf("sharded replay: %v", err)
+	}
+	if got := replayed.Storage.Digest(); got != digest {
+		t.Fatalf("sharded replay digest %s differs from faulted recording %s", got, digest)
+	}
+	if got := replayed.Report.DroppedWrites; got != rec.Report.DroppedWrites {
+		t.Fatalf("sharded replay dropped %d writes, recording dropped %d", got, rec.Report.DroppedWrites)
+	}
+}
+
 // widthArtifacts is what one crawl leaves behind, compared across widths.
 type widthArtifacts struct {
 	storage, report, bundle string
