@@ -145,12 +145,8 @@ type Exchange struct {
 }
 
 // ScriptRef points one stored script file (the HTTP instrument's content
-// table) at its body in the content pool.
-type ScriptRef struct {
-	URL   string `json:"url"`
-	SHA   string `json:"sha"`
-	CType string `json:"ctype,omitempty"`
-}
+// table) at its body in the content pool: one accepted content write.
+type ScriptRef = openwpm.ContentWrite
 
 // Visit archives one page visit: its outcome record plus everything the
 // transport and instruments captured while it ran.

@@ -46,7 +46,7 @@ func recordCrawl(cfg openwpm.CrawlConfig, sites []string, meta map[string]string
 	cfg.Recorder = rec
 	tm := openwpm.NewTaskManager(cfg)
 	report := tm.CrawlFromHooked(sites, &openwpm.Checkpoint{}, openwpm.CrawlHooks{})
-	b, err := Finalize([]*Recorder{rec}, tm.Cfg, sites, tm.Storage.Crashes, report)
+	b, err := Finalize([]*Recorder{rec}, tm.Cfg, sites, tm.Storage, report)
 	return b, report, tm, err
 }
 
@@ -72,7 +72,7 @@ func recordReplay(t *testing.T, b *Bundle) (*Bundle, *openwpm.CrawlReport, *open
 	if rt.Misses != 0 {
 		t.Fatalf("identity replay had %d transport misses (want 0)", rt.Misses)
 	}
-	b2, err := Finalize([]*Recorder{rec}, tm.Cfg, b.Sites, tm.Storage.Crashes, rep)
+	b2, err := Finalize([]*Recorder{rec}, tm.Cfg, b.Sites, tm.Storage, rep)
 	if err != nil {
 		t.Fatalf("finalize replay bundle: %v", err)
 	}
@@ -302,7 +302,7 @@ func TestDiffFlagsVariantDivergence(t *testing.T) {
 		c.HoneyProps = 0
 		c.Recorder = rec
 	})
-	b2, err := Finalize([]*Recorder{rec}, tm.Cfg, b.Sites, tm.Storage.Crashes, rep)
+	b2, err := Finalize([]*Recorder{rec}, tm.Cfg, b.Sites, tm.Storage, rep)
 	if err != nil {
 		t.Fatalf("finalize: %v", err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"gullible/internal/faults"
 	"gullible/internal/httpsim"
-	"gullible/internal/openwpm"
 )
 
 // Spool receives the recorder's archive stream as it is produced, so a
@@ -19,16 +18,16 @@ type Spool interface {
 	SpoolVisit(v Visit) error
 }
 
-// Recorder archives a crawl into a Bundle. It implements openwpm.Recorder:
-// a transport wrapper captures every HTTP exchange (responses and errors
-// alike), counts every storage write and archives each drop at its page
-// position, while the storage-observer side receives each accepted record.
-// Visits arrive last for their page, so everything buffered since the
-// previous visit row belongs to them.
+// Recorder archives what only the transport sees. It implements
+// openwpm.Recorder: a transport wrapper captures every HTTP exchange
+// (responses and errors alike) into the body pool, counts every storage
+// write and archives each drop at its page position, and EndVisit closes the
+// page. The storage rows themselves stay in openwpm.Storage; Finalize cuts
+// each visit's share out of the merged store.
 //
 // A Recorder serves one crawl on one goroutine (sharded crawls need one
 // recorder per worker); Finalize assembles the Bundle from a crawl's
-// recorders.
+// recorders and its storage.
 type Recorder struct {
 	meta map[string]string
 
@@ -38,15 +37,12 @@ type Recorder struct {
 
 	bodies map[string]string
 
-	// per-visit buffers, flushed by ObserveVisit
+	// per-visit buffers, flushed by EndVisit
 	pendingExchanges []Exchange
-	pendingJSCalls   []openwpm.JSCall
-	pendingCookies   []openwpm.CookieEntry
-	pendingScripts   []ScriptRef
-	pendingTampers   []openwpm.TamperRecord
 	pendingWrites    map[string]int
 	pendingDrops     []StorageDrop
 
+	// visits hold only what the recorder saw: exchanges, writes and drops
 	visits []Visit
 }
 
@@ -56,24 +52,20 @@ func NewRecorder(meta map[string]string) *Recorder {
 	return &Recorder{meta: meta, bodies: map[string]string{}}
 }
 
-// intern stores content in the body pool and returns its SHA-256 key.
+// intern stores content in the body pool, forwarding a new body to the
+// spool, and returns its SHA-256 key.
 func (r *Recorder) intern(content string) string {
 	sum := sha256.Sum256([]byte(content))
 	key := hex.EncodeToString(sum[:])
 	if _, ok := r.bodies[key]; !ok {
 		r.bodies[key] = content
-		r.spoolBody(key, content)
+		if r.Spool != nil {
+			// a failed append is the WAL writer's to count (Stats().Lost);
+			// the in-memory pool keeps the body either way
+			_ = r.Spool.SpoolBody(key, content)
+		}
 	}
 	return key
-}
-
-// spoolBody forwards a newly interned body to the spool.
-func (r *Recorder) spoolBody(sha, content string) {
-	if r.Spool != nil {
-		// a failed append is the WAL writer's to count (Stats().Lost); the
-		// in-memory bundle keeps the body either way
-		_ = r.Spool.SpoolBody(sha, content)
-	}
 }
 
 // WrapTransport implements openwpm.Recorder.
@@ -143,16 +135,11 @@ func (t *recorderTransport) StorageFault(table string) bool {
 	return drop
 }
 
-// ObserveVisit closes out the current page: everything buffered since the
-// previous visit row rode along with this one.
-func (r *Recorder) ObserveVisit(rec openwpm.VisitRecord) {
+// EndVisit implements openwpm.Recorder: everything the transport saw since
+// the previous visit row belongs to the page whose row was just stored.
+func (r *Recorder) EndVisit() {
 	v := Visit{
-		Record:        rec,
 		Exchanges:     r.pendingExchanges,
-		JSCalls:       r.pendingJSCalls,
-		Cookies:       r.pendingCookies,
-		Scripts:       r.pendingScripts,
-		Tampers:       r.pendingTampers,
 		StorageWrites: r.pendingWrites,
 		StorageDrops:  r.pendingDrops,
 	}
@@ -162,45 +149,17 @@ func (r *Recorder) ObserveVisit(rec openwpm.VisitRecord) {
 		_ = r.Spool.SpoolVisit(v)
 	}
 	r.pendingExchanges = nil
-	r.pendingJSCalls = nil
-	r.pendingCookies = nil
-	r.pendingScripts = nil
-	r.pendingTampers = nil
 	r.pendingWrites = nil
 	r.pendingDrops = nil
-}
-
-// ObserveCookie buffers a cookie row for the current visit.
-func (r *Recorder) ObserveCookie(c openwpm.CookieEntry) {
-	r.pendingCookies = append(r.pendingCookies, c)
-}
-
-// ObserveJSCall buffers a JS-call row for the current visit.
-func (r *Recorder) ObserveJSCall(c openwpm.JSCall) {
-	r.pendingJSCalls = append(r.pendingJSCalls, c)
-}
-
-// ObserveScriptFile buffers a stored script body for the current visit.
-func (r *Recorder) ObserveScriptFile(url, sha, content, ctype string) {
-	if _, ok := r.bodies[sha]; !ok {
-		r.bodies[sha] = content
-		r.spoolBody(sha, content)
-	}
-	r.pendingScripts = append(r.pendingScripts, ScriptRef{URL: url, SHA: sha, CType: ctype})
-}
-
-// ObserveTamperReport buffers a static-analysis record for the current
-// visit. Records are derived purely from script content, so a replay with
-// the same analyser reproduces them byte-for-byte.
-func (r *Recorder) ObserveTamperReport(rec openwpm.TamperRecord) {
-	r.pendingTampers = append(r.pendingTampers, rec)
 }
 
 // RestoreRecorder rebuilds a Recorder from recovered durable state: the
 // bundle meta and the spooled body pool and visit stream. The restored
 // recorder continues exactly where the last checkpoint left it: checkpoints
 // land on visit boundaries, where the pending buffers are empty, and each
-// archived visit carries its own storage writes and drops.
+// spooled visit carries its own exchanges, storage writes and drops. A
+// visit spooled by an older recorder also carries storage rows; Finalize
+// takes those from the storage instead.
 func RestoreRecorder(meta map[string]string, bodies map[string]string, visits []Visit) *Recorder {
 	r := NewRecorder(meta)
 	for sha, content := range bodies {

@@ -58,7 +58,7 @@ func TestDiffFlagsTamperDivergence(t *testing.T) {
 		c.Tamper = nil
 		c.Recorder = rec
 	})
-	b2, err := Finalize([]*Recorder{rec}, tm.Cfg, b.Sites, tm.Storage.Crashes, rep)
+	b2, err := Finalize([]*Recorder{rec}, tm.Cfg, b.Sites, tm.Storage, rep)
 	if err != nil {
 		t.Fatalf("finalize: %v", err)
 	}

@@ -211,15 +211,14 @@ var widthPasses = append([]string{"record", "scan-replay"}, replayGoldenVariants
 
 // widthRun records a traced 20-site scan under profile p (nil: no faults)
 // at the given width, then replays its bundle at the same width through
-// every widthPasses path, re-recording each replay. Bundles leave the
-// metrics snapshot out: each shard analyses its own first sighting of a
-// script body, so the tamper counters depend on the width.
+// every widthPasses path, re-recording each replay. Every bundle embeds its
+// crawl's metrics snapshot, so the counters are pinned too.
 func widthRun(t *testing.T, p *faults.Profile, workers int) []widthArtifacts {
 	t.Helper()
 	const n = 20
 	scan := func(opts ScanOptions) *ScanResult {
 		opts.MaxSubpages, opts.Workers, opts.RecordBundle = 1, workers, true
-		opts.Telemetry, opts.DetachMetrics = telemetry.New(), true
+		opts.Telemetry = telemetry.New()
 		r, err := RunScanObserved(websim.New(websim.Options{Seed: 13, NumSites: n}), n, opts, nil)
 		if err != nil {
 			t.Fatalf("scan at %d workers: %v", workers, err)
@@ -244,7 +243,7 @@ func widthRun(t *testing.T, p *faults.Profile, workers int) []widthArtifacts {
 		}
 		res, _, _, err := Replay(rec.Bundle, bundle.MissFail, mutate, sched.Crawl{
 			Workers: workers, Record: true, BundleMeta: rec.Bundle.Manifest.Meta,
-			Telemetry: telemetry.New(), DetachMetrics: true,
+			Telemetry: telemetry.New(),
 		})
 		if err != nil {
 			t.Fatalf("replay %s at %d workers: %v", variant, workers, err)

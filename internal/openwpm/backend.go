@@ -1,8 +1,8 @@
 package openwpm
 
 // Backend is the durable half of Storage: every record the store accepts —
-// after sanitisation and after the fault filter, the same stream Observer
-// sees — is also offered to the backend as an append. The in-memory tables
+// after sanitisation and after the fault filter — is also offered to the
+// backend as an append, in the order the tables store it. The in-memory tables
 // on Storage stay authoritative for analysis (package experiments reads them
 // directly); a backend's job is to make the same stream survive a process
 // crash. Package wal implements the durable backend; MemBackend is the
@@ -23,8 +23,9 @@ type Backend interface {
 	// for deduplicated content; sha identifies the body).
 	AppendScriptFile(url, sha, content, ctype string) error
 	AppendTamper(TamperRecord) error
-	// AppendDrop records a storage-fault drop with the visit context that
-	// owned the lost write, so replay can attribute drops deterministically.
+	// AppendDrop records a storage-fault drop on table. site is always
+	// empty: a drop is counted per table only (the bundle recorder archives
+	// where it happened).
 	AppendDrop(table, site string) error
 	// AppendCheckpoint marks a durable site boundary: outcome is the site
 	// just accounted and trace is an opaque flight-recorder delta blob (nil

@@ -64,6 +64,15 @@ type ScriptFile struct {
 	URLs    []string // all URLs serving this content, deduplicated
 }
 
+// ContentWrite is one accepted content-table write: the URL that served a
+// body and the body's SHA-256. ScriptFiles folds repeated writes of a body
+// into one entry; Storage.ContentWrites keeps every write, in order.
+type ContentWrite struct {
+	URL   string `json:"url"`
+	SHA   string `json:"sha"`
+	CType string `json:"ctype,omitempty"`
+}
+
 // TamperFinding is one static tamper-rule hit inside a stored script. The
 // types live here rather than in internal/analysis because analysis imports
 // openwpm (for JSCall); the analyser adapts onto TamperFunc instead.
@@ -113,6 +122,12 @@ type VisitRecord struct {
 	ErrorClass string
 }
 
+// VisitRows is where each per-visit table stood when a visit row was stored:
+// the rows a page stored all precede its own visit row.
+type VisitRows struct {
+	JSCalls, Cookies, ContentWrites, Tampers int
+}
+
 // CrashRecord mirrors OpenWPM's crash table: one row per browser restart,
 // with the page being visited and why the browser was discarded.
 type CrashRecord struct {
@@ -126,6 +141,10 @@ type CrashRecord struct {
 // Storage is OpenWPM's data store. Inputs that originate in page-controlled
 // data pass through Sanitize, mirroring the parameterised SQLite layer the
 // paper found to be injection-safe (Sec. 5.3).
+//
+// Storage is also the crawl's one record of each fact: an execution bundle
+// (package bundle) cuts its per-visit JS calls, cookies, script references
+// and tamper rows out of these tables at the VisitEnds boundaries.
 type Storage struct {
 	JSCalls     []JSCall
 	Requests    []RequestRecord
@@ -134,6 +153,14 @@ type Storage struct {
 	Visits      []VisitRecord
 	Crashes     []CrashRecord
 	Tampers     []TamperRecord
+
+	// ContentWrites lists every accepted content write in order, repeats
+	// included.
+	ContentWrites []ContentWrite
+	// VisitEnds[i] is Rows() just after Visits[i] was stored: visit i owns
+	// the rows between VisitEnds[i-1] (zero for the first visit) and
+	// VisitEnds[i] of each per-visit table.
+	VisitEnds []VisitRows
 
 	// TamperFn, when set, statically analyses each first-seen script body
 	// and stores the resulting TamperRecord alongside the content table.
@@ -146,26 +173,13 @@ type Storage struct {
 	// Dropped counts writes lost to storage faults, per table.
 	Dropped map[string]int
 
-	// Observer, when set, sees the accepted visit, cookie, JS-call, script
-	// and tamper records — after sanitisation and after the fault filter, so
-	// an observer archives exactly what the measurement database holds.
-	// Package bundle implements it to record crawls into execution bundles;
-	// a bundle takes its crash table from the storage and its HTTP
-	// exchanges from the transport.
-	Observer StorageObserver
-
-	// Backend, when set, receives the same accepted stream as a durable
-	// append (package wal). Append failures are counted in BackendErrors
+	// Backend, when set, receives every accepted record as a durable append
+	// (package wal). Append failures are counted in BackendErrors
 	// and telemetry; the in-memory tables are unaffected — a failing disk
 	// degrades durability, never the live crawl.
 	Backend Backend
 	// BackendErrors counts backend appends that failed, per table.
 	BackendErrors map[string]int
-
-	// visitSite is the crawl input URL currently being visited, stamped by
-	// the task manager so durable drop records can name the site that owned
-	// the lost write.
-	visitSite string
 
 	// telemetry handles, pre-resolved per table by SetTelemetry. Lookups on
 	// the nil maps return nil counters, whose updates are no-ops, so the
@@ -174,10 +188,6 @@ type Storage struct {
 	writeMeters map[string]*telemetry.Counter
 	dropMeters  map[string]*telemetry.Counter
 }
-
-// SetVisitContext stamps the site whose visit currently owns storage writes;
-// drop accounting attributes losses to it.
-func (s *Storage) SetVisitContext(site string) { s.visitSite = site }
 
 // backendErr accounts one failed backend append on table. The record stays
 // in memory; the failure is visible in BackendErrors and telemetry.
@@ -214,36 +224,19 @@ func (s *Storage) SetTelemetry(tel *telemetry.Telemetry) {
 	}
 }
 
-// StorageObserver receives accepted storage writes. Implementations
-// must tolerate being called from the single goroutine driving a crawl;
-// sharded crawls use one observer per worker storage.
-type StorageObserver interface {
-	ObserveVisit(VisitRecord)
-	ObserveCookie(CookieEntry)
-	ObserveJSCall(JSCall)
-	// ObserveScriptFile reports one accepted body write (url may repeat
-	// for deduplicated content; sha identifies the content).
-	ObserveScriptFile(url, sha, content, ctype string)
-	// ObserveTamperReport reports one stored static-analysis record (at
-	// most one per distinct script body).
-	ObserveTamperReport(TamperRecord)
-}
-
 // NewStorage returns an empty store.
 func NewStorage() *Storage {
 	return &Storage{ScriptFiles: map[string]ScriptFile{}, Dropped: map[string]int{}}
 }
 
 // dropWrite consults the storage fault hook for one write to table.
-// NewStorage allocates Dropped, so no lazy initialisation happens here; the
-// durable drop record carries the owning table's visit context so WAL replay
-// can attribute the loss deterministically.
+// NewStorage allocates Dropped, so no lazy initialisation happens here.
 func (s *Storage) dropWrite(table string) bool {
 	if s.FaultFn != nil && s.FaultFn(table) {
 		s.Dropped[table]++
 		s.dropMeters[table].Inc()
 		if s.Backend != nil {
-			s.backendErr(table, s.Backend.AppendDrop(table, s.visitSite))
+			s.backendErr(table, s.Backend.AppendDrop(table, ""))
 		}
 		return true
 	}
@@ -260,14 +253,18 @@ func (s *Storage) DroppedTotal() int {
 	return n
 }
 
-// AddVisit stores a visit record. Visit rows are exempt from storage
-// faults: losing one would silently lose a site from the crawl accounting.
+// Rows returns the current length of each per-visit table.
+func (s *Storage) Rows() VisitRows {
+	return VisitRows{len(s.JSCalls), len(s.Cookies), len(s.ContentWrites), len(s.Tampers)}
+}
+
+// AddVisit stores a visit record and marks the visit's end in every
+// per-visit table (VisitEnds). Visit rows are exempt from storage faults:
+// losing one would silently lose a site from the crawl accounting.
 func (s *Storage) AddVisit(rec VisitRecord) {
 	s.writeMeters["site_visits"].Inc()
 	s.Visits = append(s.Visits, rec)
-	if s.Observer != nil {
-		s.Observer.ObserveVisit(rec)
-	}
+	s.VisitEnds = append(s.VisitEnds, s.Rows())
 	if s.Backend != nil {
 		s.backendErr("site_visits", s.Backend.AppendVisit(rec))
 	}
@@ -300,9 +297,6 @@ func (s *Storage) AddCookie(c CookieEntry) {
 		return
 	}
 	s.Cookies = append(s.Cookies, c)
-	if s.Observer != nil {
-		s.Observer.ObserveCookie(c)
-	}
 	if s.Backend != nil {
 		s.backendErr("javascript_cookies", s.Backend.AppendCookie(c))
 	}
@@ -348,9 +342,6 @@ func (s *Storage) AddJSCall(c JSCall) {
 	c.Args = Sanitize(c.Args)
 	c.ScriptURL = Sanitize(c.ScriptURL)
 	s.JSCalls = append(s.JSCalls, c)
-	if s.Observer != nil {
-		s.Observer.ObserveJSCall(c)
-	}
 	if s.Backend != nil {
 		s.backendErr("javascript", s.Backend.AppendJSCall(c))
 	}
@@ -359,21 +350,30 @@ func (s *Storage) AddJSCall(c JSCall) {
 // AddTamperReport stores a static tamper-analysis record. Tamper rows are
 // derived data — a pure function of stored content — so like visits they are
 // exempt from storage faults: dropping one would desynchronise the content
-// and tamper tables for no modelled failure mode. Rule hits feed per-rule
-// telemetry counters.
+// and tamper tables for no modelled failure mode. Each shard's store analyses
+// its own first sighting of a body, so the write and per-rule counters are
+// fed once per crawl from the merged, deduplicated table (CountTampers), not
+// here.
 func (s *Storage) AddTamperReport(rec TamperRecord) {
-	s.writeMeters["javascript_tamper"].Inc()
-	if s.tel.Enabled() {
-		for _, f := range rec.Findings {
-			s.tel.Counter("tamper_rule_hits_total", telemetry.L("rule", f.Rule)).Inc()
-		}
-	}
 	s.Tampers = append(s.Tampers, rec)
-	if s.Observer != nil {
-		s.Observer.ObserveTamperReport(rec)
-	}
 	if s.Backend != nil {
 		s.backendErr("javascript_tamper", s.Backend.AppendTamper(rec))
+	}
+}
+
+// CountTampers feeds the crawl's tamper rows into tel: one
+// storage_writes_total{table=javascript_tamper} write and one
+// tamper_rule_hits_total hit per finding. The scheduler calls it once, on
+// the merged store, so a body that several shards analysed counts once.
+func (s *Storage) CountTampers(tel *telemetry.Telemetry) {
+	if !tel.Enabled() {
+		return
+	}
+	tel.Counter("storage_writes_total", telemetry.L("table", "javascript_tamper")).Add(int64(len(s.Tampers)))
+	for _, t := range s.Tampers {
+		for _, f := range t.Findings {
+			tel.Counter("tamper_rule_hits_total", telemetry.L("rule", f.Rule)).Inc()
+		}
 	}
 }
 
@@ -385,13 +385,14 @@ func (s *Storage) AddScriptFile(url, content, ctype string) {
 	}
 	sum := sha256.Sum256([]byte(content))
 	key := hex.EncodeToString(sum[:])
-	if s.Observer != nil {
-		s.Observer.ObserveScriptFile(url, key, content, ctype)
+	f, ok := s.ScriptFiles[key]
+	if ok {
+		key = f.SHA256 // the write list keeps the stored key, not a second copy
 	}
+	s.ContentWrites = append(s.ContentWrites, ContentWrite{URL: url, SHA: key, CType: ctype})
 	if s.Backend != nil {
 		s.backendErr("content", s.Backend.AppendScriptFile(url, key, content, ctype))
 	}
-	f, ok := s.ScriptFiles[key]
 	if !ok {
 		s.ScriptFiles[key] = ScriptFile{URL: url, SHA256: key, Content: content, CType: ctype, URLs: []string{url}}
 		if s.TamperFn != nil {
@@ -413,23 +414,39 @@ func (s *Storage) AddScriptFile(url, content, ctype string) {
 }
 
 // Merge folds other's records into s (used to combine per-worker storages
-// after a sharded crawl).
+// after a sharded crawl). other's visit ends move past s's rows; a tamper row
+// whose body s already analysed is dropped, so each body's row stays on the
+// first visit, in merge order, that stored it.
 func (s *Storage) Merge(other *Storage) {
+	base := s.Rows()
 	s.JSCalls = append(s.JSCalls, other.JSCalls...)
 	s.Requests = append(s.Requests, other.Requests...)
 	s.Cookies = append(s.Cookies, other.Cookies...)
 	s.Visits = append(s.Visits, other.Visits...)
 	s.Crashes = append(s.Crashes, other.Crashes...)
+	s.ContentWrites = append(s.ContentWrites, other.ContentWrites...)
 	have := make(map[string]bool, len(s.Tampers))
 	for _, t := range s.Tampers {
 		have[t.SHA256] = true
 	}
-	for _, t := range other.Tampers {
+	// kept[j] counts the rows of other.Tampers[:j] that survive the dedupe
+	kept := make([]int, len(other.Tampers)+1)
+	for j, t := range other.Tampers {
+		kept[j+1] = kept[j]
 		// shards that saw the same body both analysed it; keep one record
 		if !have[t.SHA256] {
 			have[t.SHA256] = true
 			s.Tampers = append(s.Tampers, t)
+			kept[j+1]++
 		}
+	}
+	for _, e := range other.VisitEnds {
+		s.VisitEnds = append(s.VisitEnds, VisitRows{
+			JSCalls:       base.JSCalls + e.JSCalls,
+			Cookies:       base.Cookies + e.Cookies,
+			ContentWrites: base.ContentWrites + e.ContentWrites,
+			Tampers:       base.Tampers + kept[e.Tampers],
+		})
 	}
 	if len(other.Dropped) > 0 {
 		if s.Dropped == nil {

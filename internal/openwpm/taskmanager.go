@@ -108,16 +108,20 @@ type CrawlConfig struct {
 	Telemetry *telemetry.Telemetry
 }
 
-// Recorder archives a crawl. It observes the storage layer for accepted
-// records and interposes on the transport for the raw HTTP exchanges —
-// together the two feeds make a crawl replayable offline.
+// Recorder archives what only the transport sees: the raw HTTP exchanges
+// and the storage fault decisions. Storage already holds every accepted row,
+// so a recorder only needs to learn where each visit ends; together the two
+// make a crawl replayable offline.
 type Recorder interface {
-	StorageObserver
 	// WrapTransport interposes the recorder on the HTTP path; the returned
 	// transport must forward to rt. Wrappers should also preserve the
 	// optional StorageFault(table) bool capability of rt so storage-layer
 	// fault injection keeps working under recording.
 	WrapTransport(rt httpsim.RoundTripper) httpsim.RoundTripper
+	// EndVisit closes the current page, right after its visit row was
+	// stored: everything the transport saw since the previous EndVisit
+	// belongs to it.
+	EndVisit()
 }
 
 // Hardened fills in the reliability defaults the vanilla configuration
@@ -236,7 +240,6 @@ func NewTaskManager(cfg CrawlConfig) *TaskManager {
 	if sf, ok := cfg.Transport.(interface{ StorageFault(table string) bool }); ok {
 		tm.Storage.FaultFn = sf.StorageFault
 	}
-	tm.Storage.Observer = cfg.Recorder
 	tm.Storage.Backend = cfg.Backend
 	tm.Storage.TamperFn = cfg.Tamper
 	if cfg.Stealth != nil {
@@ -393,7 +396,6 @@ func (tm *TaskManager) visitSite(url string) (*SiteVisit, error) {
 	// (site, config, seed) for sharded and serial crawls to store identical
 	// bytes; restarts within the site still advance the index.
 	tm.browserNo = 0
-	tm.Storage.SetVisitContext(url)
 	bm := &BrowserManager{tm: tm, site: url}
 	sv := &SiteVisit{Site: url}
 	finish := func() {
@@ -470,6 +472,9 @@ func (tm *TaskManager) recordVisit(site, url string, res *browser.VisitResult, s
 		rec.InstrumentInstalled = tm.js == nil || tm.js.TopInstallError() == nil
 	}
 	tm.Storage.AddVisit(rec)
+	if tm.Cfg.Recorder != nil {
+		tm.Cfg.Recorder.EndVisit()
+	}
 }
 
 // errCrawlBudget marks sites skipped because the crawl-level virtual-time
@@ -682,7 +687,6 @@ func (tm *TaskManager) CrawlFromHooked(urls []string, cp *Checkpoint, h CrawlHoo
 			break
 		}
 		u := urls[cp.Done]
-		tm.Storage.SetVisitContext(u)
 		var o SiteOutcome
 		if tm.Cfg.MaxCrawlSeconds > 0 && r.VirtualSeconds+r.BackoffSeconds >= tm.Cfg.MaxCrawlSeconds {
 			// out of crawl budget: account for the site instead of dropping it

@@ -2,8 +2,8 @@
 // site→shard partitioner, a pool of per-shard TaskManagers (each with its own
 // transport, recorder and checkpoint), and a merge stage that recombines the
 // shards' storages, reports and telemetry, and seals one execution bundle
-// from the shard recorders, into results that are byte-identical no matter
-// how many workers ran the crawl.
+// from the shard recorders and the merged storage, into results that are
+// byte-identical no matter how many workers ran the crawl.
 //
 // The determinism contract the scheduler maintains:
 //
@@ -96,7 +96,8 @@ type Crawl struct {
 	// scheduler — leave it nil.
 	Config func(Shard) openwpm.CrawlConfig
 	// Record archives each shard under its own bundle recorder and seals
-	// one archive from the shard recorders (Result.Bundle).
+	// one archive from the shard recorders and the merged storage
+	// (Result.Bundle).
 	Record bool
 	// Backend, when non-nil, builds a per-shard durable storage backend
 	// (package wal's Open, typically). It is called once per shard on a
@@ -419,6 +420,10 @@ func Run(c Crawl) (*Result, error) {
 	res.Report = report
 	res.Trace = cp.trace(total, report)
 	if c.Telemetry.Enabled() {
+		// every shard analysed its own first sighting of a script body;
+		// the merged table holds each body once, so tamper rows are counted
+		// here, once per crawl
+		storage.CountTampers(c.Telemetry)
 		// one snapshot after every worker finished: the workers share the
 		// registry, so per-shard snapshots would multiply-count the crawl.
 		// Attached before the bundle is sealed so the archive embeds it —
@@ -447,7 +452,7 @@ func Run(c Crawl) (*Result, error) {
 			// would have used
 			cfg = &openwpm.NewTaskManager(c.Config(cp.Shards[0].Shard)).Cfg
 		}
-		b, err := bundle.Finalize(recs, *cfg, c.Sites, storage.Crashes, report)
+		b, err := bundle.Finalize(recs, *cfg, c.Sites, storage, report)
 		if err != nil {
 			return nil, fmt.Errorf("sched: finalize bundle: %w", err)
 		}

@@ -134,6 +134,57 @@ func TestShardedMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestTamperTelemetryCountsEachBodyOnce: every shard analyses its own first
+// sighting of a script body, but the merged tamper table keeps one row per
+// body, and the tamper series count exactly those rows — so the metrics, and
+// a bundle that embeds them, are the same at any worker count.
+func TestTamperTelemetryCountsEachBodyOnce(t *testing.T) {
+	const sites = 12
+	flagAll := func(string) (openwpm.TamperRecord, bool) {
+		return openwpm.TamperRecord{Parsed: true, Findings: []openwpm.TamperFinding{{Rule: "any-body"}}}, true
+	}
+	run := func(workers int) *sched.Result {
+		world := websim.New(websim.Options{Seed: 11, NumSites: sites})
+		tel := telemetry.New()
+		base := crawlConfig(world, tel)
+		res, err := sched.Run(sched.Crawl{
+			Sites:   websim.Tranco(sites),
+			Workers: workers,
+			Config: func(sh sched.Shard) openwpm.CrawlConfig {
+				cfg := base(sh)
+				cfg.Tamper = flagAll
+				return cfg
+			},
+			Record:    true,
+			Telemetry: tel,
+		})
+		if err != nil {
+			t.Fatalf("run with %d workers: %v", workers, err)
+		}
+		return res
+	}
+	serial, sharded := run(1), run(3)
+	shardRows := 0
+	for _, st := range sharded.Checkpoint.Shards {
+		shardRows += len(st.Storage.Tampers)
+	}
+	rows := len(sharded.Storage.Tampers)
+	if shardRows <= rows {
+		t.Fatalf("shards stored %d tamper rows, merged %d: no body is shared across shards, the test measures nothing", shardRows, rows)
+	}
+	for _, key := range []string{"storage_writes_total{table=javascript_tamper}", "tamper_rule_hits_total{rule=any-body}"} {
+		if got := sharded.Metrics.Counters[key]; got != int64(rows) {
+			t.Errorf("%s = %d at 3 workers, want the merged table's %d rows", key, got, rows)
+		}
+	}
+	if d := serial.Metrics.Diff(sharded.Metrics); len(d) > 0 {
+		t.Errorf("metrics differ between 1 and 3 workers: %v", d)
+	}
+	if serial.Bundle.Digest != sharded.Bundle.Digest {
+		t.Errorf("bundle with embedded metrics: 1 worker %s, 3 workers %s", serial.Bundle.Digest, sharded.Bundle.Digest)
+	}
+}
+
 // TestKillAndResume interrupts a sharded crawl cooperatively, resumes it from
 // the checkpoint, and requires the final merged output to be byte-identical
 // to an uninterrupted run — with no site visited twice.

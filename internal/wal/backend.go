@@ -52,15 +52,8 @@ type bodyRec struct {
 	Content string `json:"content"`
 }
 
-type scriptRec struct {
-	URL   string `json:"url"`
-	SHA   string `json:"sha"`
-	CType string `json:"ctype,omitempty"`
-}
-
 type dropRec struct {
 	Table string `json:"table"`
-	Site  string `json:"site,omitempty"`
 }
 
 type checkRec struct {
@@ -125,7 +118,7 @@ func (b *Backend) AppendScriptFile(url, sha, content, ctype string) error {
 		b.bodies[sha] = true
 		err = b.w.Append(recBody, bodyRec{SHA: sha, Content: content})
 	}
-	if e := b.w.Append(recScript, scriptRec{URL: url, SHA: sha, CType: ctype}); err == nil {
+	if e := b.w.Append(recScript, openwpm.ContentWrite{URL: url, SHA: sha, CType: ctype}); err == nil {
 		err = e
 	}
 	return err
@@ -135,8 +128,10 @@ func (b *Backend) AppendTamper(t openwpm.TamperRecord) error {
 	return b.w.Append(recTamper, t)
 }
 
-func (b *Backend) AppendDrop(table, site string) error {
-	return b.w.Append(recDrop, dropRec{Table: table, Site: site})
+// AppendDrop logs one storage-fault drop. site is always empty: recovery
+// counts drops per table only.
+func (b *Backend) AppendDrop(table, _ string) error {
+	return b.w.Append(recDrop, dropRec{Table: table})
 }
 
 // AppendCheckpoint writes the durable site boundary and commits it per the
@@ -161,8 +156,10 @@ func (b *Backend) SpoolBody(sha, content string) error {
 	return b.w.Append(recBody, bodyRec{SHA: sha, Content: content})
 }
 
-// SpoolVisit implements bundle.Spool: one closed bundle visit with all its
-// per-visit buffers.
+// SpoolVisit implements bundle.Spool: one closed bundle visit, carrying only
+// what the recorder alone saw (exchanges, storage writes and drops). Its
+// record and storage rows are already in the log as visit, jscall, cookie,
+// script and tamper records.
 func (b *Backend) SpoolVisit(v bundle.Visit) error {
 	return b.w.Append(recBVisit, v)
 }
@@ -210,7 +207,7 @@ type ShardRecovery struct {
 	// the shard's resume position.
 	Outcomes []openwpm.SiteOutcome
 	// RecorderVisits / Bodies rebuild the bundle recorder when the crawl was
-	// recorded.
+	// recorded. Storage rows ride in Storage, not in RecorderVisits.
 	RecorderVisits []bundle.Visit
 	Bodies         map[string]string
 	// TraceEvents / TraceNextID rebuild the shard's flight recorder when the
@@ -297,7 +294,8 @@ func RecoverShard(fs FS, opts Options) (*ShardRecovery, error) {
 
 // apply replays one committed record into the recovered state. Records were
 // sanitised and fault-filtered before they were appended, so replay writes
-// tables directly — re-running Storage's Add methods would sanitise twice.
+// tables directly — re-running Storage's Add methods would sanitise twice —
+// and marks each visit's end as AddVisit does.
 func (out *ShardRecovery) apply(r Rec) error {
 	s := out.Storage
 	switch r.Kind {
@@ -307,6 +305,7 @@ func (out *ShardRecovery) apply(r Rec) error {
 			return fmt.Errorf("wal: replay visit: %w", err)
 		}
 		s.Visits = append(s.Visits, v)
+		s.VisitEnds = append(s.VisitEnds, s.Rows())
 	case recCrash:
 		var c openwpm.CrashRecord
 		if err := json.Unmarshal(r.Data, &c); err != nil {
@@ -338,19 +337,20 @@ func (out *ShardRecovery) apply(r Rec) error {
 		}
 		out.Bodies[b.SHA] = b.Content
 	case recScript:
-		var sc scriptRec
+		var sc openwpm.ContentWrite
 		if err := json.Unmarshal(r.Data, &sc); err != nil {
 			return fmt.Errorf("wal: replay script: %w", err)
 		}
+		content, have := out.Bodies[sc.SHA]
+		if !have {
+			// the pooled body was lost to a disk fault before this reference
+			// committed; count it rather than invent content
+			out.Stats.Unresolved++
+			return nil
+		}
+		s.ContentWrites = append(s.ContentWrites, sc)
 		f, ok := s.ScriptFiles[sc.SHA]
 		if !ok {
-			content, have := out.Bodies[sc.SHA]
-			if !have {
-				// the pooled body was lost to a disk fault before this
-				// reference committed; count it rather than invent content
-				out.Stats.Unresolved++
-				return nil
-			}
 			s.ScriptFiles[sc.SHA] = openwpm.ScriptFile{
 				URL: sc.URL, SHA256: sc.SHA, Content: content,
 				CType: sc.CType, URLs: []string{sc.URL},

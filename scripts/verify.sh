@@ -96,7 +96,7 @@ go run ./cmd/wpmd -smoke -dir "$smokedir/state" >/dev/null 2>&1 || {
     exit 1
 }
 
-echo "== wpmtrace smoke (record a traced crawl, analyse it, replay at 1-3 workers, demand empty trace diffs; faulted bundles cmp-equal at 1-3 workers)"
+echo "== wpmtrace smoke (record a traced crawl, analyse it, replay at 1-3 workers, demand empty trace diffs; faulted, metrics-embedding and WAL-recovered bundles cmp-equal)"
 tracedir=$(mktemp -d)
 go build -o "$tracedir/wpmscan" ./cmd/wpmscan
 go build -o "$tracedir/wpmtrace" ./cmd/wpmtrace
@@ -138,6 +138,32 @@ done
 for w in 2 3; do
     cmp "$tracedir/faulted1.bundle" "$tracedir/faulted$w.bundle" || {
         echo "the 1-worker and $w-worker bundles of one faulted crawl differ" >&2
+        exit 1
+    }
+done
+# tamper telemetry is counted once per crawl from the merged table, so a
+# bundle that embeds its metrics is the same bytes at any worker count, even
+# when two shards analyse the same script body (world seed 13 has one)
+for w in 1 2; do
+    "$tracedir/wpmscan" -sites 20 -subpages 1 -seed 13 -workers "$w" \
+        -record-bundle "$tracedir/metrics$w.bundle" -trace "$tracedir/metrics$w.trace" >/dev/null 2>&1
+done
+cmp "$tracedir/metrics1.bundle" "$tracedir/metrics2.bundle" || {
+    echo "the 1-worker and 2-worker bundles of one traced crawl (metrics embedded) differ" >&2
+    exit 1
+}
+# a bundle is cut from the storage tables at each visit's end, so a faulted
+# recording onto per-shard WALs, and the same logs recovered, seal the bytes
+# of a memory-only recording
+"$tracedir/wpmscan" -sites 40 -subpages 1 -workers 2 -faults default \
+    -record-bundle "$tracedir/memory.bundle" >/dev/null 2>&1
+"$tracedir/wpmscan" -sites 40 -subpages 1 -workers 2 -faults default -store wal -wal-dir "$tracedir/wal" \
+    -record-bundle "$tracedir/wal.bundle" >/dev/null 2>&1
+"$tracedir/wpmscan" -sites 40 -subpages 1 -workers 2 -faults default -store wal -wal-dir "$tracedir/wal" \
+    -recover -record-bundle "$tracedir/recovered.bundle" >/dev/null 2>&1
+for b in wal recovered; do
+    cmp "$tracedir/memory.bundle" "$tracedir/$b.bundle" || {
+        echo "the $b bundle of a faulted 40-site crawl differs from its memory-only recording" >&2
         exit 1
     }
 done
