@@ -407,36 +407,42 @@ func (d *DOM) addPageListener(event string, fn minjs.Value) {
 	}
 }
 
-// realmSeal is what Untouched compares against: the realm's graph digest
-// and its step and alloc counters.
+// realmSeal is what Untouched compares against: the write counters of
+// every object and scope reachable from the realm's roots when it was first
+// exposed (minjs.Interp.MarkWrites), and its step and alloc counters.
 type realmSeal struct {
-	digest        [32]byte
+	marks         minjs.WriteMarks
 	steps, allocs int64
 }
 
 // expose seals the realm the first time script is handed its window or
-// document. Every route that hands one out calls it before returning.
+// document. Every route that hands one out calls it before returning. The
+// seal is one walk that collects pointers and counters; it hashes nothing.
 func (d *DOM) expose() {
 	if d.seal == nil {
-		d.seal = &realmSeal{digest: d.It.GraphDigest(), steps: d.It.Steps(), allocs: d.It.Allocs()}
+		d.seal = &realmSeal{marks: d.It.MarkWrites(), steps: d.It.Steps(), allocs: d.It.Allocs()}
 	}
 }
 
 // Untouched reports whether the realm is still as it was built, as far as
-// script can see it: it was never exposed, or its reachable object graph
-// (Interp.GraphDigest) and its step and alloc counters still equal the
-// seal. Exposure is the only way into another realm, so script from
-// elsewhere reaches a realm's objects only through the window or document
-// it was handed, and any write, define, delete, prototype change or freeze
-// on an object reachable from the realm's roots alters the digest. State
-// only a native's Go closure holds is host state, outside the digest; a
-// program recorded into an image may not depend on it (Interp.Record). The
-// check costs two graph walks per exposed realm and none for the rest.
+// script can see it: it was never exposed, or every object and scope its
+// seal marked still has the write counter it had then, and its step and
+// alloc counters still equal the seal. Exposure is the only way into
+// another realm, so script from elsewhere reaches a realm's objects only
+// through the window or document it was handed, and every write, define,
+// delete, prototype change or freeze on an object reachable from the
+// realm's roots, and every store into a closure scope, moves a counter.
+// A write that stores the value already there moves none. A change that is
+// later undone, such as a define then a delete, still counts: the check is
+// coarser than comparing graphs, never blinder. State only a native's Go
+// closure holds is host state, outside the walk; a program recorded into
+// an image may not depend on it (Interp.Record). The check walks nothing;
+// the seal walks each exposed realm once, and the rest cost nothing.
 func (d *DOM) Untouched() bool {
 	if d.seal == nil {
 		return true
 	}
-	return d.It.Steps() == d.seal.steps && d.It.Allocs() == d.seal.allocs && d.It.GraphDigest() == d.seal.digest
+	return d.It.Steps() == d.seal.steps && d.It.Allocs() == d.seal.allocs && d.seal.marks.Unchanged()
 }
 
 // ListenHostEvent registers an extension-side listener for events delivered

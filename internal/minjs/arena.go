@@ -8,11 +8,18 @@ package minjs
 // the collector when the realm goes away. None of this touches the manual
 // it.allocs counter, which keeps counting JS-visible allocations exactly as
 // before.
+//
+// Each chunk's byte size sits just under one of the allocator's size
+// classes, so rounding a chunk up to its class wastes at most 2% of it
+// (layout_test.go pins this): 125 Objects of 152 B fill 19,000 of a 19,072 B
+// class, 81 function objects of 200 B fill 16,200 of 16,384, 131 Scopes of
+// 72 B fill 9,432 of 9,472, and 512 Values or strings fill 20,480 or 8,192
+// exactly.
 
 const (
-	objArenaChunk   = 128
-	fnArenaChunk    = 64
-	scopeArenaChunk = 128
+	objArenaChunk   = 125
+	fnArenaChunk    = 81
+	scopeArenaChunk = 131
 	slotArenaChunk  = 512
 )
 

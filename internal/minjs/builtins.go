@@ -205,9 +205,9 @@ func installBuiltins(it *Interp) {
 					return Undefined(), it.ThrowError("TypeError", "can't set prototype: it would cause a prototype chain cycle")
 				}
 			}
-			ov.Obj.Proto = pv.Obj
+			ov.Obj.setProto(pv.Obj)
 		} else if pv.Kind == KindNull {
-			ov.Obj.Proto = nil
+			ov.Obj.setProto(nil)
 		}
 		return ov, nil
 	})))
@@ -222,11 +222,16 @@ func installBuiltins(it *Interp) {
 	objectCtor.SetNonEnum("freeze", ObjectValue(it.NewNative("freeze", func(it *Interp, this Value, args []Value) (Value, error) {
 		ov := arg(args, 0)
 		if ov.IsObject() {
-			ov.Obj.NotExtensible = true
-			for _, k := range ov.Obj.OwnKeys(false) {
-				if p := ov.Obj.GetOwn(k); p != nil {
+			o := ov.Obj
+			if !o.NotExtensible {
+				o.NotExtensible = true
+				o.touch()
+			}
+			for _, k := range o.OwnKeys(false) {
+				if p := o.GetOwn(k); p != nil && (p.Writable || p.Configurable) {
 					p.Writable = false
 					p.Configurable = false
+					o.touch()
 				}
 			}
 		}
@@ -262,7 +267,10 @@ func installArray(it *Interp) {
 		if err := it.reserveElems(len(arr.Elems), len(arr.Elems)+len(args)); err != nil {
 			return Undefined(), err
 		}
-		arr.Elems = append(arr.Elems, args...)
+		if len(args) > 0 {
+			arr.Elems = append(arr.Elems, args...)
+			arr.touch()
+		}
 		return Int(len(arr.Elems)), nil
 	})
 	def("pop", func(it *Interp, arr *Object, args []Value) (Value, error) {
@@ -271,6 +279,7 @@ func installArray(it *Interp) {
 		}
 		v := arr.Elems[len(arr.Elems)-1]
 		arr.Elems = arr.Elems[:len(arr.Elems)-1]
+		arr.touch()
 		return v, nil
 	})
 	def("shift", func(it *Interp, arr *Object, args []Value) (Value, error) {
@@ -279,6 +288,7 @@ func installArray(it *Interp) {
 		}
 		v := arr.Elems[0]
 		arr.Elems = arr.Elems[1:]
+		arr.touch()
 		return v, nil
 	})
 	def("indexOf", func(it *Interp, arr *Object, args []Value) (Value, error) {
@@ -404,11 +414,17 @@ func installArray(it *Interp) {
 			}
 			return arr.Elems[i].ToString() < arr.Elems[j].ToString()
 		})
+		if len(arr.Elems) > 1 {
+			arr.touch()
+		}
 		return ObjectValue(arr), sortErr
 	})
 	def("reverse", func(it *Interp, arr *Object, args []Value) (Value, error) {
 		for i, j := 0, len(arr.Elems)-1; i < j; i, j = i+1, j-1 {
 			arr.Elems[i], arr.Elems[j] = arr.Elems[j], arr.Elems[i]
+		}
+		if len(arr.Elems) > 1 {
+			arr.touch()
 		}
 		return ObjectValue(arr), nil
 	})

@@ -8,14 +8,15 @@ import (
 	"math"
 )
 
-// lookupSlot finds the binding slot for name along the scope chain, or nil.
-func lookupSlot(sc *Scope, name string) *Value {
+// lookupSlot finds the binding slot for name along the scope chain and the
+// scope that holds it, or nils.
+func lookupSlot(sc *Scope, name string) (*Scope, *Value) {
 	for cur := sc; cur != nil; cur = cur.parent {
 		if p := cur.slot(name); p != nil {
-			return p
+			return cur, p
 		}
 	}
-	return nil
+	return nil, nil
 }
 
 // lookupIdentVM resolves an identifier along the scope chain, ending at the
@@ -99,6 +100,7 @@ func (it *Interp) growElems(o *Object, n int) error {
 	}
 	if grow := n - len(o.Elems); grow > 0 {
 		o.Elems = append(o.Elems, make([]Value, grow)...)
+		o.touch()
 	}
 	return nil
 }
@@ -353,14 +355,17 @@ func (it *Interp) setMember(o *Object, key string, val Value) error {
 			if err := it.growElems(o, n); err != nil {
 				return err
 			}
-			o.Elems = o.Elems[:n]
+			if n < len(o.Elems) {
+				o.Elems = o.Elems[:n]
+				o.touch()
+			}
 			return nil
 		}
 		if idx, ok := arrayIndex(key); ok {
 			if err := it.growElems(o, idx+1); err != nil {
 				return err
 			}
-			o.Elems[idx] = val
+			o.setElem(idx, val)
 			return nil
 		}
 	}
@@ -376,7 +381,7 @@ func (it *Interp) setMember(o *Object, key string, val Value) error {
 		if !prop.Writable {
 			return nil
 		}
-		prop.Value = val
+		o.setValue(prop, val)
 		return nil
 	}
 	// inherited accessor?

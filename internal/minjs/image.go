@@ -202,8 +202,8 @@ func (g *realmGraph) expand(i int32, o *Object) {
 	}
 	if fd := o.fnd; fd != nil {
 		g.scope(fd.Env)
-		if fd.ThisVal.Kind == KindObject {
-			g.reach(fd.ThisVal.Obj, unnamed)
+		if fd.this != nil && fd.this.Kind == KindObject {
+			g.reach(fd.this.Obj, unnamed)
 		}
 	}
 }
@@ -257,7 +257,7 @@ func snapshot(g *realmGraph) ([]objSnap, []propSnap, [][]Value) {
 			s.elems = append([]Value(nil), o.Elems...)
 		}
 		if fd := o.fnd; fd != nil {
-			s.env, s.this = fd.Env, fd.ThisVal
+			s.env, s.this = fd.Env, fd.thisVal()
 		}
 		o.eachOwn(func(key string, p *Property) { props = append(props, propSnap{key, p, *p}) })
 		s.n = len(props) - s.off
@@ -433,7 +433,7 @@ func (r *recorder) build(it *Interp) (*Image, error) {
 			if !r.captured(fd.Env) {
 				r.fail("function %q closes over a scope that predates the run", fd.Fn.Name)
 			}
-			r.useValue(fd.ThisVal)
+			r.useValue(fd.thisVal())
 		}
 		r.use(o.Proto)
 		o.eachOwn(func(_ string, p *Property) { r.useProp(p) })
@@ -488,7 +488,7 @@ func (r *recorder) build(it *Interp) (*Image, error) {
 			}
 		}
 		if fd := o.fnd; fd != nil {
-			ob.fn, ob.env, ob.this = fd.Fn, r.scopeSlot(fd.Env), r.val(fd.ThisVal)
+			ob.fn, ob.env, ob.this = fd.Fn, r.scopeSlot(fd.Env), r.val(fd.thisVal())
 		}
 	}
 	img.scopes = make([]imageScope, len(r.after.scopes))
@@ -563,7 +563,7 @@ func (r *recorder) changed(i int32, o *Object) bool {
 			return false
 		}
 	}
-	if fd := o.fnd; fd != nil && (fd.Env != s.env || !sameValue(fd.ThisVal, s.this)) {
+	if fd := o.fnd; fd != nil && (fd.Env != s.env || !sameValue(fd.thisVal(), s.this)) {
 		r.fail("program altered function %q", o.NativeFnName())
 		return false
 	}
@@ -827,7 +827,11 @@ func (it *Interp) Instantiate(img *Image) bool {
 		}
 		if ob.fn != nil {
 			fd := o.fnd
-			fd.Fn, fd.Env, fd.ThisVal = ob.fn, scopes[ob.env], ob.this.in(slots)
+			fd.Fn, fd.Env = ob.fn, scopes[ob.env]
+			if ob.fn.Arrow {
+				this := ob.this.in(slots)
+				fd.this = &this
+			}
 		}
 	}
 	for i := range img.edits {
@@ -841,6 +845,7 @@ func (it *Interp) Instantiate(img *Image) bool {
 				o.Delete(op.prop.key)
 			case opWrite:
 				*o.GetOwn(op.prop.key) = op.prop.in(slots)
+				o.touch()
 			default: // opReplace keeps the key's position, opAppend adds it last
 				p := &carve(&props, 1, propBatch)[0]
 				*p = op.prop.in(slots)
@@ -879,7 +884,8 @@ func carve[T any](buf *[]T, n, chunk int) []T {
 // identity (script source position and text, or native name), plus the
 // bindings of every reachable closure scope. Objects and scopes are
 // numbered in walk order, so two realms digest equal exactly when their
-// reachable graphs are isomorphic.
+// reachable graphs are isomorphic. It is the tests' oracle for images and
+// for the write counters behind MarkWrites; the crawl never calls it.
 func (it *Interp) GraphDigest() [32]byte {
 	g := walkRealm(it)
 	h := sha256.New()
@@ -946,7 +952,7 @@ func (it *Interp) GraphDigest() [32]byte {
 				num(int64(fd.Fn.Line))
 				str(fd.Fn.SrcText)
 			}
-			val(fd.ThisVal)
+			val(fd.thisVal())
 			if fd.Env != nil {
 				num(int64(g.sindex[fd.Env]))
 			} else {

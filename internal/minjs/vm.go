@@ -263,10 +263,11 @@ run:
 			lit := c.fns[in.a]
 			fn := it.makeFunction(lit, sc)
 			if lit.Arrow {
-				fn.fnd.ThisVal = it.curThis
-				if fn.fnd.ThisVal.Kind == KindUndefined {
-					fn.fnd.ThisVal = ObjectValue(it.Global)
+				this := it.curThis
+				if this.Kind == KindUndefined {
+					this = ObjectValue(it.Global)
 				}
+				fn.fnd.this = &this
 			}
 			it.vs[sp] = ObjectValue(fn)
 			sp++
@@ -514,7 +515,7 @@ run:
 						rerr = err
 						break run
 					}
-					o.Elems[idx] = val
+					o.setElem(idx, val)
 					continue
 				}
 			}
@@ -548,7 +549,7 @@ run:
 			stored := false
 			for cur := sc; cur != nil; cur = cur.parent {
 				if slot := cur.slot(name); slot != nil {
-					*slot = val
+					cur.store(slot, val)
 					stored = true
 					break
 				}
@@ -863,8 +864,8 @@ func (it *Interp) execForIn(c *Code, aux *forInAux, objV Value, sc *Scope, frame
 	assign := func(v Value) {
 		if aux.hasDecl {
 			inner.declare(name, v)
-		} else if slot := lookupSlot(inner, name); slot != nil {
-			*slot = v
+		} else if s, slot := lookupSlot(inner, name); slot != nil {
+			s.store(slot, v)
 		} else if it.Global.Has(name) {
 			if err := it.setMember(it.Global, name, v); err == nil {
 				return

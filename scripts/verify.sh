@@ -172,6 +172,9 @@ rm -rf "$tracedir"
 echo "== minjs FuzzRun (hostile scripts: no panic, interrupt-or-complete, deterministic)"
 go test -run '^$' -fuzz '^FuzzRun$' -fuzztime 10s -parallel 2 ./internal/minjs
 
+echo "== jsdom FuzzUntouched (hostile parent scripts: a child realm whose graph digest changed is never untouched; reads leave it untouched)"
+go test -run '^$' -fuzz '^FuzzUntouched$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/jsdom
+
 # minimising a kilobyte-sized JSON input is quadratic in its length; at the
 # default 60 s per input the fuzzer would spend its whole budget minimising
 echo "== bundle FuzzUnmarshal (hostile archives: decode+verify never panics; verified bundles re-marshal to the same digest)"
