@@ -1,6 +1,7 @@
 package openwpm
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -27,10 +28,30 @@ func TestStorageMergeCombinesRecords(t *testing.T) {
 	if len(a.ScriptFiles) != 2 {
 		t.Fatalf("script files = %d, want 2 unique contents", len(a.ScriptFiles))
 	}
-	for _, f := range a.ScriptFiles {
-		if f.Content == "shared content" && len(f.URLs) != 2 {
-			t.Errorf("shared content URLs = %v, want both", f.URLs)
-		}
+	var urls []string
+	for _, w := range a.ContentWrites {
+		urls = append(urls, w.URL)
+	}
+	if want := []string{"https://x/a.js", "https://y/b.js", "https://y/c.js"}; !reflect.DeepEqual(urls, want) {
+		t.Fatalf("content writes after merge = %v, want %v", urls, want)
+	}
+	if a.ContentWrites[0].SHA != a.ContentWrites[1].SHA {
+		t.Errorf("both writes of the shared body must reference one SHA: %v", a.ContentWrites)
+	}
+	if f := a.ScriptFiles[a.ContentWrites[0].SHA]; f.URL != "https://x/a.js" || f.Content != "shared content" {
+		t.Errorf("shared body = %+v, want the first write's URL and content", f)
+	}
+
+	// the merged store digests like one store that made every write itself
+	one := NewStorage()
+	one.AddJSCall(JSCall{Symbol: "Navigator.userAgent"})
+	one.AddJSCall(JSCall{Symbol: "Screen.width"})
+	one.Requests = append(one.Requests, a.Requests...)
+	one.AddScriptFile("https://x/a.js", "shared content", "text/javascript")
+	one.AddScriptFile("https://y/b.js", "shared content", "text/javascript")
+	one.AddScriptFile("https://y/c.js", "other content", "text/javascript")
+	if got, want := a.Digest(), one.Digest(); got != want {
+		t.Errorf("merged digest %s differs from the single store's %s", got, want)
 	}
 }
 
@@ -40,10 +61,21 @@ func TestStorageMergeIdempotentURLs(t *testing.T) {
 	a.AddScriptFile("https://x/a.js", "same", "text/javascript")
 	b.AddScriptFile("https://x/a.js", "same", "text/javascript")
 	a.Merge(b)
-	for _, f := range a.ScriptFiles {
-		if len(f.URLs) != 1 {
-			t.Errorf("duplicate URL retained: %v", f.URLs)
-		}
+	if len(a.ContentWrites) != 2 || len(a.ScriptFiles) != 1 {
+		t.Fatalf("merge kept %d writes and %d bodies, want 2 and 1", len(a.ContentWrites), len(a.ScriptFiles))
+	}
+
+	twice := NewStorage()
+	twice.AddScriptFile("https://x/a.js", "same", "text/javascript")
+	twice.AddScriptFile("https://x/a.js", "same", "text/javascript")
+	if got, want := a.Digest(), twice.Digest(); got != want {
+		t.Errorf("merged digest %s differs from one store that wrote the body twice (%s)", got, want)
+	}
+	// a repeated URL adds nothing to the digest
+	once := NewStorage()
+	once.AddScriptFile("https://x/a.js", "same", "text/javascript")
+	if got, want := a.Digest(), once.Digest(); got != want {
+		t.Errorf("merged digest %s differs from one store that wrote the body once (%s)", got, want)
 	}
 }
 
