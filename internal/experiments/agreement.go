@@ -65,8 +65,9 @@ func AgreementFromScan(r *ScanResult) *AgreementResult {
 		staticURLs[rule][url] = true
 	}
 	allURLs := map[string]bool{}
+	served := servedURLs(st)
 	for sha, f := range st.ScriptFiles {
-		for _, url := range f.URLs {
+		for _, url := range served[sha] {
 			allURLs[url] = true
 		}
 		rules, ok := findingsBySHA[sha]
@@ -77,7 +78,7 @@ func AgreementFromScan(r *ScanResult) *AgreementResult {
 			rules = rep.Rules()
 		}
 		for _, rule := range rules {
-			for _, url := range f.URLs {
+			for _, url := range served[sha] {
 				mark(rule, url)
 			}
 		}

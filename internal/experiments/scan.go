@@ -283,7 +283,8 @@ func Analyze(world *websim.World, tm *openwpm.TaskManager, numSites int) *ScanRe
 	// Unique content is analysed once; classifications apply to every URL
 	// that served it and every site that included those URLs.
 	staticByURL := map[string]analysis.StaticResult{}
-	for _, f := range st.ScriptFiles {
+	served := servedURLs(st)
+	for sha, f := range st.ScriptFiles {
 		res := analysis.AnalyzeStatic(f.Content)
 		naive := false
 		for _, hit := range res.PatternHits {
@@ -292,7 +293,7 @@ func Analyze(world *websim.World, tm *openwpm.TaskManager, numSites int) *ScanRe
 			}
 		}
 		clean := res.SeleniumDetector || len(res.OpenWPMProps) > 0
-		for _, url := range f.URLs {
+		for _, url := range served[sha] {
 			staticByURL[url] = res
 			for _, c := range scriptSites[url] {
 				if r.SiteRank[c.site] == 0 {
@@ -407,6 +408,20 @@ func Analyze(world *websim.World, tm *openwpm.TaskManager, numSites int) *ScanRe
 		}
 	}
 	return r
+}
+
+// servedURLs maps each stored body's SHA-256 to the URLs that served it,
+// deduplicated, in first-write order, as recorded in st.ContentWrites.
+func servedURLs(st *openwpm.Storage) map[string][]string {
+	out := map[string][]string{}
+	seen := map[[2]string]bool{}
+	for _, w := range st.ContentWrites {
+		if k := [2]string{w.SHA, w.URL}; !seen[k] {
+			seen[k] = true
+			out[w.SHA] = append(out[w.SHA], w.URL)
+		}
+	}
+	return out
 }
 
 // union combines site sets.

@@ -10,6 +10,8 @@ package openwpm
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"slices"
 	"strings"
 	"unicode/utf8"
 
@@ -54,19 +56,20 @@ type CookieEntry struct {
 }
 
 // ScriptFile is a stored response body (a JavaScript file, or any body in
-// full-coverage mode). Identical content is stored once; URLs lists every
-// location it was served from.
+// full-coverage mode). Identical content is stored once, with the URL and
+// content type of its first write; which URLs served it is recorded only in
+// Storage.ContentWrites.
 type ScriptFile struct {
 	URL     string // first URL observed
 	SHA256  string
 	Content string
 	CType   string
-	URLs    []string // all URLs serving this content, deduplicated
 }
 
 // ContentWrite is one accepted content-table write: the URL that served a
-// body and the body's SHA-256. ScriptFiles folds repeated writes of a body
-// into one entry; Storage.ContentWrites keeps every write, in order.
+// body, the body's SHA-256 and the response's content type.
+// Storage.ContentWrites keeps every write, repeats included, in order; it is
+// the store's one record of which URL served which body.
 type ContentWrite struct {
 	URL   string `json:"url"`
 	SHA   string `json:"sha"`
@@ -377,8 +380,9 @@ func (s *Storage) CountTampers(tel *telemetry.Telemetry) {
 	}
 }
 
-// AddScriptFile stores a response body keyed by hash, tracking every URL
-// that served it. First-seen content additionally runs through TamperFn.
+// AddScriptFile records one content write in ContentWrites and stores the
+// body keyed by hash if it is new. First-seen content additionally runs
+// through TamperFn.
 func (s *Storage) AddScriptFile(url, content, ctype string) {
 	if s.dropWrite("content") {
 		return
@@ -393,30 +397,25 @@ func (s *Storage) AddScriptFile(url, content, ctype string) {
 	if s.Backend != nil {
 		s.backendErr("content", s.Backend.AppendScriptFile(url, key, content, ctype))
 	}
-	if !ok {
-		s.ScriptFiles[key] = ScriptFile{URL: url, SHA256: key, Content: content, CType: ctype, URLs: []string{url}}
-		if s.TamperFn != nil {
-			if rec, hit := s.TamperFn(content); hit {
-				rec.SHA256 = key
-				rec.URL = url
-				s.AddTamperReport(rec)
-			}
-		}
+	if ok {
 		return
 	}
-	for _, u := range f.URLs {
-		if u == url {
-			return
+	s.ScriptFiles[key] = ScriptFile{URL: url, SHA256: key, Content: content, CType: ctype}
+	if s.TamperFn != nil {
+		if rec, hit := s.TamperFn(content); hit {
+			rec.SHA256 = key
+			rec.URL = url
+			s.AddTamperReport(rec)
 		}
 	}
-	f.URLs = append(f.URLs, url)
-	s.ScriptFiles[key] = f
 }
 
 // Merge folds other's records into s (used to combine per-worker storages
-// after a sharded crawl). other's visit ends move past s's rows; a tamper row
-// whose body s already analysed is dropped, so each body's row stays on the
-// first visit, in merge order, that stored it.
+// after a sharded crawl). other's content writes follow s's; a body s
+// already stores keeps s's entry, and a tamper row whose body s already
+// analysed is dropped, so each body's entry and row stay with the first
+// visit, in merge order, that stored it. other's visit ends move past s's
+// rows.
 func (s *Storage) Merge(other *Storage) {
 	base := s.Rows()
 	s.JSCalls = append(s.JSCalls, other.JSCalls...)
@@ -465,24 +464,9 @@ func (s *Storage) Merge(other *Storage) {
 		}
 	}
 	for key, f := range other.ScriptFiles {
-		existing, ok := s.ScriptFiles[key]
-		if !ok {
+		if _, ok := s.ScriptFiles[key]; !ok {
 			s.ScriptFiles[key] = f
-			continue
 		}
-		for _, u := range f.URLs {
-			dup := false
-			for _, eu := range existing.URLs {
-				if eu == u {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				existing.URLs = append(existing.URLs, u)
-			}
-		}
-		s.ScriptFiles[key] = existing
 	}
 }
 
@@ -505,38 +489,88 @@ func (s *Storage) RequestsByType() map[httpsim.ResourceType]int {
 }
 
 // Digest is a deterministic SHA-256 over every table: two crawls that
-// stored the same records in the same order share a digest. Record-ordered
-// tables hash in insertion order; the content-addressed script store, the
-// tamper table and the dropped-write counters hash in sorted key order.
-// Replaying a crawl from its execution bundle must reproduce this digest
-// exactly.
+// stored the same records in the same order share a digest. Each
+// record-ordered table (visits, crashes, requests, JS calls, cookies) hashes
+// in insertion order into its own section digest. The content table
+// contributes, per body in SHA order, the first write's content type and
+// the sorted, deduplicated URLs that served it (from ContentWrites); the
+// tamper table (first row per body) and the dropped-write counters follow in
+// sorted key order. The final digest hashes the labelled section digests
+// and then the sorted sections. Replaying a crawl from its execution bundle
+// must reproduce this digest exactly.
 func (s *Storage) Digest() string {
-	d := newDigestState()
+	h, sec := sha256.New(), sha256.New()
+	// endSection folds the section just written to sec into h, labelled
+	endSection := func(name string) {
+		fmt.Fprintf(h, "%s|%x\n", name, sec.Sum(nil))
+		sec.Reset()
+	}
 	for _, v := range s.Visits {
-		d.addVisit(v)
+		fmt.Fprintf(sec, "visit|%s|%s|%s|%t|%t|%q|%d|%t|%d|%s|%t\n",
+			v.SiteURL, v.FinalURL, v.Site, v.Subpage, v.OK, v.Error,
+			v.CSPReports, v.InstrumentInstalled, v.Restarts, v.ErrorClass, v.Salvaged)
 	}
+	endSection("visits")
 	for _, c := range s.Crashes {
-		d.addCrash(c)
+		fmt.Fprintf(sec, "crash|%s|%s|%d|%s|%q\n", c.SiteURL, c.PageURL, c.Attempt, c.Class, c.Error)
 	}
+	endSection("crashes")
 	for _, r := range s.Requests {
-		d.addRequest(r)
+		fmt.Fprintf(sec, "request|%s|%s|%s|%s|%d|%s|%g|%d\n",
+			r.Method, r.URL, r.TopURL, r.Type, r.Status, r.CType, r.Time, r.BodySize)
 	}
+	endSection("requests")
 	for _, c := range s.JSCalls {
-		d.addJSCall(c)
+		fmt.Fprintf(sec, "jscall|%s|%s|%s|%q|%q|%q|%s|%g\n",
+			c.TopURL, c.FrameURL, c.Symbol, c.Operation, c.Value, c.Args, c.ScriptURL, c.Time)
 	}
+	endSection("jscalls")
 	for _, c := range s.Cookies {
-		d.addCookie(c)
+		fmt.Fprintf(sec, "cookie|%q|%q|%s|%s|%g|%t|%t|%g\n",
+			c.Name, c.Value, c.Domain, c.TopURL, c.Expires, c.ViaJS, c.FirstParty, c.Time)
 	}
-	for k, f := range s.ScriptFiles {
-		for _, u := range f.URLs {
-			d.addScript(u, k, f.CType)
+	endSection("cookies")
+
+	ctype := map[string]string{} // first write's content type per body
+	urls := map[string][]string{}
+	for _, w := range s.ContentWrites {
+		if _, ok := ctype[w.SHA]; !ok {
+			ctype[w.SHA] = w.CType
+		}
+		urls[w.SHA] = append(urls[w.SHA], w.URL)
+	}
+	for _, sha := range sortedKeys(ctype) {
+		u := urls[sha]
+		slices.Sort(u)
+		fmt.Fprintf(h, "script|%s|%s|%s\n", sha, ctype[sha], strings.Join(slices.Compact(u), ","))
+	}
+
+	tampers := map[string]TamperRecord{}
+	for _, t := range s.Tampers {
+		if _, ok := tampers[t.SHA256]; !ok {
+			tampers[t.SHA256] = t
 		}
 	}
-	for _, t := range s.Tampers {
-		d.addTamper(t)
+	for _, sha := range sortedKeys(tampers) {
+		t := tampers[sha]
+		fmt.Fprintf(h, "tamper|%s|%s|%t", t.SHA256, t.URL, t.Parsed)
+		for _, f := range t.Findings {
+			fmt.Fprintf(h, "|%s:%d:%q", f.Rule, f.Line, f.Detail)
+		}
+		fmt.Fprintln(h)
 	}
-	for t, n := range s.Dropped {
-		d.addDropped(t, n)
+	for _, table := range sortedKeys(s.Dropped) {
+		fmt.Fprintf(h, "dropped|%s|%d\n", table, s.Dropped[table])
 	}
-	return d.sum()
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

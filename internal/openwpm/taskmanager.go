@@ -3,7 +3,6 @@ package openwpm
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"gullible/internal/browser"
@@ -636,13 +635,8 @@ func (r *CrawlReport) String() string {
 		r.Restarts, r.CircuitBroken, r.PageVisits, r.PageErrors, r.DroppedWrites)
 	fmt.Fprintf(&sb, "virtual time: %.1fs visiting, %.1fs backing off\n", r.VirtualSeconds, r.BackoffSeconds)
 	if len(r.ErrorClasses) > 0 {
-		keys := make([]string, 0, len(r.ErrorClasses))
-		for k := range r.ErrorClasses {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
 		sb.WriteString("errors:")
-		for _, k := range keys {
+		for _, k := range sortedKeys(r.ErrorClasses) {
 			fmt.Fprintf(&sb, " %s=%d", k, r.ErrorClasses[k])
 		}
 		sb.WriteByte('\n')

@@ -349,21 +349,9 @@ func (out *ShardRecovery) apply(r Rec) error {
 			return nil
 		}
 		s.ContentWrites = append(s.ContentWrites, sc)
-		f, ok := s.ScriptFiles[sc.SHA]
-		if !ok {
-			s.ScriptFiles[sc.SHA] = openwpm.ScriptFile{
-				URL: sc.URL, SHA256: sc.SHA, Content: content,
-				CType: sc.CType, URLs: []string{sc.URL},
-			}
-			return nil
+		if _, ok := s.ScriptFiles[sc.SHA]; !ok {
+			s.ScriptFiles[sc.SHA] = openwpm.ScriptFile{URL: sc.URL, SHA256: sc.SHA, Content: content, CType: sc.CType}
 		}
-		for _, u := range f.URLs {
-			if u == sc.URL {
-				return nil
-			}
-		}
-		f.URLs = append(f.URLs, sc.URL)
-		s.ScriptFiles[sc.SHA] = f
 	case recTamper:
 		var t openwpm.TamperRecord
 		if err := json.Unmarshal(r.Data, &t); err != nil {
