@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"gullible/internal/blocklist"
@@ -104,7 +105,7 @@ func Table8(c *CompareResult) *Table {
 		}
 		rows = append(rows, row{rt, d})
 	}
-	sort.Slice(rows, func(i, j int) bool { return abs(rows[i].diff) > abs(rows[j].diff) })
+	sort.Slice(rows, func(i, j int) bool { return math.Abs(rows[i].diff) > math.Abs(rows[j].diff) })
 	totalW, totalH := 0, 0
 	for _, r := range rows {
 		cells := []any{string(r.rt), per[0].wpm[r.rt], per[0].hide[r.rt], diffPct(per[0].wpm[r.rt], per[0].hide[r.rt])}
@@ -135,13 +136,6 @@ func Table8(c *CompareResult) *Table {
 	t.AddRow(totals...)
 	t.Notes = append(t.Notes, "paper r1: csp_report -76%, beacon +11%, xhr +5%, image +1.5%, script +1.4%, total +1.9% (growing to +5.3% by r3)")
 	return t
-}
-
-func abs(f float64) float64 {
-	if f < 0 {
-		return -f
-	}
-	return f
 }
 
 // Table9 counts ad/tracker requests via the EasyList/EasyPrivacy engines.
@@ -297,7 +291,7 @@ func trackingCookies(c *CompareResult, run int, forWPM bool) []string {
 			Name: k.name, Domain: k.domain,
 			ExpiresSeconds: expires[k],
 			ValuesA:        valsW[k], ValuesB: valsH[k],
-			RunsObserved: maxInt(seenW[k], seenH[k]), RunsTotal: len(c.Runs),
+			RunsObserved: max(seenW[k], seenH[k]), RunsTotal: len(c.Runs),
 		}
 		if len(obs.ValuesA) == 0 || len(obs.ValuesB) == 0 {
 			// only one machine ever received it: user-identifying when
@@ -334,20 +328,6 @@ func longEnough(vals []string) bool {
 		}
 	}
 	return false
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Figure6 computes per-API call coverage: the share of WPM_hide-observed

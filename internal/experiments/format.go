@@ -76,13 +76,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func pct(part, whole int) string {
 	if whole == 0 {
 		return "0.00%"
