@@ -318,3 +318,28 @@ func TestFireListeners(t *testing.T) {
 		t.Errorf("fired = %v, want 1", v.Num)
 	}
 }
+
+// A native runs on the calling realm's interpreter (minjs.Interp.CallFunction
+// hands it the caller's), yet it must act on the realm it belongs to: a
+// parent reading a child window's navigator and screen gets the child's
+// values, and its own navigator still reads its own.
+func TestNativesActOnTheirOwnRealm(t *testing.T) {
+	childCfg := StandardConfig(MacOS, Regular, 91, 0)
+	childCfg.ScreenW = 1920 // both standard regular-mode screens are 2560 wide
+	child := Build(childCfg, &NopHost{}, "https://child.example/")
+	parent := Build(StandardConfig(Ubuntu, Regular, 90, 0), &frameHost{child: child}, "https://parent.example/")
+	evalIn(t, parent, `var h = open("https://child.example/");`)
+	for _, expr := range []string{"navigator.userAgent", "navigator.platform", "screen.width"} {
+		want := evalIn(t, child, expr).ToString()
+		own := evalIn(t, parent, expr).ToString()
+		if want == own {
+			t.Fatalf("%s is %q in both realms; the configurations must differ", expr, want)
+		}
+		if got := evalIn(t, parent, "h."+expr).ToString(); got != want {
+			t.Errorf("parent read h.%s = %q, want the child's %q", expr, got, want)
+		}
+	}
+	if got, want := evalIn(t, parent, "navigator.userAgent").ToString(), parent.Cfg.UserAgent; got != want {
+		t.Errorf("parent's own navigator.userAgent = %q after reading the child's, want %q", got, want)
+	}
+}

@@ -299,7 +299,12 @@ func LooseEquals(a, b Value) bool {
 }
 
 // NativeFunc is the host-function bridge signature. this is the receiver
-// value, args the call arguments.
+// value, args the call arguments. it is the calling realm's interpreter,
+// which need not be the one the native belongs to: a script that reaches
+// another realm's native (through a frame or an opened window) calls it on
+// its own interpreter. A native that acts on its own realm's state therefore
+// finds that realm through its receiver or its own function object, never
+// through it.
 type NativeFunc func(it *Interp, this Value, args []Value) (Value, error)
 
 // Property is a property slot: either a data property (Value) or an accessor
