@@ -1,7 +1,9 @@
 #!/bin/sh
 # Full verification: vet, build, wpmlint (repo run + self-tests + SARIF
-# smoke), then the whole repo under the race detector. The experiments
-# package's full synthetic-web crawls are skipped in -short mode; set
+# smoke), the daemon's event-stream test three times under race, CLI smokes
+# and fuzzers, then every package's tests under the race detector in one run
+# (the WAL kill-and-recover tests included). Only the experiments package
+# reads -short: its full synthetic-web crawls are skipped in that mode; set
 # WPM_FULL_RACE=1 to run the long tier. Plain `go test ./...` stays the quick
 # tier-1 check.
 set -eu
@@ -70,18 +72,6 @@ fi
 grep -q '"version": "2.1.0"' /tmp/wpmlint-smoke.sarif
 grep -q '"\$schema": "https://json.schemastore.org/sarif-2.1.0.json"' /tmp/wpmlint-smoke.sarif
 rm -f /tmp/wpmlint-smoke.sarif
-
-echo "== go test -race ./internal/analysis/... ./internal/lint/... ./internal/telemetry/... ./internal/sched/..."
-go test -race ./internal/analysis/... ./internal/lint/... ./internal/telemetry/... ./internal/sched/...
-
-echo "== go test -race ./internal/wal/... ./internal/faults/... (durable storage + fault injection)"
-go test -race ./internal/wal/... ./internal/faults/...
-
-echo "== kill-and-recover smoke (crash mid-crawl, recover from WAL, resume, compare digests)"
-go test -race -run 'KillAndRecoverFromWAL|RecoverShardRebuildsStorage|TruncationProperty' ./internal/sched ./internal/wal
-
-echo "== go test -race ./internal/daemon/... (crawl-as-a-service: cache keying, admission, drain+recover)"
-go test -race ./internal/daemon/...
 
 # a test that fails under -count=N is a bug, not noise: the event stream's
 # gap-free replay must hold on every repetition
