@@ -1,7 +1,12 @@
 package daemon
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"gullible/internal/telemetry"
@@ -42,8 +47,10 @@ func BenchmarkDaemonColdJob(b *testing.B) {
 	}
 }
 
-// BenchmarkDaemonWarmJob measures the hit path: one cold execution up front,
-// then every iteration is answered from the content-addressed cache.
+// BenchmarkDaemonWarmJob measures the hit path as a client sees it: one
+// cold execution up front, then every iteration resubmits the spec and
+// downloads the artifact from the content-addressed cache, both over
+// loopback HTTP.
 func BenchmarkDaemonWarmJob(b *testing.B) {
 	d := benchDaemon(b, b.TempDir())
 	defer d.Drain()
@@ -53,17 +60,34 @@ func BenchmarkDaemonWarmJob(b *testing.B) {
 	}
 	j, _ := d.Job(st.ID)
 	<-j.Done()
+	srv := httptest.NewServer(Handler(d))
+	defer srv.Close()
+	hc := srv.Client()
+	body, err := json.Marshal(benchSpec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hit, err := d.Submit(benchSpec, "bench")
+		res, err := hc.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !hit.Cached {
-			b.Fatal("warm submit missed the cache")
+		var hit JobStatus
+		err = json.NewDecoder(res.Body).Decode(&hit)
+		res.Body.Close()
+		if err != nil || !hit.Cached {
+			b.Fatalf("warm submit missed the cache: %+v (%v)", hit, err)
 		}
-		if _, _, ok := d.Artifact(hit.ID); !ok {
-			b.Fatal("artifact read missed")
+		res, err = hc.Get(srv.URL + "/v1/jobs/" + hit.ID + "/artifact")
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, res.Body)
+		res.Body.Close()
+		if err != nil || res.StatusCode != http.StatusOK {
+			b.Fatalf("artifact download: %s (%v)", res.Status, err)
 		}
 	}
 }

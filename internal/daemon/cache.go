@@ -1,11 +1,15 @@
 package daemon
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -25,9 +29,10 @@ type ArtifactMeta struct {
 	ContentType string `json:"contentType"`
 	// Bytes is the artifact size on disk.
 	Bytes int64 `json:"bytes"`
-	// Seq is the logical access stamp (monotonic per cache instance,
-	// persisted so recency ordering survives restarts). Logical, not
-	// wall-clock: the daemon keeps no wall time in its state.
+	// Seq is the logical access stamp (monotonic per cache instance).
+	// Logical, not wall-clock: the daemon keeps no wall time in its state.
+	// The meta file holds the stamp of the Put; later bumps are persisted in
+	// the recency log, so recency ordering survives restarts.
 	Seq uint64 `json:"seq"`
 }
 
@@ -35,7 +40,8 @@ type ArtifactMeta struct {
 // content address. Entries are immutable once written — the address IS the
 // content — so a hit serves the exact bytes a cold run produced. Eviction is
 // least-recently-used by logical access sequence; the index lives in memory
-// and is rebuilt from the sidecar files on open.
+// and is rebuilt on open from the sidecar files, which only Put writes, and
+// the recency log, which every Open appends one line to.
 type Cache struct {
 	mu      sync.Mutex
 	dir     string
@@ -44,6 +50,11 @@ type Cache struct {
 	bytes   int64
 	entries map[string]*ArtifactMeta
 	tel     *telemetry.Telemetry
+
+	// log is the append-only recency log (nil once Close ran) and logLines
+	// counts its lines since the last compaction; both are guarded by mu.
+	log      *os.File
+	logLines int
 }
 
 // artifact file suffixes: <addr>.art holds the bytes, <addr>.json the meta.
@@ -52,10 +63,20 @@ const (
 	metaSuffix = ".json"
 )
 
+// recencyLog is the file in the cache directory that persists recency bumps,
+// one "<seq> <addr>" line each. It is compacted to one line per live entry
+// on open, and whenever it grows past recencyLogFactor lines per entry plus
+// recencyLogSlack, so it stays bounded however many hits the cache serves.
+const (
+	recencyLog       = "recency.log"
+	recencyLogFactor = 4
+	recencyLogSlack  = 256
+)
+
 // OpenCache opens (creating if needed) the cache directory and rebuilds the
-// LRU index from the sidecar files. budget <= 0 means unbudgeted. Damaged
-// pairs (missing meta, missing artifact, size mismatch) are removed rather
-// than served.
+// LRU index from the sidecar files and the recency log, then compacts the
+// log. budget <= 0 means unbudgeted. Damaged pairs (missing meta, missing
+// artifact, size mismatch) are removed rather than served.
 func OpenCache(dir string, budget int64, tel *telemetry.Telemetry) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("daemon: open cache: %w", err)
@@ -87,12 +108,136 @@ func OpenCache(dir string, budget int64, tel *telemetry.Telemetry) (*Cache, erro
 		}
 		c.entries[addr] = &m
 		c.bytes += m.Bytes
-		if m.Seq > c.seq {
-			c.seq = m.Seq
-		}
+		c.seq = max(c.seq, m.Seq)
+	}
+	logSeq, err := replayLog(dir, c.entries)
+	if err != nil {
+		return nil, fmt.Errorf("daemon: open cache: %w", err)
+	}
+	c.seq = max(c.seq, logSeq)
+	if err := c.compactLogLocked(); err != nil {
+		return nil, fmt.Errorf("daemon: open cache: %w", err)
 	}
 	c.gauges()
 	return c, nil
+}
+
+// replayLog folds the recency log in dir into entries: each entry takes the
+// highest stamp any line gives it. Lines for addresses that are not cached
+// (evicted, or dropped as damaged) are ignored, and so is a torn last line,
+// which a crash mid-append leaves without its newline. It returns the highest
+// stamp in the log, so the cache's sequence resumes past every line.
+func replayLog(dir string, entries map[string]*ArtifactMeta) (uint64, error) {
+	data, err := os.ReadFile(filepath.Join(dir, recencyLog))
+	if os.IsNotExist(err) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, err
+	}
+	var top uint64
+	for len(data) > 0 {
+		end := bytes.IndexByte(data, '\n')
+		if end < 0 {
+			break // torn last line
+		}
+		line := data[:end]
+		data = data[end+1:]
+		seqText, addr, ok := bytes.Cut(line, []byte{' '})
+		if !ok {
+			continue
+		}
+		seq, err := strconv.ParseUint(string(seqText), 10, 64)
+		if err != nil {
+			continue
+		}
+		top = max(top, seq)
+		if m, ok := entries[string(addr)]; ok && seq > m.Seq {
+			m.Seq = seq
+		}
+	}
+	return top, nil
+}
+
+// compactLogLocked replaces the recency log with one line per live entry,
+// oldest first, written to a temporary file and renamed into place, and
+// reopens it for appending. Called with mu held (or before the cache is
+// shared).
+func (c *Cache) compactLogLocked() error {
+	addrs := make([]string, 0, len(c.entries))
+	for a := range c.entries {
+		addrs = append(addrs, a)
+	}
+	sort.Slice(addrs, func(i, j int) bool {
+		return c.entries[addrs[i]].Seq < c.entries[addrs[j]].Seq
+	})
+	path := filepath.Join(c.dir, recencyLog)
+	tmp, err := os.Create(path + ".tmp")
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(tmp)
+	var line []byte
+	for _, a := range addrs {
+		line = appendLogLine(line[:0], c.entries[a].Seq, a)
+		_, _ = w.Write(line) // a failed write sticks; Flush reports it
+	}
+	err = w.Flush()
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp.Name()) // best-effort; the next compaction truncates it
+		return err
+	}
+	log, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
+	if c.log != nil {
+		_ = c.log.Close() // the renamed-over log; nothing was buffered in it
+	}
+	c.log, c.logLines = log, len(addrs)
+	return nil
+}
+
+func appendLogLine(b []byte, seq uint64, addr string) []byte {
+	b = strconv.AppendUint(b, seq, 10)
+	b = append(b, ' ')
+	b = append(b, addr...)
+	return append(b, '\n')
+}
+
+// logBumpLocked persists one recency bump, compacting the log once it has
+// grown past its bound. Best-effort like the bump itself: a lost line only
+// ages the entry after a restart. Called with mu held.
+func (c *Cache) logBumpLocked(addr string, seq uint64) {
+	if c.log == nil {
+		return
+	}
+	if _, err := c.log.Write(appendLogLine(nil, seq, addr)); err != nil {
+		return
+	}
+	c.logLines++
+	if c.logLines > recencyLogFactor*len(c.entries)+recencyLogSlack {
+		_ = c.compactLogLocked() // on failure the log keeps growing until the next try
+	}
+}
+
+// Close closes the recency log. Bumps after Close stay in memory only, as
+// Touch's always do. Close is idempotent.
+func (c *Cache) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.log == nil {
+		return nil
+	}
+	err := c.log.Close()
+	c.log = nil
+	return err
 }
 
 func (c *Cache) artPath(addr string) string  { return filepath.Join(c.dir, addr+artSuffix) }
@@ -112,11 +257,15 @@ func (c *Cache) gauges() {
 	c.tel.Gauge("daemon_cache_entries").Set(int64(len(c.entries)))
 }
 
-// Get returns the cached artifact bytes and meta for addr, bumping its
-// recency. The bool reports whether the entry exists; hit/miss accounting is
-// the daemon's job (a Get during artifact download must not double-count the
-// submit-path hit).
-func (c *Cache) Get(addr string) ([]byte, ArtifactMeta, bool) {
+// Open returns the cached artifact file for addr, positioned at its start,
+// and its meta, bumping the entry's recency and appending the bump to the
+// recency log. The caller closes the file and reads at most meta.Bytes from
+// it. The bool reports whether the entry exists; hit/miss accounting is the
+// daemon's job (a download must not double-count the submit-path hit). If
+// the disk lost the artifact or its size no longer matches the meta, the
+// entry is dropped so the next submit re-runs the job instead of serving a
+// truncated archive.
+func (c *Cache) Open(addr string) (*os.File, ArtifactMeta, bool) {
 	c.mu.Lock()
 	m, ok := c.entries[addr]
 	if !ok {
@@ -126,28 +275,48 @@ func (c *Cache) Get(addr string) ([]byte, ArtifactMeta, bool) {
 	c.seq++
 	m.Seq = c.seq
 	meta := *m
+	c.logBumpLocked(addr, meta.Seq)
 	path := c.artPath(addr)
 	c.mu.Unlock()
 
-	data, err := os.ReadFile(path)
-	if err != nil || int64(len(data)) != meta.Bytes {
-		// the disk lost the artifact under us: drop the entry so the next
-		// submit re-runs the job instead of serving a truncated archive
-		c.mu.Lock()
-		if cur, still := c.entries[addr]; still {
-			c.bytes -= cur.Bytes
-			delete(c.entries, addr)
-			c.removeFiles(addr)
-			c.gauges()
+	f, err := os.Open(path)
+	if err == nil {
+		fi, err := f.Stat()
+		if err == nil && fi.Size() == meta.Bytes {
+			return f, meta, true
 		}
-		c.mu.Unlock()
+		_ = f.Close() // read-only; nothing to lose
+	}
+	c.drop(addr)
+	return nil, ArtifactMeta{}, false
+}
+
+// Get returns the cached artifact bytes and meta for addr: Open plus a read
+// of the whole file.
+func (c *Cache) Get(addr string) ([]byte, ArtifactMeta, bool) {
+	f, meta, ok := c.Open(addr)
+	if !ok {
 		return nil, ArtifactMeta{}, false
 	}
-	if enc, err := json.Marshal(meta); err == nil {
-		// persist the recency bump best-effort; a lost bump only ages the entry
-		_ = os.WriteFile(c.metaPath(addr), append(enc, '\n'), 0o644)
+	defer f.Close()
+	data := make([]byte, meta.Bytes)
+	if _, err := io.ReadFull(f, data); err != nil {
+		c.drop(addr) // shrank since Open checked its size
+		return nil, ArtifactMeta{}, false
 	}
 	return data, meta, true
+}
+
+// drop removes a damaged entry from the index and the disk.
+func (c *Cache) drop(addr string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cur, ok := c.entries[addr]; ok {
+		c.bytes -= cur.Bytes
+		delete(c.entries, addr)
+		c.removeFiles(addr)
+		c.gauges()
+	}
 }
 
 // Contains reports entry existence without bumping recency or touching disk.

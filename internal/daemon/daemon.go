@@ -226,6 +226,7 @@ func Open(cfg Config) (*Daemon, error) {
 		jobs:  map[string]*Job{},
 	}
 	if err := d.recoverPersisted(); err != nil {
+		_ = cache.Close() // the recovery error is the one to report
 		return nil, err
 	}
 	for i := 0; i < cfg.Executors; i++ {
@@ -358,8 +359,10 @@ func (d *Daemon) Submit(spec JobSpec, tenant string) (JobStatus, error) {
 	if d.draining {
 		return JobStatus{}, fmt.Errorf("daemon: draining, not accepting jobs")
 	}
-	if j, ok := d.jobs[addr]; ok {
-		// identical request already in flight: coalesce onto it
+	// identical request already in flight: coalesce onto it. A done job
+	// missed the cache above, so its artifact was evicted or dropped as
+	// damaged; it is admitted again below to re-run.
+	if j, ok := d.jobs[addr]; ok && j.Status().State != JobDone {
 		d.tel.Counter("daemon_jobs_coalesced_total").Inc()
 		return j.Status(), nil
 	}
@@ -451,7 +454,8 @@ func (d *Daemon) Job(addr string) (*Job, bool) {
 // Drain stops the daemon cooperatively: admission closes, queued jobs stay
 // persisted for the next start, and every in-flight crawl checkpoints at its
 // next site boundary and seals its WAL. Drain blocks until the executor pool
-// has exited and returns the number of jobs it interrupted mid-run.
+// has exited, closes the cache's recency log, and returns the number of
+// jobs it interrupted mid-run.
 func (d *Daemon) Drain() int {
 	d.mu.Lock()
 	already := d.draining
@@ -462,6 +466,10 @@ func (d *Daemon) Drain() int {
 		d.queue.Close()
 	}
 	d.wg.Wait()
+	// a download served after this keeps its recency bump in memory only;
+	// a failed close loses at most the log's last bumps, which only age
+	// their entries
+	_ = d.cache.Close()
 
 	interrupted := 0
 	d.mu.Lock()

@@ -3,6 +3,7 @@ package daemon
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -54,8 +55,8 @@ func Handler(d *Daemon) http.Handler {
 	}
 	route("POST /v1/jobs", "/v1/jobs", handleSubmit)
 	route("GET /v1/jobs/{id}", "/v1/jobs/{id}", handleStatus)
-	route("GET /v1/jobs/{id}/artifact", "/v1/jobs/{id}/artifact", handleArtifact)
-	route("GET /v1/jobs/{id}/trace", "/v1/jobs/{id}/trace", handleTrace)
+	route("GET /v1/jobs/{id}/artifact", "/v1/jobs/{id}/artifact", serveArtifact("", "artifact"))
+	route("GET /v1/jobs/{id}/trace", "/v1/jobs/{id}/trace", serveArtifact(traceSuffix, "trace"))
 	route("GET /v1/jobs/{id}/events", "/v1/jobs/{id}/events", handleEvents)
 	route("GET /healthz", "/healthz", handleHealth)
 	route("GET /metrics", "/metrics", handleMetrics)
@@ -70,7 +71,8 @@ func Handler(d *Daemon) http.Handler {
 }
 
 // statusWriter captures the response code for the middleware's per-code
-// counters while passing Flusher through (SSE needs it).
+// counters while passing Flusher (SSE needs it) and ReaderFrom (artifact
+// downloads need it to reach sendfile) through.
 type statusWriter struct {
 	http.ResponseWriter
 	code int
@@ -85,6 +87,13 @@ func (w *statusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
+}
+
+func (w *statusWriter) ReadFrom(r io.Reader) (int64, error) {
+	if rf, ok := w.ResponseWriter.(io.ReaderFrom); ok {
+		return rf.ReadFrom(r)
+	}
+	return io.Copy(w.ResponseWriter, r)
 }
 
 // requestSecondsBuckets is the latency histogram layout for HTTP handlers:
@@ -171,22 +180,32 @@ func handleStatus(d *Daemon, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-func handleArtifact(d *Daemon, w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	data, meta, ok := d.Artifact(id)
-	if !ok {
-		if st, known := d.JobStatusFor(id); known {
-			httpError(w, http.StatusConflict, fmt.Sprintf("job %s is %s, artifact not sealed yet", id, st.State))
+// serveArtifact returns the handler that streams a job's sealed cache entry
+// id+suffix straight from its file: the bundle or report with no suffix, the
+// span trace (JSON lines, which wpmtrace consumes directly) with
+// traceSuffix. what names the entry in the not-yet-sealed error. The body is
+// an io.LimitReader over the *os.File, so net/http hands it to sendfile; a
+// bare *os.File would take io.Copy through the file's own WriteTo and a
+// 32 KB copy buffer.
+func serveArtifact(suffix, what string) func(*Daemon, http.ResponseWriter, *http.Request) {
+	return func(d *Daemon, w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		f, meta, ok := d.cache.Open(id + suffix)
+		if !ok {
+			if st, known := d.JobStatusFor(id); known {
+				httpError(w, http.StatusConflict, fmt.Sprintf("job %s is %s, %s not sealed yet", id, st.State, what))
+				return
+			}
+			httpError(w, http.StatusNotFound, fmt.Sprintf("unknown job %s", id))
 			return
 		}
-		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown job %s", id))
-		return
+		defer f.Close()
+		w.Header().Set("Content-Type", meta.ContentType)
+		w.Header().Set("X-Artifact-Digest", meta.Digest)
+		w.Header().Set("Content-Length", strconv.FormatInt(meta.Bytes, 10))
+		w.WriteHeader(http.StatusOK)
+		_, _ = io.Copy(w, io.LimitReader(f, meta.Bytes)) // client gone mid-write: nothing to report to
 	}
-	w.Header().Set("Content-Type", meta.ContentType)
-	w.Header().Set("X-Artifact-Digest", meta.Digest)
-	w.Header().Set("Content-Length", strconv.FormatInt(meta.Bytes, 10))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data) // client gone mid-write: nothing to report to
 }
 
 func handleHealth(d *Daemon, w http.ResponseWriter, _ *http.Request) {
@@ -202,26 +221,6 @@ func handleHealth(d *Daemon, w http.ResponseWriter, _ *http.Request) {
 		code = http.StatusServiceUnavailable
 	}
 	writeJSON(w, code, body)
-}
-
-// handleTrace serves the job's sealed trace artifact (JSON lines of span
-// events; wpmtrace consumes the format directly).
-func handleTrace(d *Daemon, w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	data, meta, ok := d.Artifact(id + traceSuffix)
-	if !ok {
-		if st, known := d.JobStatusFor(id); known {
-			httpError(w, http.StatusConflict, fmt.Sprintf("job %s is %s, trace not sealed yet", id, st.State))
-			return
-		}
-		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown job %s", id))
-		return
-	}
-	w.Header().Set("Content-Type", meta.ContentType)
-	w.Header().Set("X-Artifact-Digest", meta.Digest)
-	w.Header().Set("Content-Length", strconv.FormatInt(meta.Bytes, 10))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data) // client gone mid-write: nothing to report to
 }
 
 // writeSSE emits one Server-Sent Event frame.

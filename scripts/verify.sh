@@ -204,9 +204,6 @@ fi
 echo "== (cd cmd/wpmbench && go test ./...) (benchmark workloads match their golden digests)"
 (cd cmd/wpmbench && go test ./...)
 
-echo "== go vet ./internal/telemetry"
-go vet ./internal/telemetry
-
 echo "== telemetry overhead benchmark (smoke)"
 # go test passes when -bench matches nothing, so demand a result line
 bench_out=$(go test -run '^$' -bench TelemetryOverhead -benchtime 100x ./internal/telemetry)
