@@ -26,6 +26,7 @@ import (
 	"gullible/internal/httpsim"
 	"gullible/internal/jsdom"
 	"gullible/internal/openwpm"
+	"gullible/internal/stealth"
 )
 
 // Format is the bundle schema version.
@@ -60,9 +61,9 @@ type Config struct {
 	HTTPFilterJSOnly        bool `json:"httpFilterJSOnly,omitempty"`
 	LegacyInstrumentGlobals bool `json:"legacyInstrumentGlobals,omitempty"`
 	HoneyProps              int  `json:"honeyProps,omitempty"`
-	// Stealth records that the crawl ran the hardened instrument; replays
-	// must re-attach it via openwpm.CrawlConfig.Stealth (the instrument
-	// itself is code, not data).
+	// Stealth records that the crawl ran the hardened instrument (WPM_hide);
+	// CrawlConfig re-attaches stealth.New() for it (the instrument itself is
+	// code, not data).
 	Stealth bool `json:"stealth,omitempty"`
 	// TamperAnalysis records that the crawl statically analysed stored
 	// scripts; replays re-attach analysis.TamperRecorder (same code-not-data
@@ -99,11 +100,13 @@ func ConfigOf(c openwpm.CrawlConfig) Config {
 	}
 }
 
-// CrawlConfig reconstructs an openwpm configuration from the snapshot. A
-// recording that ran static tamper analysis gets analysis.TamperRecorder
-// back: the analyser is pure, so re-attaching it reproduces the recorded
-// tamper table exactly. Transport, Recorder and Stealth are left nil for the
-// caller to supply.
+// CrawlConfig reconstructs an openwpm configuration from the snapshot. The
+// code the recording ran is re-attached: a stealth recording gets
+// stealth.New() back, so a replay with no variant observes through the same
+// instrument, and a recording that ran static tamper analysis gets
+// analysis.TamperRecorder back (the analyser is pure, so it reproduces the
+// recorded tamper table exactly). Transport and Recorder are left nil for
+// the caller to supply.
 func (c Config) CrawlConfig() openwpm.CrawlConfig {
 	cfg := openwpm.CrawlConfig{
 		OS: jsdom.OS(c.OS), Mode: jsdom.Mode(c.Mode), FirefoxVersion: c.FirefoxVersion,
@@ -116,6 +119,9 @@ func (c Config) CrawlConfig() openwpm.CrawlConfig {
 		MaxVisitSeconds: c.MaxVisitSeconds, MaxCrawlSeconds: c.MaxCrawlSeconds,
 		BackoffBaseSeconds: c.BackoffBaseSeconds, BackoffMaxSeconds: c.BackoffMaxSeconds,
 		BreakerThreshold: c.BreakerThreshold, BlindRetry: c.BlindRetry,
+	}
+	if c.Stealth {
+		cfg.Stealth = stealth.New()
 	}
 	if c.TamperAnalysis {
 		cfg.Tamper = analysis.TamperRecorder

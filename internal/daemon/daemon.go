@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -181,21 +182,63 @@ type queueRec struct {
 	Spec   JobSpec `json:"spec"`
 }
 
+// Admission errors. The HTTP layer maps both onto 429 + Retry-After; they
+// are distinct so callers can tell global overload (ErrQueueFull: the box is
+// saturated) from one tenant exhausting its own in-flight cost budget
+// (ErrTenantBudget: other tenants are still admitted).
+var (
+	ErrQueueFull    = errors.New("daemon: job queue is full")
+	ErrTenantBudget = errors.New("daemon: tenant budget exhausted")
+)
+
 // Daemon is the crawl-as-a-service core: admission, execution, caching,
 // drain and recovery. The HTTP layer in http.go is a thin shell over it.
+//
+// All admission state lives under mu alone, so the ordering rules are facts
+// of the code's shape: a job enters the table, the FIFO and its tenant's
+// load in one critical section after its spec is persisted; an executor
+// takes a job only while the daemon is not draining; and settle returns a
+// job's cost before its Done channel closes.
 type Daemon struct {
 	cfg   Config
 	tel   *telemetry.Telemetry
 	cache *Cache
-	queue *Queue
 
 	stop chan struct{} // closed by Drain; every in-flight crawl watches it
 	wg   sync.WaitGroup
 
-	mu        sync.Mutex
-	jobs      map[string]*Job
+	mu    sync.Mutex
+	ready *sync.Cond // on mu: signalled per admitted job, broadcast by Drain
+	// jobs holds every job this process admitted, finished ones included
+	// (a late SSE subscriber still replays their events).
+	jobs map[string]*Job
+	// queued is the FIFO of admitted jobs no executor has taken yet.
+	queued []*Job
+	// load is each tenant's cost of queued and running jobs; a tenant
+	// with none has no entry.
+	load      map[string]int64
 	submitSeq uint64
 	draining  bool
+}
+
+// newDaemon builds a daemon over an open cache with no executors running.
+func newDaemon(cfg Config, cache *Cache) *Daemon {
+	d := &Daemon{
+		cfg: cfg, tel: cfg.Telemetry, cache: cache,
+		stop: make(chan struct{}),
+		jobs: map[string]*Job{}, load: map[string]int64{},
+	}
+	d.ready = sync.NewCond(&d.mu)
+	return d
+}
+
+// newJob builds a queued job for a canonical spec.
+func (d *Daemon) newJob(addr string, spec JobSpec, tenant string, seq uint64) *Job {
+	return &Job{
+		Addr: addr, Spec: spec, Tenant: tenant, Cost: Cost(spec), Seq: seq,
+		state: JobQueued, done: make(chan struct{}),
+		events: newEventHub(d.tel.Counter("daemon_event_drops_total")),
+	}
 }
 
 // Open builds a daemon over cfg.Dir: the artifact cache index is rebuilt
@@ -217,14 +260,7 @@ func Open(cfg Config) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Daemon{
-		cfg:   cfg,
-		tel:   cfg.Telemetry,
-		cache: cache,
-		queue: NewQueue(cfg.QueueDepth, cfg.TenantBudget),
-		stop:  make(chan struct{}),
-		jobs:  map[string]*Job{},
-	}
+	d := newDaemon(cfg, cache)
 	if err := d.recoverPersisted(); err != nil {
 		_ = cache.Close() // the recovery error is the one to report
 		return nil, err
@@ -273,10 +309,9 @@ func (d *Daemon) recoverPersisted() error {
 		recs = append(recs, rec)
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
-	// New has not started the executors yet, but submitSeq and the jobs map
-	// are mu-guarded everywhere else; recovery holds the lock too so every
-	// write site agrees on the discipline (and stays correct if recovery is
-	// ever re-run on a live daemon).
+	// Open has not started the executors yet, but admission state is
+	// mu-guarded everywhere else; recovery holds the lock too so every write
+	// site agrees on the discipline.
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, rec := range recs {
@@ -289,16 +324,9 @@ func (d *Daemon) recoverPersisted() error {
 			d.removePersisted(addr)
 			continue
 		}
-		j := &Job{
-			Addr: addr, Spec: rec.Spec, Tenant: rec.Tenant,
-			Cost: Cost(rec.Spec), Seq: rec.Seq,
-			state: JobQueued, done: make(chan struct{}),
-			events: newEventHub(d.tel.Counter("daemon_event_drops_total")),
-		}
-		if err := d.queue.Admit(j, true); err != nil {
-			return err
-		}
-		d.jobs[addr] = j
+		// the depth and budget checks are skipped: a previous process
+		// already admitted this work
+		d.enqueueLocked(d.newJob(addr, rec.Spec, rec.Tenant, rec.Seq))
 		d.tel.Counter("daemon_jobs_recovered_total").Inc()
 	}
 	// sweep WAL directories with no pending spec
@@ -317,7 +345,7 @@ func (d *Daemon) recoverPersisted() error {
 			_ = os.RemoveAll(filepath.Join(jdirRoot, e.Name()))
 		}
 	}
-	d.tel.Gauge("daemon_queue_depth").Set(int64(d.queue.Depth()))
+	d.tel.Gauge("daemon_queue_depth").Set(int64(len(d.queued)))
 	return nil
 }
 
@@ -350,8 +378,10 @@ func (d *Daemon) Submit(spec JobSpec, tenant string) (JobStatus, error) {
 	}
 	d.tel.Counter("daemon_cache_misses_total").Inc()
 
-	if canon.Kind == KindReplay && !d.cache.Contains(canon.Source) {
-		return JobStatus{}, fmt.Errorf("daemon: replay source %s is not in the cache — submit the source job first", canon.Source)
+	if canon.Kind == KindReplay {
+		if src, ok := d.cache.Peek(canon.Source); !ok || src.Kind != KindCrawl && src.Kind != KindReplay {
+			return JobStatus{}, fmt.Errorf("daemon: replay source %s is not a cached crawl or replay bundle — submit the source job first", canon.Source)
+		}
 	}
 
 	d.mu.Lock()
@@ -359,45 +389,43 @@ func (d *Daemon) Submit(spec JobSpec, tenant string) (JobStatus, error) {
 	if d.draining {
 		return JobStatus{}, fmt.Errorf("daemon: draining, not accepting jobs")
 	}
-	// identical request already in flight: coalesce onto it. A done job
-	// missed the cache above, so its artifact was evicted or dropped as
-	// damaged; it is admitted again below to re-run.
-	if j, ok := d.jobs[addr]; ok && j.Status().State != JobDone {
-		d.tel.Counter("daemon_jobs_coalesced_total").Inc()
-		return j.Status(), nil
+	// identical request queued or running: coalesce onto it. A done job
+	// missed the cache above (its artifact was evicted or dropped as
+	// damaged) and a failed one sealed nothing; both are admitted again.
+	if j, ok := d.jobs[addr]; ok {
+		if st := j.Status(); st.State == JobQueued || st.State == JobRunning {
+			d.tel.Counter("daemon_jobs_coalesced_total").Inc()
+			return st, nil
+		}
+	}
+	if d.cfg.QueueDepth > 0 && len(d.queued) >= d.cfg.QueueDepth {
+		d.tel.Counter("daemon_jobs_rejected_total", telemetry.L("reason", "queue")).Inc()
+		return JobStatus{}, ErrQueueFull
+	}
+	if d.cfg.TenantBudget > 0 && d.load[tenant]+Cost(canon) > d.cfg.TenantBudget {
+		d.tel.Counter("daemon_jobs_rejected_total", telemetry.L("reason", "tenant")).Inc()
+		return JobStatus{}, ErrTenantBudget
 	}
 	d.submitSeq++
-	j := &Job{
-		Addr: addr, Spec: canon, Tenant: tenant, Cost: Cost(canon),
-		Seq: d.submitSeq, state: JobQueued, done: make(chan struct{}),
-		events: newEventHub(d.tel.Counter("daemon_event_drops_total")),
-	}
-	// Register, persist, then admit, all under d.mu (Queue methods never
-	// take it): no coalescing submit, drain or executor can see a job that
-	// is half admitted. The snapshot is taken before Admit hands the job
-	// to the executors, so the caller always sees it queued.
-	d.jobs[addr] = j
-	st := j.Status()
+	j := d.newJob(addr, canon, tenant, d.submitSeq)
 	if err := d.persistQueued(j); err != nil {
 		// a job we cannot persist would vanish on restart; refuse it
-		delete(d.jobs, addr)
 		return JobStatus{}, err
 	}
-	if err := d.queue.Admit(j, false); err != nil {
-		delete(d.jobs, addr)
-		d.removePersisted(addr)
-		d.tel.Counter("daemon_jobs_rejected_total", telemetry.L("reason", rejectReason(err))).Inc()
-		return JobStatus{}, err
-	}
-	d.tel.Gauge("daemon_queue_depth").Set(int64(d.queue.Depth()))
-	return st, nil
+	// the snapshot is taken before the lock is released, so the caller
+	// always sees the job queued
+	d.enqueueLocked(j)
+	return j.Status(), nil
 }
 
-func rejectReason(err error) string {
-	if err == ErrTenantBudget {
-		return "tenant"
-	}
-	return "queue"
+// enqueueLocked registers an admitted job, charges its cost to its tenant
+// and wakes one executor. The caller holds d.mu.
+func (d *Daemon) enqueueLocked(j *Job) {
+	d.jobs[j.Addr] = j
+	d.queued = append(d.queued, j)
+	d.load[j.Tenant] += j.Cost
+	d.tel.Gauge("daemon_queue_depth").Set(int64(len(d.queued)))
+	d.ready.Signal()
 }
 
 // persistQueued writes the job's spec to queue/<addr>.json so a killed
@@ -458,13 +486,12 @@ func (d *Daemon) Job(addr string) (*Job, bool) {
 // jobs it interrupted mid-run.
 func (d *Daemon) Drain() int {
 	d.mu.Lock()
-	already := d.draining
-	d.draining = true
-	d.mu.Unlock()
-	if !already {
+	if !d.draining {
+		d.draining = true
 		close(d.stop)
-		d.queue.Close()
+		d.ready.Broadcast()
 	}
+	d.mu.Unlock()
 	d.wg.Wait()
 	// a download served after this keeps its recency bump in memory only;
 	// a failed close loses at most the log's last bumps, which only age
@@ -482,64 +509,83 @@ func (d *Daemon) Drain() int {
 	return interrupted
 }
 
-// executor is one worker: it pulls admitted jobs until the queue closes.
+// executor is one worker: it runs admitted jobs until the daemon drains.
 func (d *Daemon) executor() {
 	defer d.wg.Done()
 	for {
-		j, ok := d.queue.Next()
+		j, ok := d.next()
 		if !ok {
 			return
-		}
-		d.tel.Gauge("daemon_queue_depth").Set(int64(d.queue.Depth()))
-		if d.Draining() {
-			// picked up during the drain race window: leave it persisted
-			continue
 		}
 		d.run(j)
 	}
 }
 
+// next blocks until a job is queued or the daemon drains, and takes the
+// oldest queued job. Once draining it returns false even when jobs remain
+// queued: stopping work is the point, and their specs stay persisted for
+// the next start.
+func (d *Daemon) next() (*Job, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for !d.draining && len(d.queued) == 0 {
+		d.ready.Wait()
+	}
+	if d.draining {
+		return nil, false
+	}
+	j := d.queued[0]
+	d.queued[0] = nil
+	d.queued = d.queued[1:]
+	d.tel.Gauge("daemon_queue_depth").Set(int64(len(d.queued)))
+	return j, true
+}
+
 // run executes one job to a terminal state.
 func (d *Daemon) run(j *Job) {
-	if d.cache.Contains(j.Addr) {
-		// completed by an earlier process that died between sealing the
-		// artifact and cleaning up its queue entry
-		meta, _ := d.cache.Peek(j.Addr)
-		d.removePersisted(j.Addr)
-		d.queue.Release(j)
-		j.finish(JobDone, meta.Digest, "")
-		return
-	}
 	j.setState(JobRunning)
 	running := d.tel.Gauge("daemon_jobs_running")
 	running.Add(1)
 	defer running.Add(-1)
 
 	artifact, meta, interrupted, err := d.execute(j)
+	if err == nil && !interrupted {
+		err = d.cache.Put(j.Addr, artifact, meta)
+	}
 	switch {
 	case interrupted:
-		// drain checkpointed the crawl; the WAL is sealed and the queue
-		// spec stays — the next daemon start recovers and finishes it
-		d.tel.Counter("daemon_jobs_interrupted_total").Inc()
-		j.finish(JobInterrupted, "", "")
+		d.settle(j, JobInterrupted, "", "")
 	case err != nil:
-		d.tel.Counter("daemon_jobs_failed_total").Inc()
-		d.removePersisted(j.Addr)
-		d.queue.Release(j)
-		j.finish(JobFailed, "", err.Error())
+		d.settle(j, JobFailed, "", err.Error())
 	default:
-		if perr := d.cache.Put(j.Addr, artifact, meta); perr != nil {
-			d.tel.Counter("daemon_jobs_failed_total").Inc()
-			d.removePersisted(j.Addr)
-			d.queue.Release(j)
-			j.finish(JobFailed, "", perr.Error())
-			return
-		}
-		d.tel.Counter("daemon_jobs_completed_total", telemetry.L("kind", j.Spec.Kind)).Inc()
-		d.removePersisted(j.Addr)
-		d.queue.Release(j)
-		j.finish(JobDone, meta.Digest, "")
+		d.settle(j, JobDone, meta.Digest, "")
 	}
+}
+
+// settle ends a job this process took from the queue. A job that drain
+// interrupted keeps its queue spec and sealed WAL, and the next start
+// recovers and finishes it; any other outcome removes both. The tenant's
+// cost is returned before finish closes Done, so whoever waits on Done can
+// spend the freed budget at once.
+func (d *Daemon) settle(j *Job, state JobState, digest, errMsg string) {
+	switch state {
+	case JobDone:
+		d.tel.Counter("daemon_jobs_completed_total", telemetry.L("kind", j.Spec.Kind)).Inc()
+	case JobFailed:
+		d.tel.Counter("daemon_jobs_failed_total").Inc()
+	case JobInterrupted:
+		d.tel.Counter("daemon_jobs_interrupted_total").Inc()
+	}
+	if state != JobInterrupted {
+		d.removePersisted(j.Addr)
+	}
+	d.mu.Lock()
+	d.load[j.Tenant] -= j.Cost
+	if d.load[j.Tenant] <= 0 {
+		delete(d.load, j.Tenant)
+	}
+	d.mu.Unlock()
+	j.finish(state, digest, errMsg)
 }
 
 // execute dispatches a job to its kind's implementation.
@@ -780,7 +826,11 @@ func (d *Daemon) CacheStats() (entries int, bytes int64) {
 }
 
 // QueueDepth reports the number of queued jobs.
-func (d *Daemon) QueueDepth() int { return d.queue.Depth() }
+func (d *Daemon) QueueDepth() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.queued)
+}
 
 // Telemetry exposes the daemon's registry (for /metrics).
 func (d *Daemon) Telemetry() *telemetry.Telemetry { return d.tel }

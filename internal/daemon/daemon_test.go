@@ -4,8 +4,13 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -216,11 +221,7 @@ func stalledDaemon(t testing.TB, cfg Config) *Daemon {
 			t.Fatal(err)
 		}
 	}
-	return &Daemon{
-		cfg: cfg, tel: cfg.Telemetry, cache: cache,
-		queue: NewQueue(cfg.QueueDepth, cfg.TenantBudget),
-		stop:  make(chan struct{}), jobs: map[string]*Job{},
-	}
+	return newDaemon(cfg, cache)
 }
 
 func TestSubmitAdmissionControl(t *testing.T) {
@@ -336,5 +337,286 @@ func TestDrainMidCrawlAndRecover(t *testing.T) {
 	art, _, _ := d2.Artifact(st.ID)
 	if !bytes.Equal(art, refArt) {
 		t.Fatal("recovered artifact bytes differ from the uninterrupted run")
+	}
+}
+
+// queueFiles counts the job specs persisted under dir/queue.
+func queueFiles(t *testing.T, dir string) int {
+	t.Helper()
+	ents, err := os.ReadDir(filepath.Join(dir, "queue"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(ents)
+}
+
+func TestQueueDepthLimit(t *testing.T) {
+	dir := t.TempDir()
+	d := stalledDaemon(t, Config{Dir: dir, QueueDepth: 3, TenantBudget: -1})
+	for seed := int64(1); seed <= 3; seed++ {
+		if _, err := d.Submit(JobSpec{Kind: KindCrawl, NumSites: 3, Seed: seed}, "t"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := d.Submit(JobSpec{Kind: KindCrawl, NumSites: 3, Seed: 4}, "t"); err != ErrQueueFull {
+		t.Fatalf("fourth submit: %v, want ErrQueueFull", err)
+	}
+	// a refused job was never persisted
+	if n := queueFiles(t, dir); n != 3 {
+		t.Fatalf("%d persisted specs, want 3", n)
+	}
+	d.Drain()
+
+	// recovery re-admits all three past a smaller depth: a previous process
+	// already admitted them
+	d2 := stalledDaemon(t, Config{Dir: dir, QueueDepth: 2, TenantBudget: -1})
+	defer d2.Drain()
+	if err := d2.recoverPersisted(); err != nil {
+		t.Fatal(err)
+	}
+	if d2.QueueDepth() != 3 {
+		t.Fatalf("recovered depth %d, want 3", d2.QueueDepth())
+	}
+	if _, err := d2.Submit(JobSpec{Kind: KindCrawl, NumSites: 3, Seed: 4}, "t"); err != ErrQueueFull {
+		t.Fatalf("submit past the recovered depth: %v, want ErrQueueFull", err)
+	}
+}
+
+func TestQueueTenantBudget(t *testing.T) {
+	d := stalledDaemon(t, Config{Dir: t.TempDir(), TenantBudget: 4})
+	defer d.Drain()
+	a, err := d.Submit(smallCrawl, "alice") // cost 3
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Submit(JobSpec{Kind: KindCrawl, NumSites: 2, Seed: 7}, "alice"); err != ErrTenantBudget {
+		t.Fatalf("over-budget submit: %v, want ErrTenantBudget", err)
+	}
+	// another tenant is unaffected
+	if _, err := d.Submit(JobSpec{Kind: KindCrawl, NumSites: 4, Seed: 7}, "bob"); err != nil {
+		t.Fatalf("bob's submit: %v", err)
+	}
+
+	// the cost is held while the job runs and returned before Done closes,
+	// so a submitter woken by Done is admitted against the freed budget
+	j, ok := d.next()
+	if !ok || j.Addr != a.ID {
+		t.Fatalf("next: %v ok=%v, want alice's job", j, ok)
+	}
+	woken := make(chan error, 1)
+	go func() {
+		<-j.Done()
+		_, err := d.Submit(JobSpec{Kind: KindCrawl, NumSites: 4, Seed: 8}, "alice")
+		woken <- err
+	}()
+	d.run(j)
+	if st := j.Status(); st.State != JobDone {
+		t.Fatalf("alice's job finished as %+v", st)
+	}
+	if err := <-woken; err != nil {
+		t.Fatalf("submit after Done: %v", err)
+	}
+}
+
+func TestQueueNextFIFO(t *testing.T) {
+	d := stalledDaemon(t, Config{Dir: t.TempDir()})
+	defer d.Drain()
+	var ids []string
+	for seed := int64(1); seed <= 3; seed++ {
+		st, err := d.Submit(JobSpec{Kind: KindCrawl, NumSites: 3, Seed: seed}, "t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	for i, want := range ids {
+		if j, ok := d.next(); !ok || j.Addr != want {
+			t.Fatalf("next #%d: %v ok=%v, want %s", i, j, ok, want)
+		}
+	}
+}
+
+func TestQueueNextBlocksUntilAdmit(t *testing.T) {
+	d := stalledDaemon(t, Config{Dir: t.TempDir()})
+	defer d.Drain()
+	got := make(chan *Job, 1)
+	go func() {
+		j, _ := d.next()
+		got <- j
+	}()
+	st, err := d.Submit(smallCrawl, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j := <-got; j == nil || j.Addr != st.ID {
+		t.Fatalf("blocked next returned %v, want %s", j, st.ID)
+	}
+}
+
+func TestQueueCloseDrains(t *testing.T) {
+	// executors blocked on an empty queue: Drain returns only once both
+	// woke and exited
+	d := stalledDaemon(t, Config{Dir: t.TempDir()})
+	for i := 0; i < 2; i++ {
+		d.wg.Add(1)
+		go d.executor()
+	}
+	drained := make(chan struct{})
+	go func() {
+		d.Drain()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(60 * time.Second):
+		t.Fatal("Drain did not wake the blocked executors")
+	}
+
+	// a draining daemon hands out no job, even one still queued, and
+	// admits nothing; the queued job stays persisted for the next start
+	dir := t.TempDir()
+	d2 := stalledDaemon(t, Config{Dir: dir})
+	st, err := d2.Submit(smallCrawl, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2.Drain()
+	if j, ok := d2.next(); ok {
+		t.Fatalf("next returned %v after Drain", j)
+	}
+	if _, err := d2.Submit(JobSpec{Kind: KindCrawl, NumSites: 3, Seed: 7}, "t"); err == nil {
+		t.Fatal("a draining daemon admitted a job")
+	}
+	if j, _ := d2.Job(st.ID); j.Status().State != JobQueued || queueFiles(t, dir) != 1 {
+		t.Fatalf("queued job after Drain: %+v, %d persisted specs", j.Status(), queueFiles(t, dir))
+	}
+}
+
+// TestAdmissionConcurrentSubmitters: submitters and executors share the
+// admission state. Every job fails at once (its cached source does not
+// decode), so specs are admitted, coalesced, failed and re-admitted while
+// other goroutines submit; once all settled, no cost is charged and nothing
+// is queued or persisted.
+func TestAdmissionConcurrentSubmitters(t *testing.T) {
+	dir := t.TempDir()
+	d := stalledDaemon(t, Config{Dir: dir, TenantBudget: 8})
+	defer d.Drain()
+	var srcs []string
+	for i := 0; i < 12; i++ {
+		src := fmt.Sprintf("%064x", i)
+		if err := d.cache.Put(src, []byte("not json\n"), ArtifactMeta{Kind: KindCrawl}); err != nil {
+			t.Fatal(err)
+		}
+		srcs = append(srcs, src)
+	}
+	for i := 0; i < 2; i++ {
+		d.wg.Add(1)
+		go d.executor()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(tenant string) {
+			defer wg.Done()
+			for _, src := range srcs {
+				_, err := d.Submit(JobSpec{Kind: KindReplay, Source: src}, tenant)
+				if err != nil && err != ErrTenantBudget {
+					t.Error(err)
+				}
+			}
+		}(fmt.Sprint("t", g%2))
+	}
+	wg.Wait()
+	for _, src := range srcs {
+		addr, _, err := ContentAddress(JobSpec{Kind: KindReplay, Source: src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := d.Job(addr); ok {
+			if st := waitDone(t, d, addr); st.State != JobFailed {
+				t.Fatalf("replay of %s finished as %+v, want failed", src, st)
+			}
+		}
+	}
+	d.mu.Lock()
+	queued, load := len(d.queued), len(d.load)
+	d.mu.Unlock()
+	if queued != 0 || load != 0 || queueFiles(t, dir) != 0 {
+		t.Fatalf("after every job settled: %d queued, %d tenants charged, %d persisted specs", queued, load, queueFiles(t, dir))
+	}
+}
+
+// TestSubmitReplayNeedsCachedBundle: a replay whose source is cached but is
+// a report or a trace, not a bundle, is refused at submit with 400.
+func TestSubmitReplayNeedsCachedBundle(t *testing.T) {
+	d := stalledDaemon(t, Config{Dir: t.TempDir()})
+	defer d.Drain()
+	src := strings.Repeat("a", 64)
+	for addr, kind := range map[string]string{src: KindDiff, src + traceSuffix: "trace"} {
+		if err := d.cache.Put(addr, []byte("{}\n"), ArtifactMeta{Kind: kind}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Submit(JobSpec{Kind: KindReplay, Source: addr}, ""); err == nil || !strings.Contains(err.Error(), "not a cached crawl or replay bundle") {
+			t.Fatalf("replay of a %s artifact: %v, want a not-a-bundle error", kind, err)
+		}
+		rec := httptest.NewRecorder()
+		body := `{"kind":"replay","source":"` + addr + `"}`
+		Handler(d).ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("POST replay of a %s artifact: code %d, want 400: %s", kind, rec.Code, rec.Body)
+		}
+	}
+	if d.QueueDepth() != 0 {
+		t.Fatalf("a refused replay was queued (depth %d)", d.QueueDepth())
+	}
+}
+
+// TestSubmitReadmitsFailedJob: a failed job reports its error on the
+// artifact route, frees its spec and budget, and a resubmission of its spec
+// is admitted again rather than answered with the stale failure.
+func TestSubmitReadmitsFailedJob(t *testing.T) {
+	dir := t.TempDir()
+	d := stalledDaemon(t, Config{Dir: dir, TenantBudget: 1})
+	defer d.Drain()
+	src := strings.Repeat("b", 64)
+	if err := d.cache.Put(src, []byte("{}\n"), ArtifactMeta{Kind: KindCrawl}); err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{Kind: KindReplay, Source: src, Variant: "none"}
+	st, err := d.Submit(spec, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// the source leaves the cache before an executor takes the job
+	d.cache.drop(src)
+	j, ok := d.next()
+	if !ok {
+		t.Fatal("no queued job")
+	}
+	d.run(j)
+	failed := j.Status()
+	if failed.State != JobFailed || !strings.Contains(failed.Error, "not in the cache") {
+		t.Fatalf("job finished as %+v, want failed on the missing source", failed)
+	}
+	if n := queueFiles(t, dir); n != 0 {
+		t.Fatalf("%d persisted specs after the failure, want 0", n)
+	}
+
+	rec := httptest.NewRecorder()
+	Handler(d).ServeHTTP(rec, httptest.NewRequest("GET", "/v1/jobs/"+st.ID+"/artifact", nil))
+	if rec.Code != http.StatusConflict || !strings.Contains(rec.Body.String(), "failed") ||
+		!strings.Contains(rec.Body.String(), "not in the cache") {
+		t.Fatalf("GET artifact of a failed job: code %d, body %s", rec.Code, rec.Body)
+	}
+
+	if err := d.cache.Put(src, []byte("{}\n"), ArtifactMeta{Kind: KindCrawl}); err != nil {
+		t.Fatal(err)
+	}
+	again, err := d.Submit(spec, "alice") // within alice's budget of 1 again
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.State != JobQueued || d.QueueDepth() != 1 || queueFiles(t, dir) != 1 {
+		t.Fatalf("resubmit of a failed spec: %+v, depth %d", again, d.QueueDepth())
 	}
 }

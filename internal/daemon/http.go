@@ -23,7 +23,9 @@ import (
 //	                             503 while draining
 //	GET  /v1/jobs/{id}           job status by content address
 //	GET  /v1/jobs/{id}/artifact  sealed artifact bytes (X-Artifact-Digest
-//	                             header carries the integrity digest)
+//	                             header carries the integrity digest); 409
+//	                             naming why a known job has none (not sealed
+//	                             yet, failed, or evicted)
 //	GET  /v1/jobs/{id}/trace     the job's sealed span trace (JSON lines;
 //	                             analyse with wpmtrace)
 //	GET  /v1/jobs/{id}/events    live job event stream (SSE): state
@@ -183,20 +185,29 @@ func handleStatus(d *Daemon, w http.ResponseWriter, r *http.Request) {
 // serveArtifact returns the handler that streams a job's sealed cache entry
 // id+suffix straight from its file: the bundle or report with no suffix, the
 // span trace (JSON lines, which wpmtrace consumes directly) with
-// traceSuffix. what names the entry in the not-yet-sealed error. The body is
-// an io.LimitReader over the *os.File, so net/http hands it to sendfile; a
-// bare *os.File would take io.Copy through the file's own WriteTo and a
-// 32 KB copy buffer.
+// traceSuffix. what names the entry in the errors. The body is an
+// io.LimitReader over the *os.File, so net/http hands it to sendfile; a bare
+// *os.File would take io.Copy through the file's own WriteTo and a 32 KB
+// copy buffer.
 func serveArtifact(suffix, what string) func(*Daemon, http.ResponseWriter, *http.Request) {
 	return func(d *Daemon, w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		f, meta, ok := d.cache.Open(id + suffix)
 		if !ok {
-			if st, known := d.JobStatusFor(id); known {
+			st, known := d.JobStatusFor(id)
+			switch {
+			case !known:
+				httpError(w, http.StatusNotFound, fmt.Sprintf("unknown job %s", id))
+			case st.State == JobFailed:
+				httpError(w, http.StatusConflict, fmt.Sprintf("job %s failed: %s", id, st.Error))
+			case st.State != JobDone:
 				httpError(w, http.StatusConflict, fmt.Sprintf("job %s is %s, %s not sealed yet", id, st.State, what))
-				return
+			case suffix != "" && d.cache.Contains(id):
+				// report jobs, and jobs run without telemetry, seal no trace
+				httpError(w, http.StatusConflict, fmt.Sprintf("job %s is done, no %s is cached for it", id, what))
+			default:
+				httpError(w, http.StatusConflict, fmt.Sprintf("job %s is done but its %s was evicted or damaged, resubmit the spec", id, what))
 			}
-			httpError(w, http.StatusNotFound, fmt.Sprintf("unknown job %s", id))
 			return
 		}
 		defer f.Close()

@@ -115,8 +115,10 @@ func TestArtifactRoute(t *testing.T) {
 	if err := os.Truncate(filepath.Join(dir, "cache", st.ID+artSuffix), meta.Bytes/2); err != nil {
 		t.Fatal(err)
 	}
-	if _, code := readAll(t, get(st.ID)); code == http.StatusOK {
+	if body, code := readAll(t, get(st.ID)); code == http.StatusOK {
 		t.Fatal("a truncated artifact was served")
+	} else if code != http.StatusConflict || !strings.Contains(body, "evicted or damaged") {
+		t.Fatalf("GET a lost artifact: code %d, body %s; want 409 naming the loss", code, body)
 	}
 	if d.cache.Contains(st.ID) {
 		t.Fatal("the truncated artifact is still cached")

@@ -17,10 +17,10 @@
 //     kind-irrelevant fields zeroed — so semantically identical requests
 //     collide onto one address no matter how they were spelled.
 //   - cache.go: a disk-backed, byte-budgeted LRU of sealed artifacts.
-//   - queue.go: a bounded admission queue with per-tenant cost budgets;
+//   - daemon.go: admission and the job lifecycle. Admission is a bounded
+//     FIFO with per-tenant cost budgets, all under the daemon's one mutex;
 //     overload is rejected loudly (HTTP 429 + Retry-After), never absorbed
-//     into unbounded memory.
-//   - daemon.go: the job lifecycle. Crawl jobs execute through internal/sched
+//     into unbounded memory. Crawl jobs execute through internal/sched
 //     with per-shard WAL backends, so a daemon killed mid-job recovers the
 //     crawl from its logs on restart and finishes digest-identical to an
 //     uninterrupted run. Drain checkpoints in-flight jobs and persists queued

@@ -5,6 +5,7 @@ import (
 
 	"gullible/internal/bundle"
 	"gullible/internal/faults"
+	"gullible/internal/sched"
 )
 
 func TestRunBundleDiffStealthVariantDiverges(t *testing.T) {
@@ -62,5 +63,28 @@ func TestRunBundleDiffUnderFaults(t *testing.T) {
 func TestRunBundleDiffRejectsUnknownVariant(t *testing.T) {
 	if _, err := RunBundleDiff(1, BundleDiffOptions{NumSites: 2, Variant: "bogus"}); err == nil {
 		t.Fatal("unknown variant accepted")
+	}
+}
+
+// TestReplayKeepsRecordedStealth: a WPM_hide recording replayed with no
+// variant runs the stealth instrument it recorded, so re-recording it
+// reproduces the bundle byte for byte.
+func TestReplayKeepsRecordedStealth(t *testing.T) {
+	r, err := RunBundleDiff(7, BundleDiffOptions{NumSites: 6, MaxSubpages: 1, Variant: "stealth"})
+	if err != nil {
+		t.Fatalf("RunBundleDiff: %v", err)
+	}
+	if !r.Replay.Config.Stealth {
+		t.Fatal("the stealth replay's bundle does not record the stealth instrument")
+	}
+	res, _, _, err := Replay(r.Replay, bundle.MissSynthesize404, nil, sched.Crawl{
+		Workers: 1, Record: true, BundleMeta: r.Replay.Manifest.Meta,
+	})
+	if err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	if res.Bundle.Digest != r.Replay.Digest {
+		t.Fatalf("re-recorded digest %s != recorded %s:\n%s",
+			res.Bundle.Digest, r.Replay.Digest, bundle.Diff(r.Replay, res.Bundle))
 	}
 }

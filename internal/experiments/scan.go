@@ -90,7 +90,7 @@ func scanCrawlConfig(world *websim.World, maxSubpages int) openwpm.CrawlConfig {
 }
 
 // ScanOptions augments the Sec. 4 scan with reliability controls: a fault
-// profile to inject, and the hardening knobs forwarded to the crawler.
+// profile to inject, and a per-visit watchdog forwarded to the crawler.
 type ScanOptions struct {
 	MaxSubpages int
 
@@ -108,10 +108,9 @@ type ScanOptions struct {
 	FaultProfile *faults.Profile
 	FaultSeed    int64
 
-	// Hardening knobs (zero values = vanilla behaviour).
-	MaxVisitSeconds  float64
-	MaxRetries       int
-	BreakerThreshold int
+	// MaxVisitSeconds is the per-visit watchdog forwarded to the crawler
+	// (zero = vanilla behaviour).
+	MaxVisitSeconds float64
 
 	// RecordBundle archives the scan into an execution bundle. Each worker
 	// records its own shard and the scheduler seals one archive from the
@@ -195,10 +194,6 @@ func RunScanObserved(world *websim.World, numSites int, opts ScanOptions, progre
 		Config: func(sched.Shard) openwpm.CrawlConfig {
 			cfg := scanCrawlConfig(world, opts.MaxSubpages)
 			cfg.MaxVisitSeconds = opts.MaxVisitSeconds
-			if opts.MaxRetries > 0 {
-				cfg.MaxRetries = opts.MaxRetries
-			}
-			cfg.BreakerThreshold = opts.BreakerThreshold
 			switch {
 			case opts.ReplayBundle != nil:
 				// offline re-analysis: serve the archived crawl; the recorded

@@ -185,11 +185,6 @@ func NewScope(parent *Scope) *Scope {
 	return &Scope{parent: parent}
 }
 
-// newScopeCap returns a child scope presized for n bindings.
-func newScopeCap(parent *Scope, n int) *Scope {
-	return &Scope{parent: parent, names: make([]string, 0, n), vals: make([]Value, 0, n)}
-}
-
 // slot returns a pointer to the binding named name in this exact scope.
 // The pointer is only valid until the next declare on this scope.
 func (s *Scope) slot(name string) *Value {

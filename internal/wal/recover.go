@@ -148,20 +148,3 @@ func truncateAfter(fs FS, rec Rec) (int, error) {
 	}
 	return rec.seg + 1, nil
 }
-
-// removeAll deletes every segment (a log with nothing worth keeping).
-func removeAll(fs FS) error {
-	names, err := fs.List()
-	if err != nil {
-		return err
-	}
-	for _, name := range names {
-		if _, ok := segIndexOf(name); !ok {
-			continue
-		}
-		if err := fs.Remove(name); err != nil {
-			return err
-		}
-	}
-	return nil
-}

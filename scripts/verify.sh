@@ -1,7 +1,8 @@
 #!/bin/sh
 # Full verification: vet, build, wpmlint (repo run + self-tests + SARIF
-# smoke), the daemon's event-stream test three times under race, CLI smokes
-# and fuzzers, then every package's tests under the race detector in one run
+# smoke), the daemon's event-stream test three times and its admission and
+# drain tests five times under race, CLI smokes and fuzzers, then every
+# package's tests under the race detector in one run
 # (the WAL kill-and-recover tests included). Only the experiments package
 # reads -short: its full synthetic-web crawls are skipped in that mode; set
 # WPM_FULL_RACE=1 to run the long tier. Plain `go test ./...` stays the quick
@@ -77,6 +78,11 @@ rm -f /tmp/wpmlint-smoke.sarif
 # gap-free replay must hold on every repetition
 echo "== go test -race -count=3 -run TestJobEventStreamSSE ./internal/daemon (event stream replays without gaps)"
 go test -race -count=3 -run TestJobEventStreamSSE ./internal/daemon
+
+# admission, drain and the executors share the daemon's one mutex; their
+# ordering must hold on every repetition, not by timing
+echo "== go test -race -count=5 -run 'Admission|Drain|Submit|Queue' ./internal/daemon (admission and drain under race)"
+go test -race -count=5 -run 'Admission|Drain|Submit|Queue' ./internal/daemon
 
 echo "== wpmd smoke (start, submit, poll, artifact, digest-identical cache hit, metrics, drain)"
 smokedir=$(mktemp -d)
