@@ -4,8 +4,11 @@ import (
 	"reflect"
 	"testing"
 
+	"gullible/internal/jsdom"
 	"gullible/internal/minjs"
+	"gullible/internal/openwpm"
 	"gullible/internal/scriptcache"
+	"gullible/internal/websim"
 )
 
 // tamperGoldenSrcs covers each rule plus obfuscated variants, an unparsable
@@ -66,5 +69,38 @@ func TestSharedAnalyzeMatchesAnalyze(t *testing.T) {
 	}
 	if got := SharedAnalyze(src); !reflect.DeepEqual(Analyze(src), got) {
 		t.Errorf("warm-cache SharedAnalyze diverged: %+v", got)
+	}
+}
+
+// TestAnalyzeStaticOverRecordedScan: after a crawl whose TamperRecorder
+// parsed and analysed every stored body through the shared cache,
+// AnalyzeStatic over each body reports exactly what a fresh parse does.
+func TestAnalyzeStaticOverRecordedScan(t *testing.T) {
+	world := websim.New(websim.Options{Seed: 42, NumSites: 40})
+	tm := openwpm.NewTaskManager(openwpm.CrawlConfig{
+		OS: jsdom.Ubuntu, Mode: jsdom.Regular, Transport: world,
+		JSInstrument: true, HTTPInstrument: true, MaxSubpages: 1,
+		Tamper: TamperRecorder,
+	})
+	tm.CrawlFromHooked(websim.Tranco(40), &openwpm.Checkpoint{}, openwpm.CrawlHooks{})
+	if len(tm.Storage.ScriptFiles) == 0 {
+		t.Fatal("the scan stored no script bodies")
+	}
+	detectors := 0
+	for sha, f := range tm.Storage.ScriptFiles {
+		got := AnalyzeStatic(f.Content)
+		want := Analyze(f.Content)
+		if !reflect.DeepEqual(got.Tamper, want) {
+			t.Errorf("body %s: AnalyzeStatic's report\n %+v\nfresh parse\n %+v", sha, got.Tamper, want)
+		}
+		if got.SeleniumDetector != want.Has(RuleWebdriverProbe) {
+			t.Errorf("body %s: SeleniumDetector %v disagrees with the fresh report", sha, got.SeleniumDetector)
+		}
+		if got.SeleniumDetector {
+			detectors++
+		}
+	}
+	if detectors == 0 {
+		t.Error("no stored body was classified a detector; the scan does not exercise the findings path")
 	}
 }

@@ -156,7 +156,9 @@ type StaticResult struct {
 // fold constructed property names the regexes cannot see. The Table 13
 // pattern hits are still computed over the deobfuscated source — they are
 // the paper's evaluated artifact — and double as the fallback signal when a
-// script does not parse.
+// script does not parse. The tamper report comes from SharedAnalyze, so a
+// body the crawl already parsed or analysed is not parsed again; the report
+// is shared with other callers and must not be modified.
 func AnalyzeStatic(src string) StaticResult {
 	clean := Deobfuscate(src)
 	var r StaticResult
@@ -165,7 +167,7 @@ func AnalyzeStatic(src string) StaticResult {
 			r.PatternHits = append(r.PatternHits, p.Name)
 		}
 	}
-	r.Tamper = Analyze(src)
+	r.Tamper = SharedAnalyze(src)
 	r.SeleniumDetector = r.Tamper.Has(RuleWebdriverProbe)
 	markers := map[string]bool{}
 	for _, f := range r.Tamper.Findings {

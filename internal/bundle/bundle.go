@@ -15,6 +15,7 @@
 package bundle
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -209,23 +210,21 @@ type Bundle struct {
 	Digest string `json:"digest,omitempty"`
 }
 
-// canonicalJSON renders the bundle deterministically with the digest field
-// blanked. encoding/json sorts map keys and uses shortest-round-trip float
+// ComputeDigest returns the SHA-256 hex of the bundle's canonical encoding
+// with the digest field blanked: the bytes of json.MarshalIndent(b, "", " ")
+// with Digest empty, written by the bundle's own encoder (encode.go).
+// encoding/json sorts map keys and uses shortest-round-trip float
 // formatting, so identical bundle values always produce identical bytes.
-func (b *Bundle) canonicalJSON() ([]byte, error) {
-	c := *b
-	c.Digest = ""
-	return json.MarshalIndent(&c, "", " ")
-}
-
-// ComputeDigest returns the SHA-256 hex of the canonical encoding.
 func (b *Bundle) ComputeDigest() (string, error) {
-	data, err := b.canonicalJSON()
+	parts, err := b.canonicalParts("")
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
+	h := sha256.New()
+	for _, p := range parts {
+		h.Write(p)
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // Seal computes and stores the integrity digest.
@@ -291,9 +290,14 @@ func (b *Bundle) Verify() error {
 	return nil
 }
 
-// Marshal encodes the sealed bundle as canonical JSON (digest included).
+// Marshal encodes the sealed bundle as canonical JSON (digest included):
+// the bytes of json.MarshalIndent(b, "", " "), in a slice sized to them.
 func (b *Bundle) Marshal() ([]byte, error) {
-	return json.MarshalIndent(b, "", " ")
+	parts, err := b.canonicalParts(b.Digest)
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Join(parts, nil), nil
 }
 
 // Unmarshal decodes a bundle. A byte stream that ends mid-document (the

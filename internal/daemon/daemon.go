@@ -730,11 +730,20 @@ func (d *Daemon) sealTrace(j *Job, events []telemetry.SpanEvent) error {
 // seals the replayed crawl as a new bundle.
 func (d *Daemon) executeReplay(j *Job) ([]byte, ArtifactMeta, error) {
 	spec := j.Spec
-	data, _, ok := d.cache.Get(spec.Source)
+	data, meta, ok := d.cache.Get(spec.Source)
 	if !ok {
 		return nil, ArtifactMeta{}, fmt.Errorf("daemon: replay source %s is not in the cache (evicted?) — resubmit the source job", spec.Source)
 	}
+	// the cache checks only an entry's size, so the source is verified
+	// before it is replayed: a damaged or foreign artifact fails the job
+	// instead of sealing a replay of the wrong crawl
 	src, err := bundle.Unmarshal(data)
+	if err == nil {
+		err = src.Verify()
+	}
+	if err == nil && src.Digest != meta.Digest {
+		err = fmt.Errorf("bundle digest %s, but the cache entry was sealed with %s", src.Digest, meta.Digest)
+	}
 	if err != nil {
 		return nil, ArtifactMeta{}, fmt.Errorf("daemon: replay source %s: %w", spec.Source, err)
 	}

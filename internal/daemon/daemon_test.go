@@ -207,6 +207,63 @@ func TestReplayDiffAgreementJobs(t *testing.T) {
 	}
 }
 
+// TestReplayVerifiesSource: a replay job verifies its cached source bundle
+// and checks its digest against the cache entry's before replaying it. An
+// entry holding {}, a bundle with one body byte flipped (same size, so the
+// cache's size check passes), and an intact bundle filed under another
+// entry's digest each fail the job with an error naming the source.
+func TestReplayVerifiesSource(t *testing.T) {
+	d := openTest(t, t.TempDir(), nil)
+	defer d.Drain()
+	st, err := d.Submit(smallCrawl, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done := waitDone(t, d, st.ID); done.State != JobDone {
+		t.Fatalf("source crawl: %+v", done)
+	}
+	data, meta, ok := d.Artifact(st.ID)
+	if !ok {
+		t.Fatal("source crawl sealed no artifact")
+	}
+	bodies := bytes.Index(data, []byte(`"bodies": {`))
+	if bodies < 0 {
+		t.Fatal("source bundle has no body pool")
+	}
+	// the first lower-case letter inside the first body's content
+	at := bodies + bytes.Index(data[bodies:], []byte(`": "`)) + 4
+	for data[at] < 'a' || data[at] > 'y' {
+		at++
+	}
+	flipped := bytes.Clone(data)
+	flipped[at]++
+	foreign := meta
+	foreign.Digest = strings.Repeat("0", 64)
+
+	for name, c := range map[string]struct {
+		artifact []byte
+		meta     ArtifactMeta
+		want     string
+	}{
+		"empty object": {[]byte("{}\n"), ArtifactMeta{Kind: KindCrawl}, "unsupported format"},
+		"flipped body": {flipped, meta, "digest mismatch"},
+		"foreign meta": {data, foreign, "cache entry was sealed with"},
+	} {
+		src := fmt.Sprintf("%064x", sha256.Sum256([]byte(name)))
+		if err := d.cache.Put(src, c.artifact, c.meta); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := d.Submit(JobSpec{Kind: KindReplay, Source: src, Variant: "none"}, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := waitDone(t, d, rep.ID)
+		if got.State != JobFailed || !strings.Contains(got.Error, src) || !strings.Contains(got.Error, c.want) {
+			t.Errorf("%s: replay finished as %+v; want failed naming %s with %q", name, got, src, c.want)
+		}
+	}
+}
+
 // stalledDaemon builds a daemon with no executor pool: admitted jobs stay
 // queued forever, which makes admission-control outcomes deterministic.
 func stalledDaemon(t testing.TB, cfg Config) *Daemon {

@@ -41,14 +41,21 @@ const (
 	pMaxTexture = "MAX_TEXTURE_SIZE"
 )
 
-func (d *DOM) buildWebGLProto() {
-	wp := d.Protos["WebGLRenderingContext"]
+// webGLMethodNames is the prototype's method list: the real names, then
+// generated ones up to webGLMethodCount. It is built once per process, not
+// once per realm.
+var webGLMethodNames = func() []string {
 	names := make([]string, 0, webGLMethodCount)
 	names = append(names, realWebGLMethods...)
 	for i := len(names); i < webGLMethodCount; i++ {
 		names = append(names, fmt.Sprintf("mozGLOperation%03d", i))
 	}
-	for _, m := range names {
+	return names
+}()
+
+func (d *DOM) buildWebGLProto() {
+	wp := d.Protos["WebGLRenderingContext"]
+	for _, m := range webGLMethodNames {
 		if m == "getParameter" {
 			d.DefineMethod(wp, m, func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
 				ctx := d.WebGL()

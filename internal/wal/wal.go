@@ -13,7 +13,7 @@ import (
 // Segment framing. A segment starts with an 8-byte header (magic + format
 // version); each record is [len uint32][crc32c uint32][payload], both fields
 // little-endian, the checksum over the payload only. The payload is the
-// canonical JSON of an envelope {"k": kind, "d": data}.
+// compact JSON of an envelope {"k": kind, "d": data}, written directly.
 const (
 	segMagic   = "GWAL"
 	segVersion = 1
@@ -154,10 +154,17 @@ type Writer struct {
 	mFlush, mSync, mSyncErr, mWriteErr, mLost, mSeg *telemetry.Counter
 }
 
+// envelope decodes a record payload (Scan). Append writes the same JSON
+// directly, between envelopeOpen and a closing brace.
 type envelope struct {
 	K string          `json:"k"`
 	D json.RawMessage `json:"d,omitempty"`
 }
+
+const (
+	envelopeOpen = `{"k":"`
+	envelopeData = `","d":`
+)
 
 // NewWriter opens a fresh log in fs starting at segment 0.
 func NewWriter(fs FS, opts Options) (*Writer, error) {
@@ -212,6 +219,8 @@ func (w *Writer) rotate() error {
 }
 
 // Append marshals v into a framed record of the given kind and buffers it.
+// The kind is written verbatim, so it must be an identifier that needs no
+// JSON escaping, as the record kinds in backend.go are.
 // Under SyncAlways the record is committed (flushed and fsynced) before
 // Append returns; otherwise it is committed by the next flush boundary.
 func (w *Writer) Append(kind string, v any) error {
@@ -222,24 +231,29 @@ func (w *Writer) Append(kind string, v any) error {
 	if err != nil {
 		return fmt.Errorf("wal: marshal %s record: %w", kind, err)
 	}
-	payload, err := json.Marshal(envelope{K: kind, D: data})
-	if err != nil {
-		return fmt.Errorf("wal: marshal %s envelope: %w", kind, err)
-	}
 	// cur counts the segment's committed and pending bytes; a fresh segment
 	// holds only its pending header, and a segment with at least one record
 	// rotates rather than exceed the size target
 	cur := w.segSize + int64(len(w.pending))
-	if w.segBad || (cur > headerSize && cur+int64(len(payload))+frameSize > w.opts.segmentBytes()) {
+	size := len(envelopeOpen) + len(kind) + len(envelopeData) + len(data) + 1
+	if w.segBad || (cur > headerSize && cur+int64(size)+frameSize > w.opts.segmentBytes()) {
 		if err := w.rotate(); err != nil {
 			return err
 		}
 	}
-	var frame [frameSize]byte
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	w.pending = append(w.pending, frame[:]...)
-	w.pending = append(w.pending, payload...)
+	// the payload is written in place: {"k":"<kind>","d":<data>} is what
+	// json.Marshal(envelope{kind, data}) produces, since data is already
+	// compact, escaped encoding/json output and kinds are plain identifiers
+	start := len(w.pending)
+	w.pending = append(w.pending, make([]byte, frameSize)...)
+	w.pending = append(w.pending, envelopeOpen...)
+	w.pending = append(w.pending, kind...)
+	w.pending = append(w.pending, envelopeData...)
+	w.pending = append(w.pending, data...)
+	w.pending = append(w.pending, '}')
+	payload := w.pending[start+frameSize:]
+	binary.LittleEndian.PutUint32(w.pending[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(w.pending[start+4:], crc32.Checksum(payload, castagnoli))
 	w.pendingRecs++
 	w.stats.Appended++
 	if w.opts.Sync == SyncAlways {

@@ -176,6 +176,9 @@ go test -run '^$' -fuzz '^FuzzUntouched$' -fuzztime 10s -fuzzminimizetime 1s -pa
 echo "== bundle FuzzUnmarshal (hostile archives: decode+verify never panics; verified bundles re-marshal to the same digest)"
 go test -run '^$' -fuzz '^FuzzUnmarshal$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/bundle
 
+echo "== bundle FuzzEncode (every decodable archive: the canonical encoder writes json.MarshalIndent's bytes, digest set and blanked)"
+go test -run '^$' -fuzz '^FuzzEncode$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/bundle
+
 echo "== wal FuzzScan (hostile segments: Scan and RecoverShard never panic; longest intact prefix or a typed error; Scan is deterministic)"
 go test -run '^$' -fuzz '^FuzzScan$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/wal
 
