@@ -361,7 +361,9 @@ func BenchmarkInterpreter(b *testing.B) {
 	}
 }
 
-// BenchmarkRealmBuild measures building one browser object model.
+// BenchmarkRealmBuild measures building one browser object model: a stamp
+// of its configuration's realm template (jsdom's BenchmarkRealmTemplate
+// measures the construction each template runs once).
 func BenchmarkRealmBuild(b *testing.B) {
 	cfg := jsdom.StandardConfig(jsdom.Ubuntu, jsdom.Regular, 90, 0)
 	b.ReportAllocs()

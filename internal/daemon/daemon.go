@@ -736,7 +736,8 @@ func (d *Daemon) executeReplay(j *Job) ([]byte, ArtifactMeta, error) {
 	}
 	// the cache checks only an entry's size, so the source is verified
 	// before it is replayed: a damaged or foreign artifact fails the job
-	// instead of sealing a replay of the wrong crawl
+	// instead of sealing a replay of the wrong crawl, and leaves the cache,
+	// so that resubmitting the source job runs it again
 	src, err := bundle.Unmarshal(data)
 	if err == nil {
 		err = src.Verify()
@@ -745,6 +746,8 @@ func (d *Daemon) executeReplay(j *Job) ([]byte, ArtifactMeta, error) {
 		err = fmt.Errorf("bundle digest %s, but the cache entry was sealed with %s", src.Digest, meta.Digest)
 	}
 	if err != nil {
+		d.cache.drop(spec.Source)
+		d.tel.Counter("daemon_cache_corrupt_total").Inc()
 		return nil, ArtifactMeta{}, fmt.Errorf("daemon: replay source %s: %w", spec.Source, err)
 	}
 	policy, err := bundle.ParseMissPolicy(spec.Miss)

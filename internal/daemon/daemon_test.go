@@ -213,7 +213,8 @@ func TestReplayDiffAgreementJobs(t *testing.T) {
 // cache's size check passes), and an intact bundle filed under another
 // entry's digest each fail the job with an error naming the source.
 func TestReplayVerifiesSource(t *testing.T) {
-	d := openTest(t, t.TempDir(), nil)
+	tel := telemetry.New()
+	d := openTest(t, t.TempDir(), tel)
 	defer d.Drain()
 	st, err := d.Submit(smallCrawl, "")
 	if err != nil {
@@ -240,16 +241,22 @@ func TestReplayVerifiesSource(t *testing.T) {
 	foreign := meta
 	foreign.Digest = strings.Repeat("0", 64)
 
-	for name, c := range map[string]struct {
+	// each damaged artifact sits at the address of a crawl spec that never
+	// ran, as if that crawl's cache entry had been damaged
+	cases := []struct {
+		name     string
 		artifact []byte
 		meta     ArtifactMeta
 		want     string
 	}{
-		"empty object": {[]byte("{}\n"), ArtifactMeta{Kind: KindCrawl}, "unsupported format"},
-		"flipped body": {flipped, meta, "digest mismatch"},
-		"foreign meta": {data, foreign, "cache entry was sealed with"},
-	} {
-		src := fmt.Sprintf("%064x", sha256.Sum256([]byte(name)))
+		{"empty object", []byte("{}\n"), ArtifactMeta{Kind: KindCrawl}, "unsupported format"},
+		{"flipped body", flipped, meta, "digest mismatch"},
+		{"foreign meta", data, foreign, "cache entry was sealed with"},
+	}
+	for i, c := range cases {
+		spec := smallCrawl
+		spec.NumSites = 4 + i
+		src := mustAddr(t, spec)
 		if err := d.cache.Put(src, c.artifact, c.meta); err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +266,22 @@ func TestReplayVerifiesSource(t *testing.T) {
 		}
 		got := waitDone(t, d, rep.ID)
 		if got.State != JobFailed || !strings.Contains(got.Error, src) || !strings.Contains(got.Error, c.want) {
-			t.Errorf("%s: replay finished as %+v; want failed naming %s with %q", name, got, src, c.want)
+			t.Errorf("%s: replay finished as %+v; want failed naming %s with %q", c.name, got, src, c.want)
+		}
+		if n := tel.Snapshot().Counters["daemon_cache_corrupt_total"]; n != int64(i+1) {
+			t.Errorf("%s: daemon_cache_corrupt_total = %d, want %d", c.name, n, i+1)
+		}
+		if d.cache.Contains(src) {
+			t.Errorf("%s: the damaged source is still cached", c.name)
+		}
+		again, err := d.Submit(spec, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.Cached {
+			t.Errorf("%s: resubmitting the source spec was answered from the damaged entry", c.name)
+		} else if done := waitDone(t, d, again.ID); done.State != JobDone {
+			t.Errorf("%s: the resubmitted source crawl finished as %+v", c.name, done)
 		}
 	}
 }
@@ -577,7 +599,9 @@ func TestAdmissionConcurrentSubmitters(t *testing.T) {
 			defer wg.Done()
 			for _, src := range srcs {
 				_, err := d.Submit(JobSpec{Kind: KindReplay, Source: src}, tenant)
-				if err != nil && err != ErrTenantBudget {
+				// a replay that found its source damaged evicted it, so a
+				// later submit of the same replay is refused at admission
+				if err != nil && err != ErrTenantBudget && !strings.Contains(err.Error(), "is not a cached crawl") {
 					t.Error(err)
 				}
 			}

@@ -22,6 +22,7 @@ var metricHelp = map[string]string{
 	"daemon_jobs_rejected_total":    "Submissions rejected by queue depth or tenant budget.",
 	"daemon_cache_hits_total":       "Submissions answered from the artifact cache.",
 	"daemon_cache_misses_total":     "Submissions that missed the artifact cache.",
+	"daemon_cache_corrupt_total":    "Replay sources that failed to decode or verify, evicted from the cache.",
 	"daemon_event_drops_total":      "Job events dropped for slow SSE subscribers.",
 	"daemon_queue_depth":            "Jobs currently queued.",
 	"daemon_jobs_running":           "Jobs currently executing.",

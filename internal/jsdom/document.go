@@ -50,25 +50,26 @@ func (d *DOM) buildDocument() {
 	d.Document = doc
 
 	// Attribute-style getters instrumented by OpenWPM's default config.
-	d.DefineGetter(dp, "Document", "referrer", func(*minjs.Object) minjs.Value { return minjs.String("") })
-	d.DefineGetter(dp, "Document", "title", func(*minjs.Object) minjs.Value { return minjs.String("") })
-	d.DefineGetter(dp, "Document", "hidden", func(*minjs.Object) minjs.Value { return minjs.Boolean(false) })
-	d.DefineGetter(dp, "Document", "visibilityState", func(*minjs.Object) minjs.Value { return minjs.String("visible") })
-	d.DefineGetter(dp, "Document", "lastModified", func(*minjs.Object) minjs.Value { return minjs.String("01/01/2022 00:00:00") })
+	d.DefineGetter(dp, "Document", "referrer", constant(minjs.String("")))
+	d.DefineGetter(dp, "Document", "title", constant(minjs.String("")))
+	d.DefineGetter(dp, "Document", "hidden", constant(minjs.Boolean(false)))
+	d.DefineGetter(dp, "Document", "visibilityState", constant(minjs.String("visible")))
+	d.DefineGetter(dp, "Document", "lastModified", constant(minjs.String("01/01/2022 00:00:00")))
 
 	// document.cookie: accessor bridging to the host cookie jar.
-	cookieGetter := d.It.NewNative("get cookie", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		return minjs.String(d.Host.CookieString()), nil
+	cookieGetter := d.native("get cookie", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+		return minjs.String(realmOf(it).Host.CookieString()), nil
 	})
-	cookieSetter := d.It.NewNative("set cookie", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		d.Host.SetCookieString(argStr(args, 0))
+	cookieSetter := d.native("set cookie", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+		realmOf(it).Host.SetCookieString(argStr(args, 0))
 		return minjs.Undefined(), nil
 	})
 	dp.DefineAccessor("cookie", cookieGetter, cookieSetter, true)
 
 	doc.SetNonEnum("readyState", minjs.String("complete"))
-	doc.SetNonEnum("domain", minjs.String(hostOf(d.URL)))
-	doc.SetNonEnum("documentURI", minjs.String(d.URL))
+	for _, f := range documentFields(d.URL) {
+		doc.SetNonEnum(f.key, f.v)
+	}
 	doc.SetNonEnum("characterSet", minjs.String("UTF-8"))
 	doc.SetNonEnum("compatMode", minjs.String("CSS1Compat"))
 
@@ -76,16 +77,16 @@ func (d *DOM) buildDocument() {
 	fonts := minjs.NewObject(d.It.Protos.Object)
 	fonts.Class = "FontFaceSet"
 	fonts.SetNonEnum("size", minjs.Int(len(d.Cfg.Fonts)))
-	list := d.It.NewArrayP()
+	d.fontList = d.It.NewArrayP()
 	for _, f := range d.Cfg.Fonts {
-		list.Elems = append(list.Elems, minjs.String(f))
+		d.fontList.Elems = append(d.fontList.Elems, minjs.String(f))
 	}
 	d.DefineMethod(fonts, "values", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		return minjs.ObjectValue(list), nil
+		return minjs.ObjectValue(realmOf(it).fontList), nil
 	})
 	d.DefineMethod(fonts, "check", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
 		want := strings.ToLower(argStr(args, 0))
-		for _, f := range d.Cfg.Fonts {
+		for _, f := range realmOf(it).Cfg.Fonts {
 			if strings.Contains(want, strings.ToLower(f)) {
 				return minjs.Boolean(true), nil
 			}
@@ -96,15 +97,16 @@ func (d *DOM) buildDocument() {
 
 	// DOM construction and lookup.
 	d.DefineMethod(dp, "createElement", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		return minjs.ObjectValue(d.NewElement(strings.ToLower(argStr(args, 0)))), nil
+		return minjs.ObjectValue(realmOf(it).NewElement(strings.ToLower(argStr(args, 0)))), nil
 	})
 	d.DefineMethod(dp, "getElementById", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		if el, ok := d.elementsByID[argStr(args, 0)]; ok {
+		if el, ok := realmOf(it).elementsByID[argStr(args, 0)]; ok {
 			return minjs.ObjectValue(el), nil
 		}
 		return minjs.Null(), nil
 	})
 	d.DefineMethod(dp, "querySelector", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+		d := realmOf(it)
 		sel := argStr(args, 0)
 		if strings.HasPrefix(sel, "#") {
 			if el, ok := d.elementsByID[sel[1:]]; ok {
@@ -123,22 +125,17 @@ func (d *DOM) buildDocument() {
 		return minjs.ObjectValue(it.NewArrayP()), nil
 	})
 	d.DefineMethod(dp, "write", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		d.Host.DocumentWrite(argStr(args, 0))
+		realmOf(it).Host.DocumentWrite(argStr(args, 0))
 		return minjs.Undefined(), nil
 	})
-	d.DefineMethod(dp, "addEventListener", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		d.addPageListener(argStr(args, 0), argVal(args, 1))
-		return minjs.Undefined(), nil
-	})
-	d.DefineMethod(dp, "removeEventListener", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		return minjs.Undefined(), nil
-	})
+	d.DefineMethod(dp, "addEventListener", addEventListener)
+	d.DefineMethod(dp, "removeEventListener", returnUndefined)
 
 	// The native event dispatcher: delivers to extension-side listeners.
 	// It is deliberately an ordinary (shadowable) property — the page can
 	// replace document.dispatchEvent, which is the Sec. 5.1/5.2 attack.
 	d.DefineMethod(dp, "dispatchEvent", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		d.deliverHostEvent(argVal(args, 0))
+		realmOf(it).deliverHostEvent(argVal(args, 0))
 		return minjs.Boolean(true), nil
 	})
 
@@ -159,13 +156,13 @@ func (d *DOM) buildElementProtos() {
 		if !child.IsObject() {
 			return child, nil
 		}
-		d.attachElement(child.Obj)
+		realmOf(it).attachElement(child.Obj)
 		return child, nil
 	})
 	d.DefineMethod(ep, "insertBefore", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
 		child := argVal(args, 0)
 		if child.IsObject() {
-			d.attachElement(child.Obj)
+			realmOf(it).attachElement(child.Obj)
 		}
 		return child, nil
 	})
@@ -187,7 +184,7 @@ func (d *DOM) buildElementProtos() {
 			name := argStr(args, 0)
 			it.SetMember(this.Obj, name, minjs.String(argStr(args, 1)))
 			if name == "id" {
-				d.elementsByID[argStr(args, 1)] = this.Obj
+				realmOf(it).elementsByID[argStr(args, 1)] = this.Obj
 			}
 		}
 		return minjs.Undefined(), nil
@@ -202,28 +199,19 @@ func (d *DOM) buildElementProtos() {
 		}
 		return v, nil
 	})
-	d.DefineMethod(ep, "addEventListener", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		d.addPageListener(argStr(args, 0), argVal(args, 1))
-		return minjs.Undefined(), nil
-	})
+	d.DefineMethod(ep, "addEventListener", addEventListener)
 
 	// iframe.contentWindow: available once the frame was attached & loaded.
-	cw := d.It.NewNative("get contentWindow", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		if !this.IsObject() {
-			return minjs.Null(), nil
-		}
-		if fd, ok := this.Obj.Host.(*DOM); ok && fd != nil {
+	cw := d.native("get contentWindow", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+		if fd := frameOf(this); fd != nil {
 			fd.expose()
 			return minjs.ObjectValue(fd.Window), nil
 		}
 		return minjs.Null(), nil
 	})
 	d.Protos["HTMLIFrameElement"].DefineAccessor("contentWindow", cw, nil, true)
-	cd := d.It.NewNative("get contentDocument", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		if !this.IsObject() {
-			return minjs.Null(), nil
-		}
-		if fd, ok := this.Obj.Host.(*DOM); ok && fd != nil {
+	cd := d.native("get contentDocument", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+		if fd := frameOf(this); fd != nil {
 			fd.expose()
 			return minjs.ObjectValue(fd.Document), nil
 		}
@@ -232,7 +220,7 @@ func (d *DOM) buildElementProtos() {
 	d.Protos["HTMLIFrameElement"].DefineAccessor("contentDocument", cd, nil, true)
 
 	// img.src setter triggers an image request immediately (tracking pixels).
-	srcGet := d.It.NewNative("get src", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+	srcGet := d.native("get src", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
 		if !this.IsObject() {
 			return minjs.String(""), nil
 		}
@@ -241,15 +229,27 @@ func (d *DOM) buildElementProtos() {
 		}
 		return minjs.String(""), nil
 	})
-	srcSet := d.It.NewNative("set src", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+	srcSet := d.native("set src", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
 		if this.IsObject() {
 			url := argStr(args, 0)
 			this.Obj.SetNonEnum("__src", minjs.String(url))
+			d := realmOf(it)
 			d.Host.Fetch(d.absURL(url), imageType, "GET", "")
 		}
 		return minjs.Undefined(), nil
 	})
 	d.Protos["HTMLImageElement"].DefineAccessor("src", srcGet, srcSet, true)
+}
+
+// frameOf returns the frame realm an attached iframe element carries, nil
+// for any other receiver. Natives carry their realm in the same Host field,
+// so a function is never a frame.
+func frameOf(this minjs.Value) *DOM {
+	if !this.IsObject() || this.IsFunction() {
+		return nil
+	}
+	fd, _ := this.Obj.Host.(*DOM)
+	return fd
 }
 
 // NewElement creates an element of the given tag.
@@ -333,8 +333,8 @@ func (d *DOM) RegisterElement(tag, id string) *minjs.Object {
 func (d *DOM) buildCanvasProtos() {
 	cp := d.Protos["HTMLCanvasElement"]
 	d.DefineMethod(cp, "getContext", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		kind := argStr(args, 0)
-		switch kind {
+		d := realmOf(it)
+		switch argStr(args, 0) {
 		case "2d":
 			return minjs.ObjectValue(d.Canvas2D()), nil
 		case "webgl", "experimental-webgl", "webgl2":
@@ -347,11 +347,11 @@ func (d *DOM) buildCanvasProtos() {
 		return minjs.Null(), nil
 	})
 	d.DefineMethod(cp, "toDataURL", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		return minjs.String(d.canvasFingerprint()), nil
+		return minjs.String(realmOf(it).canvasFingerprint()), nil
 	})
 	d.DefineMethod(cp, "toBlob", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		fn := argVal(args, 0)
-		if fn.IsFunction() {
+		if fn := argVal(args, 0); fn.IsFunction() {
+			d := realmOf(it)
 			d.Host.SetTimeout(fn.Obj, []minjs.Value{minjs.String(d.canvasFingerprint())}, 0)
 		}
 		return minjs.Undefined(), nil
@@ -372,15 +372,13 @@ func (d *DOM) buildCanvasProtos() {
 		"strokeText", "transform", "translate", "drawFocusIfNeeded",
 	}
 	for _, m := range methods {
-		d.DefineMethod(ctx2d, m, func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-			return minjs.Undefined(), nil
-		})
+		d.DefineMethod(ctx2d, m, returnUndefined)
 	}
 	d.DefineMethod(ctx2d, "measureText", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
 		tm := minjs.NewObject(it.Protos.Object)
 		tm.Class = "TextMetrics"
 		// width varies with the installed fonts — a classic font probe.
-		tm.Set("width", minjs.Number(float64(8*len(argStr(args, 0)))+float64(len(d.Cfg.Fonts))/10))
+		tm.Set("width", minjs.Number(float64(8*len(argStr(args, 0)))+float64(len(realmOf(it).Cfg.Fonts))/10))
 		return minjs.ObjectValue(tm), nil
 	})
 	d.DefineMethod(ctx2d, "getImageData", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
@@ -390,20 +388,16 @@ func (d *DOM) buildCanvasProtos() {
 		return minjs.ObjectValue(img), nil
 	})
 	for _, attr := range []string{"fillStyle", "strokeStyle", "font", "globalAlpha", "lineWidth", "textAlign"} {
-		name := attr
-		d.DefineGetter(ctx2d, "CanvasRenderingContext2D", name, func(*minjs.Object) minjs.Value {
-			return minjs.String("")
-		})
+		d.DefineGetter(ctx2d, "CanvasRenderingContext2D", attr, constant(minjs.String("")))
 	}
 
 	// The AudioContext constructor is creatable (audio fingerprinting).
-	ap := d.Protos["AudioContext"]
-	ctor := d.It.NewNative("AudioContext", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		o := minjs.NewObject(ap)
+	ctor := d.native("AudioContext", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+		o := minjs.NewObject(realmOf(it).Protos["AudioContext"])
 		o.Class = "AudioContext"
 		return minjs.ObjectValue(o), nil
 	})
-	ctor.SetNonEnum("prototype", minjs.ObjectValue(ap))
+	ctor.SetNonEnum("prototype", minjs.ObjectValue(d.Protos["AudioContext"]))
 	d.Window.SetNonEnum("AudioContext", minjs.ObjectValue(ctor))
 }
 
@@ -459,9 +453,9 @@ func (d *DOM) buildAudioProto() {
 			return minjs.ObjectValue(o), nil
 		})
 	}
-	d.DefineGetter(ap, "AudioContext", "sampleRate", func(*minjs.Object) minjs.Value { return minjs.Int(44100) })
-	d.DefineGetter(ap, "AudioContext", "state", func(*minjs.Object) minjs.Value { return minjs.String("suspended") })
-	d.DefineGetter(ap, "AudioContext", "destination", func(*minjs.Object) minjs.Value { return minjs.Null() })
+	d.DefineGetter(ap, "AudioContext", "sampleRate", constant(minjs.Int(44100)))
+	d.DefineGetter(ap, "AudioContext", "state", constant(minjs.String("suspended")))
+	d.DefineGetter(ap, "AudioContext", "destination", constant(minjs.Null()))
 }
 
 func hostOf(url string) string {

@@ -47,25 +47,49 @@ type DOM struct {
 
 	elementsByID map[string]*minjs.Object
 
-	languagesObj *minjs.Object
-	webglCtx     *minjs.Object // singleton per realm, nil until first getContext
-	ctx2D        *minjs.Object
+	// Objects only natives hand out: no walk from the realm's roots reaches
+	// them, so a realm template keeps them as extra roots.
+	languagesObj *minjs.Object // navigator.languages
+	plugins      *minjs.Object // navigator.plugins
+	mimeTypes    *minjs.Object // navigator.mimeTypes
+	fontList     *minjs.Object // document.fonts.values()
+
+	storage map[string]string // localStorage
+
+	webglCtx *minjs.Object // singleton per realm, nil until first getContext
+	ctx2D    *minjs.Object
 }
 
-// Build constructs the object model for cfg inside a fresh realm.
+// Build returns the object model for cfg in a new realm: a stamp of the
+// realm template for cfg's configuration (see template.go), with url and
+// cfg.WindowIndex written in.
 func Build(cfg Config, host Host, url string) *DOM {
-	it := minjs.New()
-	d := &DOM{
+	return templateFor(cfg).stamp(cfg, host, url)
+}
+
+// newDOM returns a DOM whose Go-side state is empty; the caller sets its
+// realm and objects.
+func newDOM(cfg Config, host Host, url string) *DOM {
+	return &DOM{
 		Cfg:           cfg,
-		It:            it,
 		Host:          host,
 		URL:           url,
-		Window:        it.Global,
-		Protos:        map[string]*minjs.Object{},
 		hostListeners: map[string][]func(minjs.Value){},
 		pageListeners: map[string][]*minjs.Object{},
 		elementsByID:  map[string]*minjs.Object{},
+		storage:       map[string]string{},
 	}
+}
+
+// build constructs the object model for cfg from nothing. It runs only to
+// make realm templates: every realm script sees is a stamp. Each native it
+// installs carries d in its Host field and finds its realm through realmOf,
+// so the natives stay correct in every stamp.
+func build(cfg Config, host Host, url string) *DOM {
+	d := newDOM(cfg, host, url)
+	d.It = minjs.New()
+	d.Window = d.It.Global
+	d.Protos = map[string]*minjs.Object{}
 	d.buildPrototypes()
 	d.buildNavigator()
 	d.buildScreen()
@@ -76,6 +100,24 @@ func Build(cfg Config, host Host, url string) *DOM {
 	return d
 }
 
+// realmOf returns the realm of the native running on it: the DOM its
+// function object carries, which is not the calling realm's when script
+// calls another realm's native.
+func realmOf(it *minjs.Interp) *DOM { return it.Callee().Host.(*DOM) }
+
+// native returns a native function of d's realm; fn finds the realm through
+// realmOf.
+func (d *DOM) native(name string, fn minjs.NativeFunc) *minjs.Object {
+	f := d.It.NewNative(name, fn)
+	f.Host = d
+	return f
+}
+
+// illegalConstructor backs every WebIDL interface constructor.
+func illegalConstructor(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+	return minjs.Undefined(), it.ThrowError("TypeError", "Illegal constructor")
+}
+
 // proto creates (once) an interface prototype object plus a global
 // constructor binding, mirroring how Firefox exposes WebIDL interfaces.
 func (d *DOM) proto(name string) *minjs.Object {
@@ -84,9 +126,7 @@ func (d *DOM) proto(name string) *minjs.Object {
 	}
 	p := minjs.NewObject(d.It.Protos.Object)
 	p.Class = name + "Prototype"
-	ctor := d.It.NewNative(name, func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		return minjs.Undefined(), it.ThrowError("TypeError", "Illegal constructor")
-	})
+	ctor := d.native(name, illegalConstructor)
 	ctor.SetNonEnum("prototype", minjs.ObjectValue(p))
 	p.SetNonEnum("constructor", minjs.ObjectValue(ctor))
 	d.Window.SetNonEnum(name, minjs.ObjectValue(ctor))
@@ -98,19 +138,26 @@ func (d *DOM) proto(name string) *minjs.Object {
 // invoking the getter with a foreign receiver throws TypeError, exactly like
 // a WebIDL attribute getter. Instrumentation that replaces such a getter with
 // a plain script function loses this behaviour — one of the tells of Sec. 6.1.
-func (d *DOM) DefineGetter(proto *minjs.Object, class, name string, get func(this *minjs.Object) minjs.Value) {
-	getter := d.It.NewNative("get "+name, func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+// get receives the getter's own realm.
+func (d *DOM) DefineGetter(proto *minjs.Object, class, name string, get func(d *DOM) minjs.Value) {
+	getter := d.native("get "+name, func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
 		if !this.IsObject() || this.Obj.Class != class {
 			return minjs.Undefined(), it.ThrowError("TypeError", "'get %s' called on an object that does not implement interface %s", name, class)
 		}
-		return get(this.Obj), nil
+		return get(realmOf(it)), nil
 	})
 	proto.DefineAccessor(name, getter, nil, true)
 }
 
-// DefineMethod installs a native method on proto.
+// DefineMethod installs a native method of d's realm on proto.
 func (d *DOM) DefineMethod(proto *minjs.Object, name string, fn minjs.NativeFunc) {
-	proto.SetNonEnum(name, minjs.ObjectValue(d.It.NewNative(name, fn)))
+	proto.SetNonEnum(name, minjs.ObjectValue(d.native(name, fn)))
+}
+
+// constant is a getter body that returns v, a value the configuration
+// fixes and so the same in every realm stamped from one template.
+func constant(v minjs.Value) func(*DOM) minjs.Value {
+	return func(*DOM) minjs.Value { return v }
 }
 
 func (d *DOM) buildNavigator() {
@@ -121,15 +168,13 @@ func (d *DOM) buildNavigator() {
 	d.Navigator = nav
 
 	cfg := d.Cfg
-	str := func(s string) func(*minjs.Object) minjs.Value {
-		return func(*minjs.Object) minjs.Value { return minjs.String(s) }
-	}
-	g := func(name string, fn func(*minjs.Object) minjs.Value) {
+	str := func(s string) func(*DOM) minjs.Value { return constant(minjs.String(s)) }
+	g := func(name string, fn func(*DOM) minjs.Value) {
 		d.DefineGetter(np, "Navigator", name, fn)
 	}
 
 	g("userAgent", str(cfg.UserAgent))
-	g("webdriver", func(*minjs.Object) minjs.Value { return minjs.Boolean(cfg.Automation) })
+	g("webdriver", constant(minjs.Boolean(cfg.Automation)))
 
 	// navigator.languages returns a stable array object; in headless mode it
 	// carries 43 spurious extra properties (Sec. 3.1.2).
@@ -141,7 +186,7 @@ func (d *DOM) buildNavigator() {
 	for i := 0; i < cfg.HeadlessLanguageExtras; i++ {
 		d.languagesObj.Set(fmt.Sprintf("mozHeadlessLocaleHint%02d", i), minjs.Int(i))
 	}
-	g("languages", func(*minjs.Object) minjs.Value { return minjs.ObjectValue(d.languagesObj) })
+	g("languages", func(d *DOM) minjs.Value { return minjs.ObjectValue(d.languagesObj) })
 	lang := "en-US"
 	if len(cfg.Languages) > 0 {
 		lang = cfg.Languages[0]
@@ -156,7 +201,7 @@ func (d *DOM) buildNavigator() {
 	}
 	g("platform", str(platform))
 	g("oscpu", str(oscpu))
-	g("hardwareConcurrency", func(*minjs.Object) minjs.Value { return minjs.Int(8) })
+	g("hardwareConcurrency", constant(minjs.Int(8)))
 	g("appName", str("Netscape"))
 	g("appVersion", str("5.0 ("+platform+")"))
 	g("appCodeName", str("Mozilla"))
@@ -167,13 +212,13 @@ func (d *DOM) buildNavigator() {
 	buildID := "20181001000000"
 	g("buildID", str(buildID))
 	g("doNotTrack", str("unspecified"))
-	g("cookieEnabled", func(*minjs.Object) minjs.Value { return minjs.Boolean(true) })
-	g("onLine", func(*minjs.Object) minjs.Value { return minjs.Boolean(true) })
-	g("maxTouchPoints", func(*minjs.Object) minjs.Value { return minjs.Int(0) })
-	plugins := it.NewArrayP()
-	g("plugins", func(*minjs.Object) minjs.Value { return minjs.ObjectValue(plugins) })
-	mimeTypes := it.NewArrayP()
-	g("mimeTypes", func(*minjs.Object) minjs.Value { return minjs.ObjectValue(mimeTypes) })
+	g("cookieEnabled", constant(minjs.Boolean(true)))
+	g("onLine", constant(minjs.Boolean(true)))
+	g("maxTouchPoints", constant(minjs.Int(0)))
+	d.plugins = it.NewArrayP()
+	g("plugins", func(d *DOM) minjs.Value { return minjs.ObjectValue(d.plugins) })
+	d.mimeTypes = it.NewArrayP()
+	g("mimeTypes", func(d *DOM) minjs.Value { return minjs.ObjectValue(d.mimeTypes) })
 
 	d.DefineMethod(np, "javaEnabled", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
 		return minjs.Boolean(false), nil
@@ -188,9 +233,8 @@ func (d *DOM) buildNavigator() {
 		return minjs.Boolean(false), nil
 	})
 	d.DefineMethod(np, "sendBeacon", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		url := argStr(args, 0)
-		body := argStr(args, 1)
-		d.Host.Fetch(d.absURL(url), beaconType, "POST", body)
+		d := realmOf(it)
+		d.Host.Fetch(d.absURL(argStr(args, 0)), beaconType, "POST", argStr(args, 1))
 		return minjs.Boolean(true), nil
 	})
 
@@ -203,10 +247,8 @@ func (d *DOM) buildScreen() {
 	scr.Class = "Screen"
 	d.Screen = scr
 	cfg := d.Cfg
-	num := func(n int) func(*minjs.Object) minjs.Value {
-		return func(*minjs.Object) minjs.Value { return minjs.Int(n) }
-	}
-	g := func(name string, fn func(*minjs.Object) minjs.Value) {
+	num := func(n int) func(*DOM) minjs.Value { return constant(minjs.Int(n)) }
+	g := func(name string, fn func(*DOM) minjs.Value) {
 		d.DefineGetter(sp, "Screen", name, fn)
 	}
 	g("width", num(cfg.ScreenW))
@@ -223,7 +265,7 @@ func (d *DOM) buildScreen() {
 		// Synthetic platform-specific attribute: the macOS build exposes one
 		// extra Screen property, giving the +253 (vs +252) tampering count
 		// of Table 2.
-		g("mozBrightness", func(*minjs.Object) minjs.Value { return minjs.Number(1) })
+		g("mozBrightness", constant(minjs.Number(1)))
 	}
 	d.Window.SetNonEnum("screen", minjs.ObjectValue(scr))
 }
@@ -231,17 +273,14 @@ func (d *DOM) buildScreen() {
 func (d *DOM) buildWindowProps() {
 	w := d.Window
 	cfg := d.Cfg
-	x := cfg.WindowX + cfg.OffsetX*cfg.WindowIndex
-	y := cfg.WindowY + cfg.OffsetY*cfg.WindowIndex
 
 	w.SetNonEnum("innerWidth", minjs.Int(cfg.WindowW))
 	w.SetNonEnum("innerHeight", minjs.Int(cfg.WindowH))
 	w.SetNonEnum("outerWidth", minjs.Int(cfg.WindowW))
 	w.SetNonEnum("outerHeight", minjs.Int(cfg.WindowH+74)) // chrome height
-	w.SetNonEnum("screenX", minjs.Int(x))
-	w.SetNonEnum("screenY", minjs.Int(y))
-	w.SetNonEnum("mozInnerScreenX", minjs.Int(x))
-	w.SetNonEnum("mozInnerScreenY", minjs.Int(y+74))
+	for _, f := range d.positionFields() {
+		w.SetNonEnum(f.key, f.v)
+	}
 	w.SetNonEnum("devicePixelRatio", minjs.Number(1))
 	w.SetNonEnum("name", minjs.String(""))
 	w.SetNonEnum("status", minjs.String(""))
@@ -250,125 +289,166 @@ func (d *DOM) buildWindowProps() {
 	w.SetNonEnum("window", minjs.ObjectValue(w))
 
 	// top / parent resolve dynamically so subframes see their ancestors.
-	topGetter := d.It.NewNative("get top", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		cur := d
-		for cur.Parent != nil {
-			cur = cur.Parent
-		}
-		return minjs.ObjectValue(cur.Window), nil
-	})
-	w.DefineAccessor("top", topGetter, nil, false)
-	parentGetter := d.It.NewNative("get parent", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		if d.Parent != nil {
-			return minjs.ObjectValue(d.Parent.Window), nil
-		}
-		return minjs.ObjectValue(w), nil
-	})
-	w.DefineAccessor("parent", parentGetter, nil, false)
-
+	w.DefineAccessor("top", d.native("get top", windowTop), nil, false)
+	w.DefineAccessor("parent", d.native("get parent", windowParent), nil, false)
 	// frames: a live array of subframe windows.
-	framesGetter := d.It.NewNative("get frames", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		arr := it.NewArrayP()
-		for _, f := range d.Frames {
-			f.expose()
-			arr.Elems = append(arr.Elems, minjs.ObjectValue(f.Window))
-		}
-		return minjs.ObjectValue(arr), nil
-	})
-	w.DefineAccessor("frames", framesGetter, nil, false)
-	lengthGetter := d.It.NewNative("get length", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		return minjs.Int(len(d.Frames)), nil
-	})
-	w.DefineAccessor("length", lengthGetter, nil, false)
+	w.DefineAccessor("frames", d.native("get frames", windowFrames), nil, false)
+	w.DefineAccessor("length", d.native("get length", windowLength), nil, false)
 
 	// location
 	loc := minjs.NewObject(d.It.Protos.Object)
 	loc.Class = "Location"
 	d.Location = loc
-	d.refreshLocation()
+	for _, f := range locationFields(d.URL) {
+		loc.Set(f.key, f.v)
+	}
 	w.SetNonEnum("location", minjs.ObjectValue(loc))
 
-	// timers
-	w.SetNonEnum("setTimeout", minjs.ObjectValue(d.It.NewNative("setTimeout", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		fnV := argVal(args, 0)
-		if !fnV.IsFunction() {
-			return minjs.Int(0), nil
-		}
-		delay := argVal(args, 1).ToNumber()
-		var rest []minjs.Value
-		if len(args) > 2 {
-			rest = args[2:]
-		}
-		id := d.Host.SetTimeout(fnV.Obj, rest, delay)
-		return minjs.Int(id), nil
-	})))
-	w.SetNonEnum("clearTimeout", minjs.ObjectValue(d.It.NewNative("clearTimeout", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		d.Host.ClearTimeout(int(argVal(args, 0).ToNumber()))
-		return minjs.Undefined(), nil
-	})))
-	w.SetNonEnum("setInterval", minjs.ObjectValue(d.It.NewNative("setInterval", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		// intervals degrade to a single shot in the simulation
-		fnV := argVal(args, 0)
-		if !fnV.IsFunction() {
-			return minjs.Int(0), nil
-		}
-		id := d.Host.SetTimeout(fnV.Obj, nil, argVal(args, 1).ToNumber())
-		return minjs.Int(id), nil
-	})))
-	w.SetNonEnum("clearInterval", minjs.ObjectValue(d.It.NewNative("clearInterval", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		d.Host.ClearTimeout(int(argVal(args, 0).ToNumber()))
-		return minjs.Undefined(), nil
-	})))
+	// timers; intervals degrade to a single shot in the simulation
+	w.SetNonEnum("setTimeout", minjs.ObjectValue(d.native("setTimeout", setTimeout)))
+	w.SetNonEnum("clearTimeout", minjs.ObjectValue(d.native("clearTimeout", clearTimeout)))
+	w.SetNonEnum("setInterval", minjs.ObjectValue(d.native("setInterval", setInterval)))
+	w.SetNonEnum("clearInterval", minjs.ObjectValue(d.native("clearInterval", clearTimeout)))
 
-	// window.open
-	w.SetNonEnum("open", minjs.ObjectValue(d.It.NewNative("open", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		url := d.absURL(argStr(args, 0))
-		nd, err := d.Host.OpenWindow(url)
-		if err != nil || nd == nil {
-			return minjs.Null(), nil
-		}
-		nd.expose()
-		return minjs.ObjectValue(nd.Window), nil
-	})))
-
-	w.SetNonEnum("addEventListener", minjs.ObjectValue(d.It.NewNative("addEventListener", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		d.addPageListener(argStr(args, 0), argVal(args, 1))
-		return minjs.Undefined(), nil
-	})))
-	w.SetNonEnum("removeEventListener", minjs.ObjectValue(d.It.NewNative("removeEventListener", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		return minjs.Undefined(), nil
-	})))
+	w.SetNonEnum("open", minjs.ObjectValue(d.native("open", windowOpen)))
+	w.SetNonEnum("addEventListener", minjs.ObjectValue(d.native("addEventListener", addEventListener)))
+	w.SetNonEnum("removeEventListener", minjs.ObjectValue(d.native("removeEventListener", returnUndefined)))
 
 	// localStorage: an in-memory Storage object.
-	store := map[string]string{}
 	ls := minjs.NewObject(d.It.Protos.Object)
 	ls.Class = "Storage"
 	d.DefineMethod(ls, "getItem", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		if v, ok := store[argStr(args, 0)]; ok {
+		if v, ok := realmOf(it).storage[argStr(args, 0)]; ok {
 			return minjs.String(v), nil
 		}
 		return minjs.Null(), nil
 	})
 	d.DefineMethod(ls, "setItem", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		store[argStr(args, 0)] = argStr(args, 1)
+		realmOf(it).storage[argStr(args, 0)] = argStr(args, 1)
 		return minjs.Undefined(), nil
 	})
 	d.DefineMethod(ls, "removeItem", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		delete(store, argStr(args, 0))
+		delete(realmOf(it).storage, argStr(args, 0))
 		return minjs.Undefined(), nil
 	})
 	w.SetNonEnum("localStorage", minjs.ObjectValue(ls))
 }
 
-// refreshLocation re-derives location fields from d.URL.
-func (d *DOM) refreshLocation() {
-	scheme, host, path := splitURL(d.URL)
-	d.Location.Set("href", minjs.String(d.URL))
-	d.Location.Set("protocol", minjs.String(scheme+":"))
-	d.Location.Set("host", minjs.String(host))
-	d.Location.Set("hostname", minjs.String(host))
-	d.Location.Set("pathname", minjs.String(path))
-	d.Location.Set("origin", minjs.String(scheme+"://"+host))
+func windowTop(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+	cur := realmOf(it)
+	for cur.Parent != nil {
+		cur = cur.Parent
+	}
+	return minjs.ObjectValue(cur.Window), nil
+}
+
+func windowParent(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+	d := realmOf(it)
+	if d.Parent != nil {
+		return minjs.ObjectValue(d.Parent.Window), nil
+	}
+	return minjs.ObjectValue(d.Window), nil
+}
+
+func windowFrames(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+	arr := it.NewArrayP()
+	for _, f := range realmOf(it).Frames {
+		f.expose()
+		arr.Elems = append(arr.Elems, minjs.ObjectValue(f.Window))
+	}
+	return minjs.ObjectValue(arr), nil
+}
+
+func windowLength(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+	return minjs.Int(len(realmOf(it).Frames)), nil
+}
+
+func setTimeout(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+	fnV := argVal(args, 0)
+	if !fnV.IsFunction() {
+		return minjs.Int(0), nil
+	}
+	delay := argVal(args, 1).ToNumber()
+	var rest []minjs.Value
+	if len(args) > 2 {
+		rest = args[2:]
+	}
+	return minjs.Int(realmOf(it).Host.SetTimeout(fnV.Obj, rest, delay)), nil
+}
+
+func setInterval(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+	fnV := argVal(args, 0)
+	if !fnV.IsFunction() {
+		return minjs.Int(0), nil
+	}
+	return minjs.Int(realmOf(it).Host.SetTimeout(fnV.Obj, nil, argVal(args, 1).ToNumber())), nil
+}
+
+func clearTimeout(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+	realmOf(it).Host.ClearTimeout(int(argVal(args, 0).ToNumber()))
+	return minjs.Undefined(), nil
+}
+
+func windowOpen(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+	d := realmOf(it)
+	nd, err := d.Host.OpenWindow(d.absURL(argStr(args, 0)))
+	if err != nil || nd == nil {
+		return minjs.Null(), nil
+	}
+	nd.expose()
+	return minjs.ObjectValue(nd.Window), nil
+}
+
+func addEventListener(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+	realmOf(it).addPageListener(argStr(args, 0), argVal(args, 1))
+	return minjs.Undefined(), nil
+}
+
+func returnUndefined(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+	return minjs.Undefined(), nil
+}
+
+// field is one property value a realm's URL or window index decides.
+type field struct {
+	key string
+	v   minjs.Value
+}
+
+// positionFields returns the window's position properties in definition
+// order: Ubuntu regular mode shifts each window by a fixed offset.
+func (d *DOM) positionFields() [4]field {
+	cfg := &d.Cfg
+	x := cfg.WindowX + cfg.OffsetX*cfg.WindowIndex
+	y := cfg.WindowY + cfg.OffsetY*cfg.WindowIndex
+	return [4]field{
+		{"screenX", minjs.Int(x)},
+		{"screenY", minjs.Int(y)},
+		{"mozInnerScreenX", minjs.Int(x)},
+		{"mozInnerScreenY", minjs.Int(y + 74)},
+	}
+}
+
+// documentFields returns the document properties for url in definition
+// order.
+func documentFields(url string) [2]field {
+	return [2]field{
+		{"domain", minjs.String(hostOf(url))},
+		{"documentURI", minjs.String(url)},
+	}
+}
+
+// locationFields returns the location properties for url in definition
+// order.
+func locationFields(url string) [6]field {
+	scheme, host, path := splitURL(url)
+	return [6]field{
+		{"href", minjs.String(url)},
+		{"protocol", minjs.String(scheme + ":")},
+		{"host", minjs.String(host)},
+		{"hostname", minjs.String(host)},
+		{"pathname", minjs.String(path)},
+		{"origin", minjs.String(scheme + "://" + host)},
+	}
 }
 
 func splitURL(url string) (scheme, host, path string) {

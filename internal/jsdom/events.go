@@ -6,16 +6,17 @@ import "gullible/internal/minjs"
 // plain objects with type/detail fields; OpenWPM's vanilla instrument uses
 // CustomEvent + document.dispatchEvent as its message transport.
 func (d *DOM) buildEvents() {
-	it := d.It
 	evProto := d.Protos["Event"]
 	ceProto := d.Protos["CustomEvent"]
 	ceProto.Proto = evProto
 
+	// name is also the key of the constructor's prototype in Protos
 	makeCtor := func(name string, proto *minjs.Object, withDetail bool) *minjs.Object {
-		ctor := it.NewNative(name, func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+		ctor := d.native(name, func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+			d := realmOf(it)
 			ev := this
 			if !ev.IsObject() || ev.Obj == it.Global {
-				ev = minjs.ObjectValue(minjs.NewObject(proto))
+				ev = minjs.ObjectValue(minjs.NewObject(d.Protos[name]))
 			}
 			ev.Obj.Class = name
 			ev.Obj.Set("type", minjs.String(argStr(args, 0)))
@@ -39,12 +40,8 @@ func (d *DOM) buildEvents() {
 	d.Window.SetNonEnum("Event", minjs.ObjectValue(makeCtor("Event", evProto, false)))
 	d.Window.SetNonEnum("CustomEvent", minjs.ObjectValue(makeCtor("CustomEvent", ceProto, true)))
 
-	d.DefineMethod(evProto, "preventDefault", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		return minjs.Undefined(), nil
-	})
-	d.DefineMethod(evProto, "stopPropagation", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		return minjs.Undefined(), nil
-	})
+	d.DefineMethod(evProto, "preventDefault", returnUndefined)
+	d.DefineMethod(evProto, "stopPropagation", returnUndefined)
 }
 
 // FireListeners invokes page-registered listeners for event type with a fresh

@@ -48,13 +48,13 @@ func (d *DOM) promiseProto() *minjs.Object {
 	pp.Class = "PromisePrototype"
 	d.Protos["Promise"] = pp
 	d.DefineMethod(pp, "then", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		return d.promiseThen(this, argVal(args, 0), argVal(args, 1))
+		return realmOf(it).promiseThen(this, argVal(args, 0), argVal(args, 1))
 	})
 	d.DefineMethod(pp, "catch", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		return d.promiseThen(this, minjs.Undefined(), argVal(args, 0))
+		return realmOf(it).promiseThen(this, minjs.Undefined(), argVal(args, 0))
 	})
 	d.DefineMethod(pp, "finally", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		return d.promiseThen(this, argVal(args, 0), argVal(args, 0))
+		return realmOf(it).promiseThen(this, argVal(args, 0), argVal(args, 0))
 	})
 	return pp
 }
@@ -161,7 +161,8 @@ func (d *DOM) buildNet() {
 	w := d.Window
 
 	// Promise constructor
-	promiseCtor := it.NewNative("Promise", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+	promiseCtor := d.native("Promise", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+		d := realmOf(it)
 		p := d.newPromise()
 		executor := argVal(args, 0)
 		if executor.IsFunction() {
@@ -184,10 +185,11 @@ func (d *DOM) buildNet() {
 		return minjs.ObjectValue(p), nil
 	})
 	promiseCtor.SetNonEnum("prototype", minjs.ObjectValue(d.promiseProto()))
-	promiseCtor.SetNonEnum("resolve", minjs.ObjectValue(it.NewNative("resolve", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		return minjs.ObjectValue(d.Resolved(argVal(args, 0))), nil
+	promiseCtor.SetNonEnum("resolve", minjs.ObjectValue(d.native("resolve", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+		return minjs.ObjectValue(realmOf(it).Resolved(argVal(args, 0))), nil
 	})))
-	promiseCtor.SetNonEnum("reject", minjs.ObjectValue(it.NewNative("reject", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+	promiseCtor.SetNonEnum("reject", minjs.ObjectValue(d.native("reject", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+		d := realmOf(it)
 		p := d.newPromise()
 		d.settle(p, argVal(args, 0), true)
 		return minjs.ObjectValue(p), nil
@@ -195,7 +197,8 @@ func (d *DOM) buildNet() {
 	w.SetNonEnum("Promise", minjs.ObjectValue(promiseCtor))
 
 	// fetch: resolves with a Response-like object.
-	w.SetNonEnum("fetch", minjs.ObjectValue(it.NewNative("fetch", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+	w.SetNonEnum("fetch", minjs.ObjectValue(d.native("fetch", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+		d := realmOf(it)
 		url := d.absURL(argStr(args, 0))
 		method, reqBody := "GET", ""
 		if opts := argVal(args, 1); opts.IsObject() {
@@ -254,13 +257,12 @@ func (d *DOM) buildNet() {
 		}
 		return minjs.Undefined(), nil
 	})
-	d.DefineMethod(xhrProto, "setRequestHeader", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		return minjs.Undefined(), nil
-	})
+	d.DefineMethod(xhrProto, "setRequestHeader", returnUndefined)
 	d.DefineMethod(xhrProto, "send", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
 		if !this.IsObject() {
 			return minjs.Undefined(), nil
 		}
+		d := realmOf(it)
 		m, _ := it.GetMember(this, "__method")
 		u, _ := it.GetMember(this, "__url")
 		status, _, body, _ := d.Host.Fetch(d.absURL(u.ToString()), xhrType, m.ToString(), argStr(args, 0))
@@ -275,8 +277,8 @@ func (d *DOM) buildNet() {
 		}
 		return minjs.Undefined(), nil
 	})
-	xhrCtor := it.NewNative("XMLHttpRequest", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		o := minjs.NewObject(xhrProto)
+	xhrCtor := d.native("XMLHttpRequest", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+		o := minjs.NewObject(realmOf(it).Protos["XMLHttpRequest"])
 		o.Class = "XMLHttpRequest"
 		return minjs.ObjectValue(o), nil
 	})
@@ -284,8 +286,8 @@ func (d *DOM) buildNet() {
 	w.SetNonEnum("XMLHttpRequest", minjs.ObjectValue(xhrCtor))
 
 	// Image constructor: tracking pixels.
-	imgCtor := it.NewNative("Image", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		return minjs.ObjectValue(d.NewElement("img")), nil
+	imgCtor := d.native("Image", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+		return minjs.ObjectValue(realmOf(it).NewElement("img")), nil
 	})
 	imgCtor.SetNonEnum("prototype", minjs.ObjectValue(d.Protos["HTMLImageElement"]))
 	w.SetNonEnum("Image", minjs.ObjectValue(imgCtor))
@@ -293,45 +295,45 @@ func (d *DOM) buildNet() {
 
 func (d *DOM) buildDateIntl() {
 	it := d.It
-	cfg := d.Cfg
 	const epochMS = 1655712000000 // 2022-06-20, the paper's measurement window
 
 	dateProto := minjs.NewObject(it.Protos.Object)
 	dateProto.Class = "DatePrototype"
 	d.Protos["Date"] = dateProto
 	d.DefineMethod(dateProto, "getTime", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		return minjs.Number(epochMS + d.Host.Now()), nil
+		return minjs.Number(epochMS + realmOf(it).Host.Now()), nil
 	})
 	d.DefineMethod(dateProto, "getTimezoneOffset", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		return minjs.Int(cfg.TimezoneOffset), nil
+		return minjs.Int(realmOf(it).Cfg.TimezoneOffset), nil
 	})
 	d.DefineMethod(dateProto, "getFullYear", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
 		return minjs.Int(2022), nil
 	})
 	d.DefineMethod(dateProto, "toISOString", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		return minjs.String(fmt.Sprintf("2022-06-20T00:00:%06.3fZ", d.Host.Now()/1000)), nil
+		return minjs.String(fmt.Sprintf("2022-06-20T00:00:%06.3fZ", realmOf(it).Host.Now()/1000)), nil
 	})
-	dateCtor := it.NewNative("Date", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		o := minjs.NewObject(dateProto)
+	dateCtor := d.native("Date", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+		o := minjs.NewObject(realmOf(it).Protos["Date"])
 		o.Class = "Date"
 		return minjs.ObjectValue(o), nil
 	})
 	dateCtor.SetNonEnum("prototype", minjs.ObjectValue(dateProto))
-	dateCtor.SetNonEnum("now", minjs.ObjectValue(it.NewNative("now", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-		return minjs.Number(epochMS + d.Host.Now()), nil
+	dateCtor.SetNonEnum("now", minjs.ObjectValue(d.native("now", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+		return minjs.Number(epochMS + realmOf(it).Host.Now()), nil
 	})))
 	d.Window.SetNonEnum("Date", minjs.ObjectValue(dateCtor))
 
 	// Intl.DateTimeFormat().resolvedOptions().timeZone — empty in Docker.
 	intl := minjs.NewObject(it.Protos.Object)
 	intl.Class = "Intl"
-	dtf := it.NewNative("DateTimeFormat", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+	dtf := d.native("DateTimeFormat", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+		d := realmOf(it)
 		o := minjs.NewObject(it.Protos.Object)
 		o.Class = "DateTimeFormat"
 		d.DefineMethod(o, "resolvedOptions", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
 			opts := minjs.NewObject(it.Protos.Object)
 			tz := ""
-			if cfg.HasTimezone {
+			if d.Cfg.HasTimezone {
 				tz = "Europe/Berlin"
 			}
 			opts.Set("timeZone", minjs.String(tz))

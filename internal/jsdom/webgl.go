@@ -58,7 +58,7 @@ func (d *DOM) buildWebGLProto() {
 	for _, m := range webGLMethodNames {
 		if m == "getParameter" {
 			d.DefineMethod(wp, m, func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-				ctx := d.WebGL()
+				ctx := realmOf(it).WebGL()
 				if ctx == nil {
 					return minjs.Null(), nil
 				}
@@ -69,9 +69,7 @@ func (d *DOM) buildWebGLProto() {
 		if m == "getSupportedExtensions" {
 			continue
 		}
-		d.DefineMethod(wp, m, func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-			return minjs.Undefined(), nil
-		})
+		d.DefineMethod(wp, m, returnUndefined)
 	}
 	d.DefineMethod(wp, "getSupportedExtensions", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
 		arr := it.NewArrayP()

@@ -54,6 +54,14 @@
 //     select stalls the producer forever once the consumer stops; fan-out
 //     paths (the event hub) must use a select with a default or cancel arm.
 //
+// The architecture family:
+//
+//   - onedriver: sched.Run is the one driver of every crawl. Outside
+//     internal/sched, internal/bundle and internal/telemetry nothing calls
+//     bundle.NewRecorder, bundle.Finalize or telemetry.NewFlight: a crawl
+//     that records a bundle or a trace some other way bypasses the
+//     driver's sharding, merge and seal.
+//
 // Inline suppressions: `//lint:ignore <rule[,rule]> <justification>` on (or
 // immediately above) the offending line suppresses the finding; an empty
 // justification is itself a finding (rule "suppression") — silencing a

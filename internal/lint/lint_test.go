@@ -41,6 +41,7 @@ func TestFixtureTripsEveryRule(t *testing.T) {
 		"locked.go":    {"lockedmutate": 1},
 		"swallow.go":   {"errswallow": 2},
 		"chan.go":      {"chanbuffer": 1},
+		"driver.go":    {"onedriver": 3},
 	}
 	if !reflect.DeepEqual(got, want) {
 		var lines []string
@@ -129,5 +130,18 @@ func TestExpandSkipsTestdata(t *testing.T) {
 	}
 	if len(dirs) != 1 || dirs[0] != "testdata/src/bad" {
 		t.Errorf("explicit testdata dir mangled: %v", dirs)
+	}
+}
+
+// TestOneDriverAllowsTheDriver checks onedriver's exemption: the fixture
+// package in a directory ending in internal/sched records bundles and
+// traces without a finding.
+func TestOneDriverAllowsTheDriver(t *testing.T) {
+	findings, err := LintDirs([]string{"testdata/src/driver/internal/sched"})
+	if err != nil {
+		t.Fatalf("lint: %v", err)
+	}
+	for _, f := range findings {
+		t.Errorf("unexpected finding in the driver fixture: %s", f)
 	}
 }

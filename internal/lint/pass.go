@@ -36,6 +36,7 @@ var Rules = []*Rule{
 	{Name: "lockedmutate", Doc: "struct fields must not be written both under and outside the struct's mutex", Check: checkLockedMutate},
 	{Name: "errswallow", Doc: "error results must be checked or visibly discarded with a justifying comment", Check: checkErrSwallow},
 	{Name: "chanbuffer", Doc: "no blocking channel send inside a loop without a draining select", Check: checkChanBuffer},
+	{Name: "onedriver", Doc: "bundle and flight recorders only inside the crawl driver (sched.Run)", Check: checkOneDriver},
 }
 
 // RuleDoc returns the one-line doc for a rule name ("" when unknown).

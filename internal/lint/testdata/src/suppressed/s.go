@@ -2,7 +2,11 @@
 // suppression stays silent, a bare one is itself a finding.
 package suppressed
 
-import "time"
+import (
+	"time"
+
+	"gullible/internal/telemetry"
+)
 
 // StampJustified carries a written reason: no finding at all.
 func StampJustified() int64 {
@@ -28,4 +32,11 @@ func StampUncovered() int64 {
 	//lint:ignore wallclock fixture: too far away to cover anything
 
 	return time.Now().UnixNano()
+}
+
+// TraceJustified builds a flight recorder outside the driver with a
+// written reason: no finding.
+func TraceJustified() {
+	//lint:ignore onedriver fixture: a suppression with its reason
+	_ = telemetry.NewFlight(16)
 }

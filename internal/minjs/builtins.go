@@ -645,11 +645,14 @@ func installErrors(it *Interp) {
 	ep.SetNonEnum("toString", ObjectValue(it.NewNative("toString", func(it *Interp, this Value, args []Value) (Value, error) {
 		return String(this.ToString()), nil
 	})))
+	// each constructor keeps the prototype it was made with in its Host
+	// field: a call without new builds on that object even after script
+	// reassigns the constructor's prototype property
 	makeErrCtor := func(name string, proto *Object) *Object {
 		ctor := it.NewNative(name, func(it *Interp, this Value, args []Value) (Value, error) {
 			target := this
 			if !target.IsObject() || target.Obj == it.Global {
-				target = ObjectValue(NewObject(proto))
+				target = ObjectValue(NewObject(it.Callee().Host.(*Object)))
 			}
 			o := target.Obj
 			o.Class = "Error"
@@ -662,6 +665,7 @@ func installErrors(it *Interp) {
 			o.SetNonEnum("stack", String(it.captureJSStack()))
 			return target, nil
 		})
+		ctor.Host = proto
 		ctor.SetNonEnum("prototype", ObjectValue(proto))
 		proto.SetNonEnum("constructor", ObjectValue(ctor))
 		proto.SetNonEnum("name", String(name))
@@ -698,7 +702,13 @@ func installMathJSON(it *Interp) {
 			return fn(args), nil
 		})))
 	}
-	def("random", func(args []Value) Value { return Number(it.random()) })
+	// Math.random draws from its own realm's generator, whichever realm
+	// calls it: the realm's interpreter rides in the function's Host field
+	random := it.NewNative("random", func(it *Interp, this Value, args []Value) (Value, error) {
+		return Number(it.Callee().Host.(*Interp).random()), nil
+	})
+	random.Host = it
+	m.SetNonEnum("random", ObjectValue(random))
 	def("floor", func(args []Value) Value { return Number(math.Floor(arg(args, 0).ToNumber())) })
 	def("ceil", func(args []Value) Value { return Number(math.Ceil(arg(args, 0).ToNumber())) })
 	def("round", func(args []Value) Value { return Number(math.Round(arg(args, 0).ToNumber())) })

@@ -26,6 +26,9 @@ type Image struct {
 	edits  []imageEdit  // changes to pre-existing objects
 	steps  int64
 	allocs int64
+	// property slots and small-representation entries Instantiate fills:
+	// the created objects' properties and the appended ones
+	nProps, nEntries int
 }
 
 // Object slots number the refs first, then the created objects; -1 is nil.
@@ -87,7 +90,7 @@ type imageScope struct {
 // Edit operations on a pre-existing object, in the order they are replayed.
 const (
 	opDelete  uint8 = iota // remove key
-	opReplace              // redefine key in place, keeping its position
+	opReplace              // redefine key, keeping its position (a new property slot in the recording)
 	opWrite                // overwrite key's property slot in place (no structural change)
 	opAppend               // define key after every existing key
 )
@@ -133,10 +136,15 @@ type realmGraph struct {
 	skip *realmGraph
 }
 
-func walkRealm(it *Interp) *realmGraph {
+// walkRealm walks the realm from its roots and then from extra, objects
+// only the host holds, which no path can name.
+func walkRealm(it *Interp, extra ...*Object) *realmGraph {
 	g := &realmGraph{index: map[*Object]int32{}, sindex: map[*Scope]int32{}}
 	for i, r := range realmRoots(it) {
 		g.reach(r, objPath{parent: -1, edge: edgeRoot, elem: int32(i)})
+	}
+	for _, r := range extra {
+		g.reach(r, unnamed)
 	}
 	g.scope(it.root)
 	for i := 0; i < len(g.objs); i++ {
@@ -481,6 +489,10 @@ func (r *recorder) build(it *Interp) (*Image, error) {
 		ob := &img.objs[i]
 		*ob = imageObj{class: o.Class, proto: r.slot(o.Proto), notExt: o.NotExtensible, ver: o.ver, env: -1, this: imageVal{slot: -1}}
 		o.eachOwn(func(key string, p *Property) { ob.props = append(ob.props, r.prop(key, p)) })
+		img.nProps += len(ob.props)
+		if len(ob.props) <= smallPropsMax {
+			img.nEntries += len(ob.props)
+		}
 		if len(o.Elems) > 0 {
 			ob.elems = make([]imageVal, len(o.Elems))
 			for j, e := range o.Elems {
@@ -506,6 +518,9 @@ func (r *recorder) build(it *Interp) (*Image, error) {
 			ie.ops[j] = imageOp{kind: op.kind, prop: imageProp{key: op.key}}
 			if op.p != nil {
 				ie.ops[j].prop = r.prop(op.key, op.p)
+			}
+			if op.kind == opAppend {
+				img.nProps++
 			}
 		}
 		img.edits = append(img.edits, ie)
@@ -766,8 +781,8 @@ func (it *Interp) Instantiate(img *Image) bool {
 	}
 
 	// nothing below can fail. Everything comes from the realm's arenas or
-	// from chunked batches whose capacity-capped sub-slices make a later
-	// append copy instead of overrunning a neighbour.
+	// from two arrays sized to the image, whose capacity-capped sub-slices
+	// make a later append copy instead of overrunning a neighbour.
 	base := len(img.refs)
 	for i := range img.objs {
 		if img.objs[i].fn != nil {
@@ -778,8 +793,8 @@ func (it *Interp) Instantiate(img *Image) bool {
 			slots[base+i] = it.allocObject()
 		}
 	}
-	var props []Property
-	var entries []propEntry
+	props := make([]Property, img.nProps)
+	entries := make([]propEntry, img.nEntries)
 	scopes := make([]*Scope, len(img.scopes)+1)
 	scopes[0] = it.root
 	for i := range img.scopes {
@@ -805,15 +820,15 @@ func (it *Interp) Instantiate(img *Image) bool {
 		if n := len(ob.props); n > smallPropsMax {
 			o.props = make(map[string]*Property, n)
 			o.keys = make([]string, n)
-			ps := carve(&props, n, propBatch)
+			ps := carve(&props, n)
 			for j := range ob.props {
 				ps[j] = ob.props[j].in(slots)
 				o.props[ob.props[j].key] = &ps[j]
 				o.keys[j] = ob.props[j].key
 			}
 		} else if n > 0 {
-			ps := carve(&props, n, propBatch)
-			o.small = carve(&entries, n, entryBatch)
+			ps := carve(&props, n)
+			o.small = carve(&entries, n)
 			for j := range ob.props {
 				ps[j] = ob.props[j].in(slots)
 				o.small[j] = propEntry{key: ob.props[j].key, p: &ps[j]}
@@ -843,13 +858,16 @@ func (it *Interp) Instantiate(img *Image) bool {
 			switch op.kind {
 			case opDelete:
 				o.Delete(op.prop.key)
-			case opWrite:
-				*o.GetOwn(op.prop.key) = op.prop.in(slots)
-				o.touch()
-			default: // opReplace keeps the key's position, opAppend adds it last
-				p := &carve(&props, 1, propBatch)[0]
+			case opAppend:
+				p := &carve(&props, 1)[0]
 				*p = op.prop.in(slots)
 				o.DefineProperty(op.prop.key, p)
+			default:
+				// a replaced key keeps its position, so its slot can take
+				// the new property: the one counted write and the version
+				// set below are what redefining it would leave
+				*o.GetOwn(op.prop.key) = op.prop.in(slots)
+				o.touch()
 			}
 		}
 		o.ver = ver
@@ -859,19 +877,8 @@ func (it *Interp) Instantiate(img *Image) bool {
 	return true
 }
 
-// Batch sizes for Instantiate's property slots and entries: small enough
-// that every batch stays in the allocator's small-object size classes.
-const (
-	propBatch  = 128
-	entryBatch = 256
-)
-
-// carve returns the next n elements of *buf as a capacity-capped slice,
-// refilling *buf with a fresh batch of at least chunk elements when short.
-func carve[T any](buf *[]T, n, chunk int) []T {
-	if len(*buf) < n {
-		*buf = make([]T, max(n, chunk))
-	}
+// carve returns the next n elements of *buf as a capacity-capped slice.
+func carve[T any](buf *[]T, n int) []T {
 	s := (*buf)[:n:n]
 	*buf = (*buf)[n:]
 	return s
@@ -978,4 +985,24 @@ func (it *Interp) GraphDigest() [32]byte {
 	var sum [32]byte
 	h.Sum(sum[:0])
 	return sum
+}
+
+// ObjectCounters is one object's class and counters: ver counts its
+// structural changes, Writes every change script can see.
+type ObjectCounters struct {
+	Class       string
+	Ver, Writes uint32
+}
+
+// Counters returns the class and counters of every object GraphDigest
+// walks, in its walk order. Like GraphDigest it is a tests' oracle, here
+// for realm templates: a stamped realm must carry the counters its
+// construction would have left, which the digest does not cover.
+func (it *Interp) Counters() []ObjectCounters {
+	g := walkRealm(it)
+	out := make([]ObjectCounters, len(g.objs))
+	for i, o := range g.objs {
+		out[i] = ObjectCounters{Class: o.Class, Ver: o.ver, Writes: o.writes}
+	}
+	return out
 }

@@ -103,6 +103,7 @@ type Interp struct {
 	maxDepth int
 	root     *Scope
 	curThis  Value      // dynamic `this` for the running script function
+	callee   *Object    // the native function running now (see Callee)
 	seed     int64      // Math.random seed: 42 until the host reseeds
 	rng      *rand.Rand // backs Math.random; nil until the first draw
 
@@ -294,6 +295,12 @@ func (it *Interp) CaptureStack() string {
 	return string(b)
 }
 
+// Callee returns the function object of the native running now on it, nil
+// outside one. A native reads it to find the realm it belongs to (through
+// the object's Host field), which need not be the calling realm: see
+// NativeFunc.
+func (it *Interp) Callee() *Object { return it.callee }
+
 // StackDepth reports the current JS call-stack depth.
 func (it *Interp) StackDepth() int { return len(it.stack) }
 
@@ -412,7 +419,11 @@ func (it *Interp) CallFunction(fn *Object, this Value, args []Value) (Value, err
 	if fd.Native != nil {
 		it.pushFrame(Frame{FnName: fd.NativeName, Script: "native"})
 		defer it.popFrame()
-		return fd.Native(it, this, args)
+		outer := it.callee
+		it.callee = fn
+		v, err := fd.Native(it, this, args)
+		it.callee = outer
+		return v, err
 	}
 	lit := fd.Fn
 	if lit.Arrow {

@@ -303,8 +303,12 @@ func LooseEquals(a, b Value) bool {
 // which need not be the one the native belongs to: a script that reaches
 // another realm's native (through a frame or an opened window) calls it on
 // its own interpreter. A native that acts on its own realm's state therefore
-// finds that realm through its receiver or its own function object, never
-// through it.
+// finds that realm through its receiver or through its own function object,
+// it.Callee(), whose Host field names the realm; never through it, and never
+// through a Go closure over per-realm objects. A realm stamped from a
+// Template shares the template's natives, so a closure over the template's
+// realm would act on the template from every stamp; closures may hold only
+// what every realm built from one configuration shares.
 type NativeFunc func(it *Interp, this Value, args []Value) (Value, error)
 
 // Property is a property slot: either a data property (Value) or an accessor

@@ -26,7 +26,8 @@ import (
 	"sync"
 )
 
-// File is the writable handle the log appends to.
+// File is the writable handle the log appends to. Write must not retain
+// p: the writer reuses the buffer for the frames that follow.
 type File interface {
 	Write(p []byte) (int, error)
 	Sync() error

@@ -281,7 +281,9 @@ func (w *Writer) flush() error {
 	w.mFlush.Inc()
 	p := w.pending
 	recs := w.pendingRecs
-	w.pending = nil
+	// keep the buffer for the next frames: no File keeps the slice Write
+	// is given (os.File writes it out, memFile copies it)
+	w.pending = p[:0]
 	w.pendingRecs = 0
 
 	n := len(p)

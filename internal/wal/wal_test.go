@@ -223,3 +223,48 @@ func TestFsyncFailureKeepsData(t *testing.T) {
 		t.Fatalf("fsync failure unwrote data: %d/10 records recovered", got)
 	}
 }
+
+// The writer reuses its pending buffer after every flush, so a File must
+// not keep the slice Write hands it. A segment's bytes in MemFS taken after
+// one flush must survive later appends, which overwrite that buffer.
+func TestFlushedBytesSurviveBufferReuse(t *testing.T) {
+	fs := NewMemFS()
+	w, err := NewWriter(fs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, w, 10)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := fs.List()
+	if err != nil || len(names) != 1 {
+		t.Fatalf("segments %v, %v; want one", names, err)
+	}
+	before, err := fs.ReadFile(names[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = append([]byte(nil), before...)
+	for i := 0; i < 3; i++ {
+		if err := w.Append("other", testRec{N: 1000 + i, S: strings.Repeat("y", 64)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after, err := fs.ReadFile(names[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) <= len(before) || string(after[:len(before)]) != string(before) {
+		t.Fatal("bytes flushed earlier changed when the writer reused its buffer")
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if recs := scanKinds(t, fs); len(recs) != 13 {
+		t.Errorf("recovered %d records, want 13", len(recs))
+	}
+}
