@@ -363,7 +363,10 @@ func BenchmarkInterpreter(b *testing.B) {
 
 // BenchmarkRealmBuild measures building one browser object model: a stamp
 // of its configuration's realm template (jsdom's BenchmarkRealmTemplate
-// measures the construction each template runs once).
+// measures the construction each template runs once). A bare stamp's bytes
+// overstate what an instrumented realm saves, because the instrument
+// install allocates after it; BenchmarkRealmInstrumented in internal/openwpm
+// measures build and install together and is the per-realm ruler.
 func BenchmarkRealmBuild(b *testing.B) {
 	cfg := jsdom.StandardConfig(jsdom.Ubuntu, jsdom.Regular, 90, 0)
 	b.ReportAllocs()

@@ -36,18 +36,25 @@ type goldenCase struct {
 	outcome
 }
 
-// goldenGroup returns the frozen cases named group/*, in file order.
-func goldenGroup(t testing.TB, group string) []goldenCase {
+// goldenCases returns every frozen case, in file order.
+func goldenCases(t testing.TB) []goldenCase {
 	t.Helper()
 	raw, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var all, out []goldenCase
+	var all []goldenCase
 	if err := json.Unmarshal(raw, &all); err != nil {
 		t.Fatalf("decode %s: %v", goldenPath, err)
 	}
-	for _, c := range all {
+	return all
+}
+
+// goldenGroup returns the frozen cases named group/*, in file order.
+func goldenGroup(t testing.TB, group string) []goldenCase {
+	t.Helper()
+	var out []goldenCase
+	for _, c := range goldenCases(t) {
 		if strings.HasPrefix(c.Name, group+"/") {
 			out = append(out, c)
 		}

@@ -20,19 +20,13 @@ import (
 // way. An Image is immutable once recorded and safe to instantiate from
 // several goroutines.
 type Image struct {
-	refs   []imageRef   // pre-existing objects, parents before children
-	objs   []imageObj   // objects the program created
-	scopes []imageScope // scopes its closures captured; scope slot i+1
-	edits  []imageEdit  // changes to pre-existing objects
-	steps  int64
-	allocs int64
-	// property slots and small-representation entries Instantiate fills:
-	// the created objects' properties and the appended ones
-	nProps, nEntries int
+	graph             // what the program created; its outside slots are refs
+	refs  []imageRef  // pre-existing objects, parents before children
+	edits []imageEdit // changes to pre-existing objects
+	// the counters the run left: steps in total, allocs as a delta
+	steps, allocs int64
+	nAppends      int // properties the edits append
 }
-
-// Object slots number the refs first, then the created objects; -1 is nil.
-// Scope slot 0 is the realm's root scope, slot i+1 is scopes[i].
 
 // Path edge kinds.
 const (
@@ -56,54 +50,25 @@ type imageRef struct {
 	fn     *FuncLit // script body the resolved object must carry
 }
 
-// imageVal is a recorded Value: primitives verbatim, objects by slot.
-type imageVal struct {
-	v    Value
-	slot int32 // -1 for a primitive
-}
-
-type imageProp struct {
-	key      string
-	val      imageVal
-	get, set int32
-	attrs    Property // flags only; values travel in val/get/set
-}
-
-type imageObj struct {
-	class  string
-	proto  int32
-	props  []imageProp
-	elems  []imageVal
-	notExt bool
-	ver    uint32
-	fn     *FuncLit // non-nil for script functions
-	env    int32    // closure scope slot of a script function
-	this   imageVal
-}
-
-type imageScope struct {
-	names  []string // shared between realms: cap == len, so declare copies
-	vals   []imageVal
-	parent int32
-}
-
 // Edit operations on a pre-existing object, in the order they are replayed.
 const (
-	opDelete  uint8 = iota // remove key
-	opReplace              // redefine key, keeping its position (a new property slot in the recording)
-	opWrite                // overwrite key's property slot in place (no structural change)
-	opAppend               // define key after every existing key
+	opDelete uint8 = iota // remove key
+	opWrite               // redefine or overwrite key, keeping its position
+	opAppend              // define key after every existing key
 )
 
 type imageOp struct {
 	kind uint8
-	prop imageProp
+	prop propRec // only the key for opDelete
 }
 
+// imageEdit is what the run did to one pre-existing object: its ops, and
+// how far its version and write counter moved, which replaying the ops
+// alone need not reproduce (a key written twice, or written back).
 type imageEdit struct {
-	slot     int32
-	ops      []imageOp
-	verDelta uint32
+	slot                 int32
+	ops                  []imageOp
+	verDelta, writeDelta uint32
 }
 
 // realmRoots lists the objects image paths start from.
@@ -239,6 +204,7 @@ type objSnap struct {
 	elems  []Value
 	notExt bool
 	ver    uint32
+	writes uint32
 	env    *Scope
 	this   Value
 	off, n int
@@ -260,7 +226,7 @@ func snapshot(g *realmGraph) ([]objSnap, []propSnap, [][]Value) {
 	var props []propSnap
 	for i, o := range g.objs {
 		s := &snaps[i]
-		*s = objSnap{class: o.Class, proto: o.Proto, notExt: o.NotExtensible, ver: o.ver, off: len(props)}
+		*s = objSnap{class: o.Class, proto: o.Proto, notExt: o.NotExtensible, ver: o.ver, writes: o.writes, off: len(props)}
 		if len(o.Elems) > 0 {
 			s.elems = append([]Value(nil), o.Elems...)
 		}
@@ -339,7 +305,6 @@ type recorder struct {
 	root      *Scope
 	need      []bool  // before-walk objects the effect references, plus their path ancestors
 	refSlot   []int32 // slot of each needed before-walk object
-	nRefs     int32
 	err       error
 }
 
@@ -481,46 +446,22 @@ func (r *recorder) build(it *Interp) (*Image, error) {
 		}
 		img.refs = append(img.refs, ref)
 	}
-	r.nRefs = int32(len(img.refs))
-
-	// pass 2: encode
-	img.objs = make([]imageObj, len(r.after.objs))
-	for i, o := range r.after.objs {
-		ob := &img.objs[i]
-		*ob = imageObj{class: o.Class, proto: r.slot(o.Proto), notExt: o.NotExtensible, ver: o.ver, env: -1, this: imageVal{slot: -1}}
-		o.eachOwn(func(key string, p *Property) { ob.props = append(ob.props, r.prop(key, p)) })
-		img.nProps += len(ob.props)
-		if len(ob.props) <= smallPropsMax {
-			img.nEntries += len(ob.props)
-		}
-		if len(o.Elems) > 0 {
-			ob.elems = make([]imageVal, len(o.Elems))
-			for j, e := range o.Elems {
-				ob.elems[j] = r.val(e)
-			}
-		}
-		if fd := o.fnd; fd != nil {
-			ob.fn, ob.env, ob.this = fd.Fn, r.scopeSlot(fd.Env), r.val(fd.thisVal())
-		}
-	}
-	img.scopes = make([]imageScope, len(r.after.scopes))
-	for i, s := range r.after.scopes {
-		sc := imageScope{names: make([]string, len(s.names)), vals: make([]imageVal, len(s.vals)), parent: r.scopeSlot(s.parent)}
-		copy(sc.names, s.names)
-		for j, v := range s.vals {
-			sc.vals[j] = r.val(v)
-		}
-		img.scopes[i] = sc
-	}
+	// pass 2: flatten what the run created, naming the refs as outside
+	// slots
+	f := &flattener{g: &img.graph, index: r.after.index, sindex: r.after.sindex,
+		outside: func(o *Object) int32 { return r.refSlot[r.before.index[o]] }}
+	img.nOut = int32(len(img.refs))
+	f.flatten(r.after.objs, r.after.scopes)
 	for _, e := range edits {
-		ie := imageEdit{slot: r.refSlot[e.obj], verDelta: r.before.objs[e.obj].ver - r.snaps[e.obj].ver, ops: make([]imageOp, len(e.ops))}
+		o, s := r.before.objs[e.obj], &r.snaps[e.obj]
+		ie := imageEdit{slot: r.refSlot[e.obj], verDelta: o.ver - s.ver, writeDelta: o.writes - s.writes, ops: make([]imageOp, len(e.ops))}
 		for j, op := range e.ops {
-			ie.ops[j] = imageOp{kind: op.kind, prop: imageProp{key: op.key}}
+			ie.ops[j] = imageOp{kind: op.kind, prop: propRec{key: op.key}}
 			if op.p != nil {
-				ie.ops[j].prop = r.prop(op.key, op.p)
+				ie.ops[j].prop = f.prop(op.key, op.p)
 			}
 			if op.kind == opAppend {
-				img.nProps++
+				img.nAppends++
 			}
 		}
 		img.edits = append(img.edits, ie)
@@ -528,44 +469,9 @@ func (r *recorder) build(it *Interp) (*Image, error) {
 	return img, nil
 }
 
-// slot numbers o in the image: refs first, then the created objects in walk
-// order; nil is -1.
-func (r *recorder) slot(o *Object) int32 {
-	if o == nil {
-		return -1
-	}
-	if i, ok := r.before.index[o]; ok {
-		return r.refSlot[i]
-	}
-	return r.nRefs + r.after.index[o]
-}
-
-// scopeSlot numbers s in the image: the root scope is 0, the captured
-// scopes follow in walk order; nil is -1.
-func (r *recorder) scopeSlot(s *Scope) int32 {
-	if s == nil {
-		return -1
-	}
-	if i, ok := r.after.sindex[s]; ok {
-		return i + 1
-	}
-	return 0
-}
-
-func (r *recorder) val(v Value) imageVal {
-	if v.Kind != KindObject {
-		return imageVal{v: v, slot: -1}
-	}
-	return imageVal{v: Value{Kind: KindObject}, slot: r.slot(v.Obj)}
-}
-
-func (r *recorder) prop(key string, p *Property) imageProp {
-	return imageProp{key: key, val: r.val(p.Value), get: r.slot(p.Get), set: r.slot(p.Set),
-		attrs: Property{Accessor: p.Accessor, Enumerable: p.Enumerable, Writable: p.Writable, Configurable: p.Configurable}}
-}
-
-// changed reports whether the run altered pre-existing object i, failing
-// the recording for alterations an image cannot replay.
+// changed reports whether the run altered pre-existing object i or moved
+// its counters, failing the recording for alterations an image cannot
+// replay.
 func (r *recorder) changed(i int32, o *Object) bool {
 	s := &r.snaps[i]
 	if o.Class != s.class || o.Proto != s.proto || o.NotExtensible != s.notExt || len(o.Elems) != len(s.elems) {
@@ -582,7 +488,7 @@ func (r *recorder) changed(i int32, o *Object) bool {
 		r.fail("program altered function %q", o.NativeFnName())
 		return false
 	}
-	if o.ver != s.ver {
+	if o.ver != s.ver || o.writes != s.writes {
 		return true
 	}
 	old := r.props[s.off : s.off+s.n]
@@ -651,9 +557,7 @@ func (r *recorder) diff(i int32) rawEdit {
 		switch {
 		case n >= prefix:
 			e.ops = append(e.ops, rawOp{kind: opAppend, key: k, p: p})
-		case p != snap[old[k]].ptr:
-			e.ops = append(e.ops, rawOp{kind: opReplace, key: k, p: p})
-		case !sameProp(p, &snap[old[k]].prop):
+		case p != snap[old[k]].ptr || !sameProp(p, &snap[old[k]].prop):
 			e.ops = append(e.ops, rawOp{kind: opWrite, key: k, p: p})
 		}
 	}
@@ -734,31 +638,13 @@ func contains(ss []string, s string) bool {
 	return false
 }
 
-func (v imageVal) in(slots []*Object) Value {
-	if v.slot < 0 {
-		return v.v
-	}
-	return Value{Kind: KindObject, Obj: slots[v.slot]}
-}
-
-func (p *imageProp) in(slots []*Object) Property {
-	q := p.attrs
-	q.Value = p.val.in(slots)
-	if p.get >= 0 {
-		q.Get = slots[p.get]
-	}
-	if p.set >= 0 {
-		q.Set = slots[p.set]
-	}
-	return q
-}
-
-// Instantiate reproduces img's effect in this realm: it clones the recorded
-// objects and scopes, rebinds their references to this realm's objects,
-// replays the property edits and sets the step and alloc counters as the
-// recorded run left them. It reports false, leaving the realm untouched,
-// when a recorded path no longer leads to an object of the recorded class
-// and native name, when an edit's keys are not as recorded, when an
+// Instantiate reproduces img's effect in this realm: it materializes the
+// recorded objects and scopes with their references rebound to this
+// realm's objects, replays the property edits, and sets the edited
+// objects' counters and the step and alloc counters as the recorded run
+// left them. It reports false, leaving the realm untouched, when a
+// recorded path no longer leads to an object of the recorded class and
+// native name, when an edit's keys are not as recorded, when an
 // observation hook is installed (the recorded run fired none), or when the
 // realm's step limit would have interrupted the recorded run. The caller
 // owns the harder precondition: the realm must be built exactly as the
@@ -768,120 +654,48 @@ func (it *Interp) Instantiate(img *Image) bool {
 	if it.PropAccessHook != nil || it.EvalHook != nil || img.steps > it.stepLimit() {
 		return false
 	}
-	slots := make([]*Object, len(img.refs)+len(img.objs))
+	refs := make([]*Object, len(img.refs))
 	for i := range img.refs {
-		if slots[i] = img.refs[i].resolve(it, slots); slots[i] == nil {
+		if refs[i] = img.refs[i].resolve(it, refs); refs[i] == nil {
 			return false
 		}
 	}
 	for i := range img.edits {
-		if !img.edits[i].applies(slots[img.edits[i].slot]) {
+		if !img.edits[i].applies(refs[img.edits[i].slot]) {
 			return false
 		}
 	}
 
-	// nothing below can fail. Everything comes from the realm's arenas or
-	// from two arrays sized to the image, whose capacity-capped sub-slices
-	// make a later append copy instead of overrunning a neighbour.
-	base := len(img.refs)
-	for i := range img.objs {
-		if img.objs[i].fn != nil {
-			f := it.allocFunc()
-			f.fnd = &f.fd
-			slots[base+i] = &f.Object
-		} else {
-			slots[base+i] = it.allocObject()
-		}
-	}
-	props := make([]Property, img.nProps)
-	entries := make([]propEntry, img.nEntries)
-	scopes := make([]*Scope, len(img.scopes)+1)
-	scopes[0] = it.root
-	for i := range img.scopes {
-		scopes[i+1] = it.allocScope()
-	}
-	for i := range img.scopes {
-		sc, s := &img.scopes[i], scopes[i+1]
-		s.names = sc.names
-		s.vals = it.carveVals(len(sc.vals))
-		for j := range sc.vals {
-			s.vals = append(s.vals, sc.vals[j].in(slots))
-		}
-		if sc.parent >= 0 {
-			s.parent = scopes[sc.parent]
-		}
-	}
-	for i := range img.objs {
-		ob, o := &img.objs[i], slots[base+i]
-		o.Class, o.NotExtensible, o.ver = ob.class, ob.notExt, ob.ver
-		if ob.proto >= 0 {
-			o.Proto = slots[ob.proto]
-		}
-		if n := len(ob.props); n > smallPropsMax {
-			o.props = make(map[string]*Property, n)
-			o.keys = make([]string, n)
-			ps := carve(&props, n)
-			for j := range ob.props {
-				ps[j] = ob.props[j].in(slots)
-				o.props[ob.props[j].key] = &ps[j]
-				o.keys[j] = ob.props[j].key
-			}
-		} else if n > 0 {
-			ps := carve(&props, n)
-			o.small = carve(&entries, n)
-			for j := range ob.props {
-				ps[j] = ob.props[j].in(slots)
-				o.small[j] = propEntry{key: ob.props[j].key, p: &ps[j]}
-			}
-		}
-		if len(ob.elems) > 0 {
-			o.Elems = it.carveVals(len(ob.elems))
-			for j := range ob.elems {
-				o.Elems = append(o.Elems, ob.elems[j].in(slots))
-			}
-		}
-		if ob.fn != nil {
-			fd := o.fnd
-			fd.Fn, fd.Env = ob.fn, scopes[ob.env]
-			if ob.fn.Arrow {
-				this := ob.this.in(slots)
-				fd.this = &this
-			}
-		}
-	}
+	// nothing below can fail
+	c := img.materialize(it, refs, nil, img.nAppends)
 	for i := range img.edits {
 		e := &img.edits[i]
-		o := slots[e.slot]
-		ver := o.ver + e.verDelta
+		o := refs[e.slot]
+		ver, writes := o.ver+e.verDelta, o.writes+e.writeDelta
+		if writes < o.writes {
+			writes = maxWrites // stop where touch stops instead of wrapping
+		}
 		for j := range e.ops {
 			op := &e.ops[j]
 			switch op.kind {
 			case opDelete:
 				o.Delete(op.prop.key)
 			case opAppend:
-				p := &carve(&props, 1)[0]
-				*p = op.prop.in(slots)
+				p := &carve(&c.props, 1)[0]
+				c.fill(p, &op.prop)
 				o.DefineProperty(op.prop.key, p)
-			default:
-				// a replaced key keeps its position, so its slot can take
-				// the new property: the one counted write and the version
-				// set below are what redefining it would leave
-				*o.GetOwn(op.prop.key) = op.prop.in(slots)
-				o.touch()
+			case opWrite:
+				// a redefined key keeps its position, so its slot can take
+				// the new property: with the counters set below, that is
+				// what redefining it would leave
+				c.fill(o.GetOwn(op.prop.key), &op.prop)
 			}
 		}
-		o.ver = ver
+		o.ver, o.writes = ver, writes
 	}
 	it.steps = img.steps
 	it.allocs += img.allocs
 	return true
-}
-
-// carve returns the next n elements of *buf as a capacity-capped slice.
-func carve[T any](buf *[]T, n int) []T {
-	s := (*buf)[:n:n]
-	*buf = (*buf)[n:]
-	return s
 }
 
 // GraphDigest returns a SHA-256 digest of the realm's object graph as

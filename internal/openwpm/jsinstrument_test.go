@@ -2,6 +2,7 @@ package openwpm
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"gullible/internal/browser"
@@ -36,12 +37,13 @@ const poison = "frames[0].Navigator.prototype.x = 1;"
 // A realm instrumented from the recorded image must be indistinguishable
 // from one instrumented by running vanillaProgram: the same reachable
 // object graph (own keys and attributes in order, prototype links, function
-// identity, captured scopes) and the same step and alloc counters, for
-// every setup the instrument meets. Three realms are installed per setup:
-// (a) a fresh one and (b) one a parent only read from both take the image;
-// (c) one a parent wrote into takes the script path and ends as a poisoned
-// realm that ran vanillaProgram directly does. The reference for (a) and (b)
-// runs the script because its access hook makes Instantiate refuse.
+// identity, captured scopes), the same object counters and the same step
+// and alloc counters, for every setup the instrument meets. Three realms
+// are installed per setup: (a) a fresh one and (b) one a parent only read
+// from both take the image; (c) one a parent wrote into takes the script
+// path and ends as a poisoned realm that ran vanillaProgram directly does.
+// The reference for (a) and (b) runs the script because its access hook
+// makes Instantiate refuse.
 func TestInstrumentImageMatchesScript(t *testing.T) {
 	setups := []struct {
 		os   jsdom.OS
@@ -99,6 +101,9 @@ func TestInstrumentImageMatchesScript(t *testing.T) {
 							if a, b := r.d.It.GraphDigest(), viaScript.It.GraphDigest(); a != b {
 								t.Errorf("%s: realm graphs differ: image %x, script %x", r.name, a[:8], b[:8])
 							}
+							if !slices.Equal(r.d.It.Counters(), viaScript.It.Counters()) {
+								t.Errorf("%s: object counters: image and script installs differ", r.name)
+							}
 							if a, b := r.d.It.Steps(), viaScript.It.Steps(); a != b {
 								t.Errorf("%s: Steps: image %d, script %d", r.name, a, b)
 							}
@@ -126,6 +131,36 @@ func TestInstrumentImageMatchesScript(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkRealmInstrumented measures what one instrumented top window
+// costs: building its realm (a stamp of the configuration's template) and
+// installing the vanilla instrument from its image. The template and the
+// image are warmed before the timer starts, as they are after a crawl's
+// first page, and every install must take the image path.
+func BenchmarkRealmInstrumented(b *testing.B) {
+	cfg := jsdom.StandardConfig(jsdom.Ubuntu, jsdom.Regular, 90, 0)
+	tel := telemetry.New()
+	br := browser.New(browser.Options{Config: cfg, ClientID: "bench", Telemetry: tel})
+	ji := &JSInstrument{HoneyProps: HoneyNames("bench", 4)}
+	st := NewStorage()
+	build := func() {
+		d := jsdom.Build(cfg, &jsdom.NopHost{}, "https://bench.test/")
+		ji.OnWindow(br, st, d, true)
+	}
+	build()
+	if err := ji.TopInstallError(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		build()
+	}
+	b.StopTimer()
+	if scr := tel.Snapshot().Counters["js_instrument_installs_total{path=script}"]; scr != 0 {
+		b.Fatalf("%d of %d installs ran the script instead of the image", scr, b.N+1)
 	}
 }
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Full verification: vet, build, wpmlint (repo run + self-tests + SARIF
 # smoke), the daemon's event-stream test three times and its admission and
-# drain tests five times under race, CLI smokes and fuzzers, then every
+# drain tests five times under race, the realm stamp and image tests ten
+# times under race, CLI smokes and fuzzers, then every
 # package's tests under the race detector in one run
 # (the WAL kill-and-recover tests included). Only the experiments package
 # reads -short: its full synthetic-web crawls are skipped in that mode; set
@@ -83,6 +84,11 @@ go test -race -count=3 -run TestJobEventStreamSSE ./internal/daemon
 # ordering must hold on every repetition, not by timing
 echo "== go test -race -count=5 -run 'Admission|Drain|Submit|Queue' ./internal/daemon (admission and drain under race)"
 go test -race -count=5 -run 'Admission|Drain|Submit|Queue' ./internal/daemon
+
+# every shard stamps the same templates at once, and stamps and instrument
+# installs run one materialiser: the copy must hold on every repetition
+echo "== go test -race -count=10 -run 'TestConcurrentStamps|TestStamp|TestImage|TestInstantiate' ./internal/minjs (stamps and image installs under race)"
+go test -race -count=10 -run 'TestConcurrentStamps|TestStamp|TestImage|TestInstantiate' ./internal/minjs
 
 echo "== wpmd smoke (start, submit, poll, artifact, digest-identical cache hit, metrics, drain)"
 smokedir=$(mktemp -d)
@@ -167,6 +173,9 @@ rm -rf "$tracedir"
 
 echo "== minjs FuzzRun (hostile scripts: no panic, interrupt-or-complete, deterministic)"
 go test -run '^$' -fuzz '^FuzzRun$' -fuzztime 10s -parallel 2 ./internal/minjs
+
+echo "== minjs FuzzImage (hostile scripts: a recorded image installs into a fresh realm as the run left it; a template's stamp equals its realm)"
+go test -run '^$' -fuzz '^FuzzImage$' -fuzztime 10s -parallel 2 ./internal/minjs
 
 echo "== jsdom FuzzUntouched (hostile parent scripts: a child realm whose graph digest changed is never untouched; reads leave it untouched)"
 go test -run '^$' -fuzz '^FuzzUntouched$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/jsdom
