@@ -111,6 +111,40 @@ func TestUntouched(t *testing.T) {
 	}
 }
 
+// A stamped realm makes a native's function object only when script first
+// reaches it, so a realm sealed at exposure may make functions after its
+// seal. Making one is not a write: reading it, its prototype or a native
+// through it leaves the realm untouched. A write to the function, or to an
+// object only the function reaches, is a change like any other.
+func TestUntouchedLateForce(t *testing.T) {
+	cases := []struct {
+		name, src string
+		untouched bool
+	}{
+		{"read a function made after the seal", "h.XMLHttpRequest; h.XMLHttpRequest.prototype.open; typeof h.Date;", true},
+		{"write to a function made after the seal", "h.XMLHttpRequest.x = 1;", false},
+		{"write to an object only that function reaches", "h.XMLHttpRequest.prototype.x = 1;", false},
+		{"call a native made after the seal", "h.navigator.javaEnabled();", true},
+		{"write to a native made after the seal", "h.navigator.javaEnabled.x = 1;", false},
+	}
+	cfg := StandardConfig(Ubuntu, Regular, 90, 0)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			child := Build(cfg, &NopHost{}, "https://child.example/")
+			parent := Build(cfg, &frameHost{child: child}, "https://parent.example/")
+			evalIn(t, parent, `var h = open("https://child.example/");`)
+			made, _ := child.It.LazyFunctions()
+			evalIn(t, parent, c.src)
+			if now, _ := child.It.LazyFunctions(); now == made {
+				t.Fatalf("%q made no function of the child after its seal", c.src)
+			}
+			if got := child.Untouched(); got != c.untouched {
+				t.Errorf("Untouched() = %v after %q, want %v", got, c.src, c.untouched)
+			}
+		})
+	}
+}
+
 // Untouched sees only what its seal walked: objects and scopes reachable
 // from the global object and the intrinsic prototypes, and the step and
 // alloc counters. State held only by a native's Go closure, such as the array
@@ -222,7 +256,9 @@ func decodeFuzzScript(data []byte) (string, bool) {
 // closures and DOM natives runs against a child realm handed out through
 // one of the four routes. Whenever the child's GraphDigest differs from
 // the one taken at exposure, Untouched must be false; after a script of
-// reads alone, it must be true.
+// reads alone, it must be true. The digest at exposure is taken from a
+// twin built and exposed the same way, because GraphDigest makes every
+// function it walks: the child itself stays as lazy as a crawl's realm.
 func FuzzUntouched(f *testing.F) {
 	f.Add(uint8(0), []byte{})
 	for i := range fuzzOps {
@@ -231,11 +267,16 @@ func FuzzUntouched(f *testing.F) {
 	f.Add(uint8(3), []byte{12, 0, 0}) // h.shared.a = 1: the value already there
 	cfg := StandardConfig(Ubuntu, Regular, 90, 0)
 	f.Fuzz(func(t *testing.T, route uint8, data []byte) {
-		child := Build(cfg, &NopHost{}, "https://child.example/")
-		evalIn(t, child, childSetup)
-		parent := Build(cfg, &frameHost{child: child}, "https://parent.example/")
-		evalIn(t, parent, "var mine = {v: 1}; "+exposures[int(route)%len(exposures)].get)
-		sealed := child.It.GraphDigest()
+		exposed := func() (child, parent *DOM) {
+			child = Build(cfg, &NopHost{}, "https://child.example/")
+			evalIn(t, child, childSetup)
+			parent = Build(cfg, &frameHost{child: child}, "https://parent.example/")
+			evalIn(t, parent, "var mine = {v: 1}; "+exposures[int(route)%len(exposures)].get)
+			return child, parent
+		}
+		twin, _ := exposed()
+		sealed := twin.It.GraphDigest()
+		child, parent := exposed()
 		src, read := decodeFuzzScript(data)
 		if _, err := parent.It.RunScript(src, "fuzz.js"); err != nil {
 			t.Fatalf("script failed outside its try blocks: %v\n%s", err, src)

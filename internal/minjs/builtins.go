@@ -683,11 +683,12 @@ func installErrors(it *Interp) {
 // Error constructor itself.
 func (it *Interp) captureJSStack() string {
 	var b strings.Builder
-	for i := len(it.stack) - 1; i >= 0; i-- {
-		if it.stack[i].Script == "native" {
+	for i := it.stack.n - 1; i >= 0; i-- {
+		f := it.stack.at(i)
+		if f.Script == "native" {
 			continue
 		}
-		b.WriteString(it.stack[i].String())
+		b.WriteString(f.String())
 		b.WriteByte('\n')
 	}
 	return b.String()

@@ -5,22 +5,24 @@ package minjs
 // number. It is the one snapshot format behind realm templates (the whole
 // realm as construction left it) and instrument images (what one program
 // added to a realm). A flattener writes it from a walk; materialize copies
-// it into a realm, each kind of record into one bulk array.
+// it into a realm, making function objects and scopes only as they are
+// reached.
 //
 // Object slots number first the objects the graph refers to but does not
 // hold, which materialize is given (an image's pre-existing objects; a
 // template has none), then the graph's plain objects, then its function
-// objects; -1 is nil. Scope slot 0 is the realm's root scope and slot i+1
-// is scopes[i]; -1 is nil. A graph is immutable once written and safe to
-// materialize from several goroutines.
+// objects; -1 is nil. The plain objects' properties and elements come
+// before the function objects'. Scope slot 0 is the realm's root scope and
+// slot i+1 is scopes[i]; -1 is nil. A graph is immutable once written and
+// safe to materialize from several goroutines.
 type graph struct {
 	nOut   int32      // slots before the graph's own objects
 	objs   []objRec   // plain objects, then function objects
 	nPlain int        // how many of objs are plain objects
 	scopes []scopeRec // scopes the graph's functions close over
-	props  []propRec  // every object's own properties, object after object
+	props  []propRec  // every object's own properties, object after object, then an image's edits'
 	vals   []valRec   // every array's elements, then every scope's bindings
-	nSmall int        // props held in the small representation
+	nSmall int        // plain objects' props held in the small representation
 }
 
 // Host kinds of an object record; values >= 0 name an object's slot.
@@ -140,7 +142,7 @@ func (f *flattener) flatten(objs []*Object, scopes []*Scope) {
 		rec.nprops = int32(len(g.props)) - rec.props
 		if rec.spilled {
 			rec.keys = append(make([]string, 0, len(rec.keys)), rec.keys...)
-		} else {
+		} else if i < g.nPlain {
 			g.nSmall += int(rec.nprops)
 		}
 		rec.elems = int32(len(g.vals))
@@ -199,15 +201,47 @@ func (f *flattener) prop(key string, p *Property) propRec {
 	return r
 }
 
-// copied is one materialize's bulk storage, through which slots become
-// objects.
+// copied is one materialize's storage and its table of lazy functions.
+// Plain objects are made in bulk when the graph is materialized. A function
+// object is made only when something first reaches it: a property slot that
+// names one not made yet holds a lazy value instead (see Property.force),
+// and every other reference (a prototype link, a Host, an array element, a
+// scope binding, an arrow function's this, a root) makes the function as
+// the object holding it is made. Making a function makes its own properties
+// and, for a script function, its closure scopes with their bindings, so
+// what is made is always a closed cluster. Each slot becomes at most one
+// object, which keeps the version and write counter the graph recorded:
+// making is not a write, and the realm's step and alloc counters were
+// charged when the graph was materialized.
 type copied struct {
-	out   []*Object // the objects before the graph's own
-	objs  []Object
-	fns   []funcObject
-	props []Property // property slots left after the graph's
+	anchor Object // the Obj of every lazy property value; its Host is the copy
+	g      *graph
+	it     *Interp
+	host   any
+	out    []*Object // the objects before the graph's own
+	objs   []Object
+	fns    []*Object  // function objects made so far; nil for the rest
+	scopes []*Scope   // scopes made so far: scopes[i] is scope slot i+1
+	made   []int32    // what was made, in order: function k as k, scope i as ^i
+	props  []Property // property slots left after the graph's
 }
 
+// kindLazy marks the value of a property slot that names a function not
+// made yet: Num is the index of the slot's record in its graph's props and
+// Obj the copy's anchor. It never leaves the slot: lookupOwn and eachOwn
+// force the slot before handing it out.
+const kindLazy = KindObject + 1
+
+// force makes the objects the lazy slot p names and stores them in it.
+func (p *Property) force() {
+	c := p.Value.Obj.Host.(*copied)
+	r := &c.g.props[int(p.Value.Num)]
+	p.Value = r.prop.Value
+	c.resolve(p, r)
+}
+
+// at returns the object in slot i, making it if it is a function not made
+// yet.
 func (c *copied) at(i int32) *Object {
 	if int(i) < len(c.out) {
 		return c.out[i]
@@ -216,7 +250,7 @@ func (c *copied) at(i int32) *Object {
 	if int(i) < len(c.objs) {
 		return &c.objs[i]
 	}
-	return &c.fns[int(i)-len(c.objs)].Object
+	return c.fn(int(i) - len(c.objs))
 }
 
 func (c *copied) ref(i int32) *Object {
@@ -224,6 +258,12 @@ func (c *copied) ref(i int32) *Object {
 		return nil
 	}
 	return c.at(i)
+}
+
+// unmade reports whether slot i is a function not made yet.
+func (c *copied) unmade(i int32) bool {
+	k := int(i) - len(c.out) - len(c.objs)
+	return i >= 0 && k >= 0 && c.fns[k] == nil
 }
 
 func (c *copied) val(r *valRec) Value {
@@ -234,9 +274,21 @@ func (c *copied) val(r *valRec) Value {
 	return v
 }
 
-// fill sets *p to the property r records.
-func (c *copied) fill(p *Property, r *propRec) {
+// fill sets *p to the property record ri of the graph, lazy when it names a
+// function not made yet.
+func (c *copied) fill(p *Property, ri int32) {
+	r := &c.g.props[ri]
 	*p = r.prop
+	if c.unmade(r.val) || c.unmade(r.get) || c.unmade(r.set) {
+		p.Value = Value{Kind: kindLazy, Num: float64(ri), Obj: &c.anchor}
+		return
+	}
+	c.resolve(p, r)
+}
+
+// resolve points p, which holds r's primitive parts, at the objects r
+// names, making those not made yet.
+func (c *copied) resolve(p *Property, r *propRec) {
 	if r.val >= 0 {
 		p.Value.Obj = c.at(r.val)
 	}
@@ -248,86 +300,149 @@ func (c *copied) fill(p *Property, r *propRec) {
 	}
 }
 
+// fn returns function k of the graph, making it and what it references
+// if it is not made yet.
+func (c *copied) fn(k int) *Object {
+	if o := c.fns[k]; o != nil {
+		return o
+	}
+	f := c.it.allocFunc()
+	c.fns[k] = &f.Object
+	c.made = append(c.made, int32(k))
+	rec := &c.g.objs[c.g.nPlain+k]
+	f.fnd = &f.fd
+	f.fd.Native, f.fd.NativeName, f.fd.Fn = rec.native, rec.name, rec.fn
+	var ps []Property
+	var entries []propEntry
+	var elems []Value
+	if rec.nprops > 0 {
+		ps = make([]Property, rec.nprops)
+		if !rec.spilled {
+			entries = make([]propEntry, rec.nprops)
+		}
+	}
+	if rec.nelems > 0 {
+		elems = make([]Value, rec.nelems)
+	}
+	c.build(&f.Object, rec, ps, entries, elems)
+	f.fd.Env = c.scope(rec.env)
+	if rec.this != nil {
+		this := c.val(rec.this)
+		f.fd.this = &this
+	}
+	return &f.Object
+}
+
+// scope returns scope slot i, making it, its bindings and its parents if
+// they are not made yet.
+func (c *copied) scope(i int32) *Scope {
+	switch {
+	case i < 0:
+		return nil
+	case i == 0:
+		return c.it.root
+	case c.scopes[i-1] != nil:
+		return c.scopes[i-1]
+	}
+	rec, s := &c.g.scopes[i-1], c.it.allocScope()
+	c.scopes[i-1] = s
+	c.made = append(c.made, ^(i - 1))
+	s.names, s.writes = rec.names, rec.writes
+	s.vals = c.it.carveVals(int(rec.nvals))[:rec.nvals]
+	for j := range s.vals {
+		s.vals[j] = c.val(&c.g.vals[rec.vals+int32(j)])
+	}
+	s.parent = c.scope(rec.parent)
+	return s
+}
+
+// build makes o the object rec records, its own properties stored in ps
+// (with entries for the small representation) and its elements in elems,
+// each sized from rec.
+func (c *copied) build(o *Object, rec *objRec, ps []Property, entries []propEntry, elems []Value) {
+	o.Class, o.Proto, o.NotExtensible, o.ver, o.writes = rec.class, c.ref(rec.proto), rec.notExt, rec.ver, rec.writes
+	switch rec.host {
+	case hostNone:
+	case hostStamp:
+		o.Host = c.host
+	case hostInterp:
+		o.Host = c.it
+	default:
+		o.Host = c.at(rec.host)
+	}
+	for j := range ps {
+		c.fill(&ps[j], rec.props+int32(j))
+	}
+	switch {
+	case rec.spilled:
+		o.props = make(map[string]*Property, len(ps))
+		for j := range ps {
+			o.props[c.g.props[rec.props+int32(j)].key] = &ps[j]
+		}
+		o.keys = rec.keys
+	case len(ps) > 0:
+		o.small = entries
+		for j := range ps {
+			o.small[j] = propEntry{key: c.g.props[rec.props+int32(j)].key, p: &ps[j]}
+		}
+	}
+	for j := range elems {
+		elems[j] = c.val(&c.g.vals[rec.elems+int32(j)])
+	}
+	if len(elems) > 0 {
+		o.Elems = elems
+	}
+}
+
 // materialize copies g into the realm it: out fills the slots before g's
 // own objects, objects of host kind hostStamp get host, and extra property
-// slots beyond g's are left in the result's props for the caller. Objects,
-// function objects, scopes, property slots, small-representation entries
-// and values each land in one allocation sized from g; every slice carved
-// from them is capacity-capped, so a later append copies instead of
-// overrunning a neighbour. Each object keeps the version, write counter
-// and extensibility g recorded.
-func (g *graph) materialize(it *Interp, out []*Object, host any, extra int) copied {
-	c := copied{out: out, objs: make([]Object, g.nPlain), fns: make([]funcObject, len(g.objs)-g.nPlain)}
-	props := make([]Property, len(g.props)+extra)
+// slots are left in the result's props for the caller. The plain objects,
+// their property slots, small-representation entries and elements each
+// land in one allocation sized from g, and every slice carved from them is
+// capacity-capped, so a later append copies instead of overrunning a
+// neighbour. Function objects and scopes are made as they are reached (see
+// copied). Each object keeps the version, write counter and extensibility
+// g recorded.
+func (g *graph) materialize(it *Interp, out []*Object, host any, extra int) *copied {
+	c := &copied{g: g, it: it, host: host, out: out, objs: make([]Object, g.nPlain),
+		fns: make([]*Object, len(g.objs)-g.nPlain), scopes: make([]*Scope, len(g.scopes))}
+	c.anchor.Host = c
+	it.lazy = append(it.lazy, c)
+	var nprops, nvals int32
+	if g.nPlain > 0 {
+		last := &g.objs[g.nPlain-1]
+		nprops, nvals = last.props+last.nprops, last.elems+last.nelems
+	}
+	props := make([]Property, int(nprops)+extra)
 	entries := make([]propEntry, g.nSmall)
-	vals := make([]Value, len(g.vals))
-	run := func(lo, n int32) []Value {
-		v := vals[lo : lo+n : lo+n]
-		for j := range v {
-			v[j] = c.val(&g.vals[lo+int32(j)])
-		}
-		return v
-	}
-	scopes := make([]Scope, len(g.scopes))
-	scope := func(i int32) *Scope {
-		switch {
-		case i < 0:
-			return nil
-		case i == 0:
-			return it.root
-		}
-		return &scopes[i-1]
-	}
-	for i := range g.scopes {
-		rec, s := &g.scopes[i], &scopes[i]
-		s.names, s.vals, s.parent, s.writes = rec.names, run(rec.vals, rec.nvals), scope(rec.parent), rec.writes
-	}
-	for i := range g.objs {
+	vals := make([]Value, nvals)
+	for i := range c.objs {
 		rec := &g.objs[i]
-		o := c.at(g.nOut + int32(i))
-		o.Class, o.Proto, o.NotExtensible, o.ver, o.writes = rec.class, c.ref(rec.proto), rec.notExt, rec.ver, rec.writes
-		switch rec.host {
-		case hostNone:
-		case hostStamp:
-			o.Host = host
-		case hostInterp:
-			o.Host = it
-		default:
-			o.Host = c.at(rec.host)
-		}
 		lo, hi := rec.props, rec.props+rec.nprops
-		ps, rps := props[lo:hi:hi], g.props[lo:hi]
-		for j := range rps {
-			c.fill(&ps[j], &rps[j])
+		var es []propEntry
+		if !rec.spilled {
+			es = carve(&entries, int(rec.nprops))
 		}
-		switch {
-		case rec.spilled:
-			o.props = make(map[string]*Property, len(rps))
-			for j := range rps {
-				o.props[rps[j].key] = &ps[j]
-			}
-			o.keys = rec.keys
-		case len(rps) > 0:
-			o.small = carve(&entries, len(rps))
-			for j := range rps {
-				o.small[j] = propEntry{key: rps[j].key, p: &ps[j]}
-			}
-		}
-		if rec.nelems > 0 {
-			o.Elems = run(rec.elems, rec.nelems)
-		}
-		if i >= g.nPlain {
-			f := &c.fns[i-g.nPlain]
-			f.fnd = &f.fd
-			f.fd.Native, f.fd.NativeName, f.fd.Fn, f.fd.Env = rec.native, rec.name, rec.fn, scope(rec.env)
-			if rec.this != nil {
-				this := c.val(rec.this)
-				f.fd.this = &this
+		c.build(&c.objs[i], rec, props[lo:hi:hi], es, vals[rec.elems:rec.elems+rec.nelems:rec.elems+rec.nelems])
+	}
+	c.props = props[nprops:]
+	return c
+}
+
+// LazyFunctions reports how many function objects of the copies the realm
+// was stamped or installed from have been made so far, and how many are
+// still deferred until something reaches them.
+func (it *Interp) LazyFunctions() (made, deferred int) {
+	for _, c := range it.lazy {
+		for _, o := range c.fns {
+			if o != nil {
+				made++
+			} else {
+				deferred++
 			}
 		}
 	}
-	c.props = props[len(g.props):]
-	return c
+	return made, deferred
 }
 
 // carve returns the next n elements of *buf as a capacity-capped slice.

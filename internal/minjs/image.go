@@ -59,7 +59,8 @@ const (
 
 type imageOp struct {
 	kind uint8
-	prop propRec // only the key for opDelete
+	key  string
+	prop int32 // the new property's record in the image's props; -1 for opDelete
 }
 
 // imageEdit is what the run did to one pre-existing object: its ops, and
@@ -181,16 +182,23 @@ func (g *realmGraph) expand(i int32, o *Object) {
 	}
 }
 
-// eachOwn calls fn for every own property in definition order.
+// eachOwn calls fn for every own property in definition order, forcing
+// lazy slots first.
 func (o *Object) eachOwn(fn func(key string, p *Property)) {
 	if o.props == nil {
 		for _, e := range o.small {
+			if e.p.Value.Kind == kindLazy {
+				e.p.force()
+			}
 			fn(e.key, e.p)
 		}
 		return
 	}
 	for _, k := range o.keys {
 		if p := o.props[k]; p != nil {
+			if p.Value.Kind == kindLazy {
+				p.force()
+			}
 			fn(k, p)
 		}
 	}
@@ -456,9 +464,10 @@ func (r *recorder) build(it *Interp) (*Image, error) {
 		o, s := r.before.objs[e.obj], &r.snaps[e.obj]
 		ie := imageEdit{slot: r.refSlot[e.obj], verDelta: o.ver - s.ver, writeDelta: o.writes - s.writes, ops: make([]imageOp, len(e.ops))}
 		for j, op := range e.ops {
-			ie.ops[j] = imageOp{kind: op.kind, prop: propRec{key: op.key}}
+			ie.ops[j] = imageOp{kind: op.kind, key: op.key, prop: -1}
 			if op.p != nil {
-				ie.ops[j].prop = f.prop(op.key, op.p)
+				ie.ops[j].prop = int32(len(img.props))
+				img.props = append(img.props, f.prop(op.key, op.p))
 			}
 			if op.kind == opAppend {
 				img.nAppends++
@@ -609,15 +618,15 @@ func (ref *imageRef) resolve(it *Interp, slots []*Object) *Object {
 func (e *imageEdit) applies(o *Object) bool {
 	var deleted []string
 	for _, op := range e.ops {
-		_, has := o.lookupOwn(op.prop.key)
+		_, has := o.ownSlot(op.key)
 		switch op.kind {
 		case opDelete:
 			if !has {
 				return false
 			}
-			deleted = append(deleted, op.prop.key)
+			deleted = append(deleted, op.key)
 		case opAppend:
-			if has && !contains(deleted, op.prop.key) {
+			if has && !contains(deleted, op.key) {
 				return false
 			}
 		default:
@@ -679,16 +688,23 @@ func (it *Interp) Instantiate(img *Image) bool {
 			op := &e.ops[j]
 			switch op.kind {
 			case opDelete:
-				o.Delete(op.prop.key)
+				o.Delete(op.key)
 			case opAppend:
 				p := &carve(&c.props, 1)[0]
-				c.fill(p, &op.prop)
-				o.DefineProperty(op.prop.key, p)
+				c.fill(p, op.prop)
+				o.DefineProperty(op.key, p)
 			case opWrite:
 				// a redefined key keeps its position, so its slot can take
 				// the new property: with the counters set below, that is
-				// what redefining it would leave
-				c.fill(o.GetOwn(op.prop.key), &op.prop)
+				// what redefining it would leave. The slot may be lazy
+				// only if the object's version moves, which drops the
+				// VM's inline caches of it; a cache that kept the slot
+				// reads its value without the lookup that forces it.
+				p, _ := o.ownSlot(op.key)
+				c.fill(p, op.prop)
+				if e.verDelta == 0 && p.Value.Kind == kindLazy {
+					p.force()
+				}
 			}
 		}
 		o.ver, o.writes = ver, writes

@@ -97,7 +97,7 @@ type Interp struct {
 	// ConsoleLog collects console.log/warn/error output.
 	ConsoleLog []string
 
-	stack    []Frame // preallocated; never reallocates (maxDepth bound)
+	stack    frameStack
 	steps    int64
 	allocs   int64 // objects allocated through the it.New* helpers
 	maxDepth int
@@ -120,6 +120,10 @@ type Interp struct {
 	icTabs     map[*Code][]icEntry
 	lastICCode *Code
 	lastICs    []icEntry
+
+	// lazy holds the copies the realm was materialized from, whose
+	// function objects are made as script reaches them (see copied).
+	lazy []*copied
 
 	// Bump arenas for realm-lifetime allocations (see arena.go).
 	objArena   []Object
@@ -216,7 +220,6 @@ func (s *Scope) declare(name string, v Value) {
 // standard built-ins (Object, Array, Error, Math, JSON, parseInt, …).
 func New() *Interp {
 	it := &Interp{maxDepth: 200, seed: 42}
-	it.stack = make([]Frame, 0, it.maxDepth+32)
 	it.Protos.Object = &Object{Class: "Object", props: map[string]*Property{}}
 	it.Protos.Function = NewObject(it.Protos.Object)
 	it.Protos.Function.Class = "Function"
@@ -288,9 +291,9 @@ func (it *Interp) ThrowError(name, format string, args ...any) error {
 
 // CaptureStack renders the current call stack Firefox-style, innermost first.
 func (it *Interp) CaptureStack() string {
-	b := make([]byte, 0, 64*len(it.stack))
-	for i := len(it.stack) - 1; i >= 0; i-- {
-		b = it.stack[i].appendTo(b)
+	b := make([]byte, 0, 64*it.stack.n)
+	for i := it.stack.n - 1; i >= 0; i-- {
+		b = it.stack.at(i).appendTo(b)
 	}
 	return string(b)
 }
@@ -302,7 +305,7 @@ func (it *Interp) CaptureStack() string {
 func (it *Interp) Callee() *Object { return it.callee }
 
 // StackDepth reports the current JS call-stack depth.
-func (it *Interp) StackDepth() int { return len(it.stack) }
+func (it *Interp) StackDepth() int { return it.stack.n }
 
 // Steps reports AST nodes evaluated since the last RunProgram entry (the
 // counter resets per program, so after a run this is that program's cost).
@@ -312,26 +315,52 @@ func (it *Interp) Steps() int64 { return it.steps }
 // over the realm's lifetime; callers interested in one program take deltas.
 func (it *Interp) Allocs() int64 { return it.allocs }
 
-// pushFrame appends a frame to the preallocated stack and returns a pointer
-// to it; the pointer stays valid until the frame is popped (the stack's
-// backing array never reallocates thanks to the depth limit).
+// frameSegLen is the length of one segment of the frame stack.
+const frameSegLen = 16
+
+// frameStack is the JS call stack in fixed segments that never move, so a
+// *Frame stays valid until its frame is popped. The first segment lives in
+// the Interp, and deeper segments are allocated as the stack first grows
+// into them and kept for later calls.
+type frameStack struct {
+	n     int // frames in use
+	first [frameSegLen]Frame
+	more  []*[frameSegLen]Frame
+}
+
+// at returns frame i, counted from the bottom of the stack.
+func (s *frameStack) at(i int) *Frame {
+	if i < frameSegLen {
+		return &s.first[i]
+	}
+	return &s.more[i/frameSegLen-1][i%frameSegLen]
+}
+
+// pushFrame pushes a frame and returns a pointer to it, which stays valid
+// until the frame is popped.
 func (it *Interp) pushFrame(f Frame) *Frame {
-	if len(it.stack) == cap(it.stack) {
+	s := &it.stack
+	if s.n == it.maxDepth+32 {
 		// should be unreachable: CallFunction enforces maxDepth first
 		panic("minjs: frame stack overflow")
 	}
-	it.stack = append(it.stack, f)
-	return &it.stack[len(it.stack)-1]
+	if s.n/frameSegLen > len(s.more) {
+		s.more = append(s.more, new([frameSegLen]Frame))
+	}
+	p := s.at(s.n)
+	*p = f
+	s.n++
+	return p
 }
 
-func (it *Interp) popFrame() { it.stack = it.stack[:len(it.stack)-1] }
+func (it *Interp) popFrame() { it.stack.n-- }
 
 // CurrentScript returns the script name of the innermost non-native frame —
 // the script whose code is executing right now.
 func (it *Interp) CurrentScript() string {
-	for i := len(it.stack) - 1; i >= 0; i-- {
-		if it.stack[i].Script != "native" {
-			return it.stack[i].Script
+	for i := it.stack.n - 1; i >= 0; i-- {
+		if f := it.stack.at(i); f.Script != "native" {
+			return f.Script
 		}
 	}
 	return ""
@@ -413,7 +442,7 @@ func (it *Interp) CallFunction(fn *Object, this Value, args []Value) (Value, err
 	if fd == nil || (fd.Fn == nil && fd.Native == nil) {
 		return Undefined(), it.ThrowError("TypeError", "value is not a function")
 	}
-	if len(it.stack) >= it.maxDepth {
+	if it.stack.n >= it.maxDepth {
 		return Undefined(), it.ThrowError("InternalError", "too much recursion")
 	}
 	if fd.Native != nil {

@@ -46,7 +46,7 @@ func NewTemplate(it *Interp, host any, roots ...*Object) (*Template, error) {
 		return nil, errors.New("minjs: template: realm wrote to the console")
 	case it.rng != nil:
 		return nil, errors.New("minjs: template: realm drew from Math.random")
-	case len(it.stack) > 0:
+	case it.stack.n > 0:
 		return nil, errors.New("minjs: template: realm is running")
 	}
 	g := walkRealm(it, roots...)
@@ -97,7 +97,6 @@ func NewTemplate(it *Interp, host any, roots ...*Object) (*Template, error) {
 // it changes.
 func (t *Template) Stamp(host any) (*Interp, []*Object) {
 	it := &Interp{StepLimit: t.stepLimit, steps: t.steps, allocs: t.allocs, maxDepth: t.maxDepth, seed: t.seed}
-	it.stack = make([]Frame, 0, it.maxDepth+32)
 	it.root = &Scope{}
 	c := t.materialize(it, nil, host, 0)
 	r := func(i int) *Object { return c.ref(t.roots[i]) }

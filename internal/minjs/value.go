@@ -499,8 +499,18 @@ func (o *Object) newProp(p Property) *Property {
 	return sp
 }
 
-// lookupOwn returns the own property named key.
+// lookupOwn returns the own property named key, forcing a lazy slot.
 func (o *Object) lookupOwn(key string) (*Property, bool) {
+	p, ok := o.ownSlot(key)
+	if ok && p.Value.Kind == kindLazy {
+		p.force()
+	}
+	return p, ok
+}
+
+// ownSlot returns the own property slot named key as it is stored, which
+// may be lazy.
+func (o *Object) ownSlot(key string) (*Property, bool) {
 	if o.props != nil {
 		p, ok := o.props[key]
 		return p, ok
@@ -521,7 +531,7 @@ func (o *Object) GetOwn(key string) *Property {
 
 // HasOwn reports whether o itself holds key (including array indices/length).
 func (o *Object) HasOwn(key string) bool {
-	if _, ok := o.lookupOwn(key); ok {
+	if _, ok := o.ownSlot(key); ok {
 		return true
 	}
 	if o.Class == "Array" {
@@ -549,7 +559,11 @@ func (o *Object) Has(key string) bool {
 // key along with its property slot.
 func (o *Object) FindProperty(key string) (*Object, *Property) {
 	for cur := o; cur != nil; cur = cur.Proto {
-		if p, ok := cur.lookupOwn(key); ok {
+		// lookupOwn spelled out, so that the walk makes no call per link
+		if p, ok := cur.ownSlot(key); ok {
+			if p.Value.Kind == kindLazy {
+				p.force()
+			}
 			return cur, p
 		}
 	}

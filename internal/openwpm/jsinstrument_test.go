@@ -164,6 +164,65 @@ func BenchmarkRealmInstrumented(b *testing.B) {
 	}
 }
 
+// An instrumented top window defers the function objects of its realm:
+// installing the instrument from its image makes none of the image's
+// functions and, of the stamp's natives, only those the image's refs name
+// (which minjs's TestLazyInstantiateMakesOnlyRefs pins exactly). Sealing
+// the realm and asking whether it is untouched makes nothing more. A
+// regression that makes functions eagerly shows here rather than only as
+// more bytes per realm.
+func TestInstrumentedRealmDefersFunctions(t *testing.T) {
+	cfg := jsdom.StandardConfig(jsdom.Ubuntu, jsdom.Regular, 90, 0)
+	tel := telemetry.New()
+	br := browser.New(browser.Options{Config: cfg, ClientID: "lazy", Telemetry: tel})
+	ji := &JSInstrument{HoneyProps: HoneyNames("lazy", 4)}
+	st := NewStorage()
+	install := func(d *jsdom.DOM) (made, deferred int) {
+		t.Helper()
+		ji.OnWindow(br, st, d, true)
+		if err := ji.TopInstallError(); err != nil {
+			t.Fatal(err)
+		}
+		return d.It.LazyFunctions()
+	}
+	build := func() *jsdom.DOM { return jsdom.Build(cfg, &jsdom.NopHost{}, "https://lazy.test/") }
+	install(build()) // warms the image
+
+	// In a realm whose reachable natives are all made, whatever the
+	// install makes is the image's.
+	whole := build()
+	whole.It.GraphDigest()
+	m0, d0 := whole.It.LazyFunctions()
+	m1, d1 := install(whole)
+	if m1 != m0 {
+		t.Errorf("the install made %d of the image's functions", m1-m0)
+	}
+	image := m1 + d1 - m0 - d0
+
+	d := build()
+	a0, b0 := d.It.LazyFunctions()
+	if a0 != 0 {
+		t.Errorf("building the realm made %d of its %d functions", a0, a0+b0)
+	}
+	a1, b1 := install(d)
+	if a1+b1-a0-b0 != image || image == 0 {
+		t.Fatalf("the install added %d functions, want the image's %d", a1+b1-a0-b0, image)
+	}
+	if a1 == 0 || a1 >= b0 {
+		t.Errorf("the install made %d of the stamp's %d natives, want the few its refs name", a1, b0)
+	}
+	marks := d.It.MarkWrites()
+	marks.Unchanged()
+	d.Untouched()
+	if a2, _ := d.It.LazyFunctions(); a2 != a1 {
+		t.Errorf("the seal and Untouched made %d functions", a2-a1)
+	}
+	if scr := tel.Snapshot().Counters["js_instrument_installs_total{path=script}"]; scr != 0 {
+		t.Errorf("%d installs ran the script instead of the image", scr)
+	}
+	t.Logf("stamp natives %d, made at install %d; image functions %d, all deferred", b0, a1, image)
+}
+
 // The scan crawl's subframes must install from the image at both world
 // seeds: the viewability tag reads its probe frame before the install tick
 // but never writes to it, so no realm of these crawls takes the script

@@ -87,8 +87,8 @@ go test -race -count=5 -run 'Admission|Drain|Submit|Queue' ./internal/daemon
 
 # every shard stamps the same templates at once, and stamps and instrument
 # installs run one materialiser: the copy must hold on every repetition
-echo "== go test -race -count=10 -run 'TestConcurrentStamps|TestStamp|TestImage|TestInstantiate' ./internal/minjs (stamps and image installs under race)"
-go test -race -count=10 -run 'TestConcurrentStamps|TestStamp|TestImage|TestInstantiate' ./internal/minjs
+echo "== go test -race -count=10 -run 'TestConcurrentStamps|TestStamp|TestImage|TestInstantiate|TestLazy' ./internal/minjs (stamps, image installs and lazy functions under race)"
+go test -race -count=10 -run 'TestConcurrentStamps|TestStamp|TestImage|TestInstantiate|TestLazy' ./internal/minjs
 
 echo "== wpmd smoke (start, submit, poll, artifact, digest-identical cache hit, metrics, drain)"
 smokedir=$(mktemp -d)
