@@ -293,9 +293,11 @@ func (d *Daemon) recoverPersisted() error {
 		}
 		var rec queueRec
 		if json.Unmarshal(data, &rec) != nil {
-			// undecodable spec: drop the file; a failed remove only leaves
+			// undecodable spec (a torn write): the accepted job is lost.
+			// Drop the file and count the loss; a failed remove only leaves
 			// it to be re-rejected on the next recovery pass
 			_ = os.Remove(filepath.Join(qdir, e.Name()))
+			d.tel.Counter("daemon_jobs_lost_total").Inc()
 			continue
 		}
 		addr, canon, err := ContentAddress(rec.Spec)
@@ -303,6 +305,7 @@ func (d *Daemon) recoverPersisted() error {
 			// the spec no longer canonicalises onto its file name: stale
 			// format or tampered state — drop it rather than run the wrong job
 			_ = os.Remove(filepath.Join(qdir, e.Name()))
+			d.tel.Counter("daemon_jobs_lost_total").Inc()
 			continue
 		}
 		rec.Spec = canon

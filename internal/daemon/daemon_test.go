@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -345,6 +346,46 @@ func TestDrainPersistsQueuedJobsForNextStart(t *testing.T) {
 	done := waitDone(t, d2, st.ID)
 	if done.State != JobDone {
 		t.Fatalf("recovered job finished as %+v", done)
+	}
+}
+
+// TestRecoverCountsDroppedQueueFiles: a queue file that does not decode (a
+// torn write) and a valid spec under a name it does not canonicalise to are
+// both dropped at open, and each counts as a lost job.
+func TestRecoverCountsDroppedQueueFiles(t *testing.T) {
+	dir := t.TempDir()
+	qdir := filepath.Join(dir, "queue")
+	if err := os.MkdirAll(qdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	addr, canon, err := ContentAddress(smallCrawl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := json.Marshal(queueRec{Seq: 1, Spec: canon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := filepath.Join(qdir, addr+".json")
+	misnamed := filepath.Join(qdir, strings.Repeat("0", len(addr))+".json")
+	for name, data := range map[string][]byte{torn: good[:len(good)/2], misnamed: good} {
+		if err := os.WriteFile(name, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tel := telemetry.New()
+	d := openTest(t, dir, tel)
+	defer d.Drain()
+	if got := tel.Snapshot().Counters["daemon_jobs_lost_total"]; got != 2 {
+		t.Fatalf("daemon_jobs_lost_total = %d, want 2", got)
+	}
+	for _, name := range []string{torn, misnamed} {
+		if _, err := os.Stat(name); !os.IsNotExist(err) {
+			t.Errorf("%s survived recovery (stat: %v)", filepath.Base(name), err)
+		}
+	}
+	if d.QueueDepth() != 0 {
+		t.Fatalf("a dropped queue file was admitted: depth %d", d.QueueDepth())
 	}
 }
 

@@ -18,6 +18,7 @@ var metricHelp = map[string]string{
 	"daemon_jobs_failed_total":      "Jobs that reached a terminal error.",
 	"daemon_jobs_interrupted_total": "Jobs checkpointed mid-crawl by a drain.",
 	"daemon_jobs_recovered_total":   "Queued jobs re-admitted after a restart.",
+	"daemon_jobs_lost_total":        "Queue files dropped at a restart: undecodable, or not the spec their name addresses.",
 	"daemon_jobs_coalesced_total":   "Submissions coalesced onto an identical in-flight job.",
 	"daemon_jobs_rejected_total":    "Submissions rejected by queue depth or tenant budget.",
 	"daemon_cache_hits_total":       "Submissions answered from the artifact cache.",

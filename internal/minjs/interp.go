@@ -461,6 +461,22 @@ func (it *Interp) CallFunction(fn *Object, this Value, args []Value) (Value, err
 	return it.callCompiled(lit, fn, this, args)
 }
 
+// CallInFrame calls fn in the frame of the native running now, for a
+// native wrapper that stands in for fn: no second frame is pushed, so a
+// stack fn captures reads as if fn had been called directly, and Callee()
+// is fn while it runs, so fn finds its own realm. A fn that is not native
+// gets a frame of its own, through CallFunction.
+func (it *Interp) CallInFrame(fn *Object, this Value, args []Value) (Value, error) {
+	if fn == nil || fn.fnd == nil || fn.fnd.Native == nil {
+		return it.CallFunction(fn, this, args)
+	}
+	outer := it.callee
+	it.callee = fn
+	v, err := fn.fnd.Native(it, this, args)
+	it.callee = outer
+	return v, err
+}
+
 // Construct implements `new fn(args)`.
 func (it *Interp) Construct(fn *Object, args []Value) (Value, error) {
 	if fn == nil || fn.fnd == nil || (fn.fnd.Fn == nil && fn.fnd.Native == nil) {

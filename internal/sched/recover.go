@@ -56,12 +56,7 @@ func Recover(fss []wal.FS, opts wal.Options) (*Checkpoint, ShardRecoveries, erro
 			lost = append(lost, &wal.ShardRecovery{
 				MetaLost: true,
 				Storage:  openwpm.NewStorage(),
-				Stats: wal.RecoverStats{Scan: wal.RecoverScan{
-					Segments:       sstats.Segments,
-					Records:        sstats.Records,
-					TruncatedBytes: sstats.TruncatedBytes,
-					TornSegments:   sstats.TornSegments,
-				}},
+				Stats:    wal.RecoverStats{Scan: sstats},
 			})
 			continue
 		}

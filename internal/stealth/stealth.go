@@ -87,7 +87,7 @@ func MaskAutomation(d *jsdom.DOM, s Settings) {
 		orig := prop.Get
 		getter := it.NewNative("get webdriver", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
 			if !this.IsObject() || this.Obj.Class != "Navigator" {
-				_, err := it.CallFunction(orig, this, nil) // throws like the original
+				_, err := it.CallInFrame(orig, this, nil) // throws like the original
 				return minjs.Undefined(), err
 			}
 			return minjs.Boolean(false), nil
@@ -144,7 +144,7 @@ func (si *Instrument) hookAPIs(b *browser.Browser, st *openwpm.Storage, d *jsdom
 					name = "get " + api.Name
 				}
 				getter = it.NewNative(name, func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-					v, err := it.CallFunction(origGet, this, nil)
+					v, err := it.CallInFrame(origGet, this, nil)
 					if err != nil {
 						return minjs.Undefined(), err // original brand-check error propagates
 					}
@@ -163,7 +163,7 @@ func (si *Instrument) hookAPIs(b *browser.Browser, st *openwpm.Storage, d *jsdom
 						val = args[0].ToString()
 					}
 					report(symbol, "set", val, "")
-					return it.CallFunction(origSet, this, args)
+					return it.CallInFrame(origSet, this, args)
 				})
 			}
 			owner.DefineProperty(api.Name, &minjs.Property{
@@ -185,7 +185,7 @@ func (si *Instrument) hookAPIs(b *browser.Browser, st *openwpm.Storage, d *jsdom
 				argStr += a.ToString()
 			}
 			report(symbol, "call", "", argStr)
-			return it.CallFunction(orig, this, args) // errors propagate with clean stacks
+			return it.CallInFrame(orig, this, args) // errors propagate with clean stacks
 		})
 		owner.DefineProperty(api.Name, &minjs.Property{
 			Value:      minjs.ObjectValue(wrapper),

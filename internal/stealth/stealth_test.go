@@ -6,6 +6,7 @@ import (
 
 	"gullible/internal/httpsim"
 	"gullible/internal/jsdom"
+	"gullible/internal/minjs"
 	"gullible/internal/openwpm"
 )
 
@@ -142,17 +143,62 @@ func TestCleanStackTraces(t *testing.T) {
 	}
 }
 
+// TestBrandCheckErrorsPropagate: an error thrown through a wrapped getter,
+// method or setter, or through the masked webdriver getter, reaches the
+// page with the name, message and e.stack it has in a realm with no JS
+// instrument, masked the same way or not masked at all. A wrapper that
+// pushed a frame of its own would show the native frame twice (Sec. 6.1.3).
 func TestBrandCheckErrorsPropagate(t *testing.T) {
-	tm := stealthTM(onePage("<html></html>"))
-	// Goßen-style check: prototype-level access must still throw
-	got := visitAndEval(t, tm, "https://a.com/", `
-		var r = "no-throw";
-		try {
-			Object.getOwnPropertyDescriptor(Object.getPrototypeOf(navigator), "userAgent").get.call({});
-		} catch (e) { r = e.name }
-		r`)
-	if got != "TypeError" {
-		t.Errorf("wrapped getter foreign-this: %s, want TypeError", got)
+	probes := []struct{ name, expr, frame string }{
+		{"getter", `Object.getOwnPropertyDescriptor(Object.getPrototypeOf(navigator), "userAgent").get.call({})`, "get userAgent@native"},
+		{"webdriver", `Object.getOwnPropertyDescriptor(Object.getPrototypeOf(navigator), "webdriver").get.call({})`, "get webdriver@native"},
+		{"method", `new AudioContext().decodeAudioData()`, "decodeAudioData@native"},
+		{"setter", `document.cookie = "a=b"`, "set cookie@native"},
+	}
+	b := stealthTM(onePage("<html></html>")).NewBrowser()
+	realm := func(instrument func(*jsdom.DOM)) *jsdom.DOM {
+		d := jsdom.Build(jsdom.StandardConfig(jsdom.Ubuntu, jsdom.Regular, 90, 0), &jsdom.NopHost{}, "https://a.com/")
+		// the only hooked setter, document.cookie, never throws: stand in
+		// one that rejects its value, as a WebIDL setter may
+		dp := d.Protos["Document"]
+		cookie := dp.GetOwn("cookie")
+		set := d.It.NewNative("set cookie", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
+			return minjs.Undefined(), it.ThrowError("TypeError", "'set cookie' rejected its value")
+		})
+		dp.DefineAccessor("cookie", cookie.Get, set, true)
+		if instrument != nil {
+			instrument(d)
+		}
+		return d
+	}
+	realms := []struct {
+		name string
+		d    *jsdom.DOM
+	}{
+		{"bare", realm(nil)},
+		{"masked", realm(func(d *jsdom.DOM) { MaskAutomation(d, DefaultSettings()) })},
+		{"stealth", realm(func(d *jsdom.DOM) { New().OnWindow(b, openwpm.NewStorage(), d, true) })},
+	}
+	for _, p := range probes {
+		var want string
+		for _, r := range realms {
+			v, err := r.d.It.RunScript(`
+				var r = "no-throw";
+				try { `+p.expr+`; } catch (e) { r = e.name + ": " + e.message + "\n" + e.stack }
+				r`, "check.js")
+			if err != nil {
+				t.Fatalf("%s in %s realm: %v", p.name, r.name, err)
+			}
+			got := v.ToString()
+			if !strings.HasPrefix(got, "TypeError: ") || strings.Count(got, p.frame) != 1 {
+				t.Errorf("%s in %s realm: want a TypeError whose stack holds %s once, got\n%s", p.name, r.name, p.frame, got)
+			}
+			if r.name == "bare" {
+				want = got
+			} else if got != want {
+				t.Errorf("%s in %s realm differs from the bare realm:\n%s\nwant\n%s", p.name, r.name, got, want)
+			}
+		}
 	}
 }
 

@@ -172,7 +172,7 @@ func (b *Backend) Close() error { return b.w.Close() }
 
 // RecoverStats describes a shard recovery.
 type RecoverStats struct {
-	Scan RecoverScan `json:"scan"`
+	Scan ScanStats `json:"scan"`
 	// Applied is how many recovered records were replayed into state.
 	Applied int `json:"applied"`
 	// Discarded is how many intact records after the last checkpoint were
@@ -181,14 +181,6 @@ type RecoverStats struct {
 	// Unresolved counts script references whose pooled body was lost to a
 	// disk fault; the reference is dropped and counted rather than trusted.
 	Unresolved int `json:"unresolved,omitempty"`
-}
-
-// RecoverScan is the scan-level accounting embedded in RecoverStats.
-type RecoverScan struct {
-	Segments       int      `json:"segments"`
-	Records        int      `json:"records"`
-	TruncatedBytes int64    `json:"truncatedBytes,omitempty"`
-	TornSegments   []string `json:"tornSegments,omitempty"`
 }
 
 // ShardRecovery is the rebuilt durable state of one crawl shard: everything
@@ -265,12 +257,7 @@ func RecoverShard(fs FS, opts Options) (*ShardRecovery, error) {
 		Storage: openwpm.NewStorage(),
 		Bodies:  map[string]string{},
 		Stats: RecoverStats{
-			Scan: RecoverScan{
-				Segments:       sstats.Segments,
-				Records:        sstats.Records,
-				TruncatedBytes: sstats.TruncatedBytes,
-				TornSegments:   sstats.TornSegments,
-			},
+			Scan:      sstats,
 			Discarded: len(recs) - keep - 1,
 		},
 	}

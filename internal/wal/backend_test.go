@@ -3,7 +3,6 @@ package wal_test
 import (
 	"testing"
 
-	"gullible/internal/faults"
 	"gullible/internal/jsdom"
 	"gullible/internal/openwpm"
 	"gullible/internal/wal"
@@ -122,9 +121,8 @@ func TestENOSPCSalvageParity(t *testing.T) {
 	const sites = 6
 	urls := websim.Tranco(sites)
 	world := websim.New(websim.Options{Seed: 44, NumSites: sites})
-	inj := faults.NewDiskInjector(9, faults.DiskProfile{ByteBudget: 64 << 10})
-	fs := wal.NewMemFS()
-	be, err := wal.Open(fs, shardMeta(urls), wal.Options{Disk: inj, SegmentBytes: 8 << 10, FlushBytes: 1 << 10})
+	fs := wal.NewFaultFS(wal.FaultPlan{Budget: 64 << 10})
+	be, err := wal.Open(fs, shardMeta(urls), wal.Options{SegmentBytes: 8 << 10, FlushBytes: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,15 +133,19 @@ func TestENOSPCSalvageParity(t *testing.T) {
 	_ = be.Close()
 
 	st := be.Stats()
-	if st.Lost == 0 {
-		t.Fatalf("byte budget never filled (stats %+v) — raise crawl size or lower budget", st)
+	_, noSpace, _, lostFrames := fs.FaultCounts()
+	if noSpace == 0 {
+		t.Fatalf("the crawl never filled the %d-byte device (stats %+v)", 64<<10, st)
 	}
+	// every failed write was an ENOSPC, and lost exactly the records it carried
+	if st.WriteErrors != noSpace || st.Lost != lostFrames {
+		t.Fatalf("%d ENOSPC writes carrying %d records; writer counted %d write errors, %d lost",
+			noSpace, lostFrames, st.WriteErrors, st.Lost)
+	}
+	t.Logf("%d ENOSPC writes lost %d of %d records", noSpace, st.Lost, st.Appended)
 	if st.Committed+st.Lost != st.Appended {
 		t.Fatalf("salvage parity violated: %d committed + %d lost != %d appended",
 			st.Committed, st.Lost, st.Appended)
-	}
-	if got := inj.Counts()[faults.DiskENOSPC]; got == 0 {
-		t.Fatal("injector reports no ENOSPC faults despite losses")
 	}
 	// the crawl itself must be unharmed: a full disk degrades durability only
 	if !report.Accounted() {

@@ -1,8 +1,8 @@
 // Package wal implements the durable storage backend: an append-only,
 // segmented write-ahead log of canonical-JSON records with per-record
-// length+checksum framing, a configurable flush/fsync policy, seeded disk
-// fault injection under an io-level shim, and a recovery path that truncates
-// a torn tail and replays the intact prefix back into crawl state.
+// length+checksum framing, a configurable flush/fsync policy, a small FS
+// seam under which tests inject disk faults, and a recovery path that
+// truncates a torn tail and replays the intact prefix back into crawl state.
 //
 // The invariants the log maintains:
 //

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -72,6 +73,83 @@ func FuzzScan(f *testing.F) {
 		}
 		if n := len(recs) - rec.Stats.Discarded; !sameRecs(after, recs[:n]) {
 			t.Fatalf("recovered log holds %d records, want the first %d of %d", len(after), n, len(recs))
+		}
+	})
+}
+
+// FuzzWriterFaults drives a Writer over a FaultFS. The input picks the
+// records (one per byte of sizes, whose value is the record's padding), the
+// sync policy, a small segment size, a flush size, and the fault plan: a
+// device budget in bytes (0 = unlimited), cut writes as (gap, low, high)
+// byte triples naming a write by its distance from the previous cut and the
+// bytes of it that land, and a bitmap of the fsyncs that fail. The oracle:
+// nothing panics; committed + lost == appended; the records lost are
+// exactly the frames the failed writes carried; every failed fsync is
+// counted in SyncErrors and loses nothing; and after Close, Scan returns
+// exactly the committed records, each an appended record, in append order,
+// with no duplicates. The committed seeds (testdata/fuzz/FuzzWriterFaults)
+// are a fault-free log, torn writes under SyncAlways, a full device, and
+// failing fsyncs.
+func FuzzWriterFaults(f *testing.F) {
+	f.Fuzz(func(t *testing.T, sizes []byte, policy uint8, segBytes, flushBytes, budget uint16, cuts, syncFails []byte) {
+		if len(sizes) > 256 {
+			sizes = sizes[:256]
+		}
+		plan := FaultPlan{Cuts: map[int]int{}, Budget: int64(budget), SyncFails: map[int]bool{}}
+		seq := 0
+		for i := 0; i+2 < len(cuts); i += 3 {
+			seq += int(cuts[i])
+			plan.Cuts[seq] = int(cuts[i+1]) | int(cuts[i+2])<<8
+		}
+		for i, b := range syncFails {
+			for bit := 0; bit < 8; bit++ {
+				if b&(1<<bit) != 0 {
+					plan.SyncFails[8*i+bit] = true
+				}
+			}
+		}
+		fs := NewFaultFS(plan)
+		w, err := NewWriter(fs, Options{
+			Sync:         SyncPolicy(policy % 3),
+			SegmentBytes: 64 + int64(segBytes%2048),
+			FlushBytes:   int(flushBytes % 1024),
+		})
+		if err != nil {
+			t.Fatalf("NewWriter: %v", err)
+		}
+		for i, size := range sizes {
+			_ = w.Append("test", testRec{N: i, S: strings.Repeat("x", int(size))}) // faults are on
+		}
+		_ = w.Close()
+
+		st := w.Stats()
+		cut, noSpace, syncFailed, lostFrames := fs.FaultCounts()
+		if st.Appended != len(sizes) || st.Committed+st.Lost != st.Appended {
+			t.Fatalf("records unaccounted: %d committed + %d lost, %d appended of %d", st.Committed, st.Lost, st.Appended, len(sizes))
+		}
+		if st.Lost != lostFrames || st.WriteErrors != cut+noSpace {
+			t.Fatalf("writer lost %d records in %d write errors; the FS failed %d writes carrying %d frames", st.Lost, st.WriteErrors, cut+noSpace, lostFrames)
+		}
+		if st.SyncErrors != syncFailed {
+			t.Fatalf("writer counted %d sync errors; the FS failed %d fsyncs", st.SyncErrors, syncFailed)
+		}
+		recs, stats, err := Scan(fs)
+		if err != nil {
+			t.Fatalf("Scan: %v", err)
+		}
+		if len(recs) != st.Committed || stats.Records != len(recs) {
+			t.Fatalf("Scan returned %d records (stats %d); writer committed %d", len(recs), stats.Records, st.Committed)
+		}
+		prev := -1
+		for _, r := range recs {
+			var tr testRec
+			if err := json.Unmarshal(r.Data, &tr); err != nil || r.Kind != "test" {
+				t.Fatalf("recovered record %s %s is not an appended record: %v", r.Kind, r.Data, err)
+			}
+			if tr.N <= prev || tr.N >= len(sizes) || len(tr.S) != int(sizes[tr.N]) {
+				t.Fatalf("recovered record N=%d (padding %d) after N=%d: not in append order or not as appended", tr.N, len(tr.S), prev)
+			}
+			prev = tr.N
 		}
 	})
 }

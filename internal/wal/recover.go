@@ -22,14 +22,14 @@ type Rec struct {
 // ScanStats describes what a scan found and what it had to give up on.
 type ScanStats struct {
 	// Segments is how many segment files were scanned.
-	Segments int
+	Segments int `json:"segments"`
 	// Records is how many intact records were recovered.
-	Records int
+	Records int `json:"records"`
 	// TruncatedBytes counts bytes discarded at torn tails (an interrupted
 	// flush, a short write whose truncation failed, a damaged header).
-	TruncatedBytes int64
+	TruncatedBytes int64 `json:"truncatedBytes,omitempty"`
 	// TornSegments names the segments whose tail failed validation.
-	TornSegments []string
+	TornSegments []string `json:"tornSegments,omitempty"`
 }
 
 // Torn reports whether the scan hit any damage.

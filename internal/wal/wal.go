@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 
-	"gullible/internal/faults"
 	"gullible/internal/telemetry"
 )
 
@@ -87,9 +86,6 @@ type Options struct {
 	// FlushBytes bounds how much pending data accumulates before an
 	// implicit flush (default 64 KiB).
 	FlushBytes int
-	// Disk, when non-nil, injects disk faults under the writer through an
-	// io-level shim: every write and sync consults the injector first.
-	Disk *faults.DiskInjector
 	// Telemetry, when non-nil, meters flushes, fsyncs, rotations, write
 	// errors and lost records.
 	Telemetry *telemetry.Telemetry
@@ -287,22 +283,8 @@ func (w *Writer) flush() error {
 	w.pendingRecs = 0
 
 	n := len(p)
-	wrote := 0
-	var err error
-	if d := w.opts.Disk; d != nil {
-		allow, ferr := d.BeforeWrite(w.segName, n)
-		if ferr != nil {
-			// a short/torn write lands only a prefix, possibly mid-frame
-			if allow > 0 {
-				wrote, _ = w.file.Write(p[:allow])
-			}
-			err = ferr
-		} else {
-			wrote, err = w.file.Write(p)
-		}
-	} else {
-		wrote, err = w.file.Write(p)
-	}
+	// a short or failed write may land a prefix, possibly mid-frame
+	wrote, err := w.file.Write(p)
 	if err == nil && wrote < n {
 		err = fmt.Errorf("wal: short write to %s: %d of %d bytes", w.segName, wrote, n)
 	}
@@ -335,13 +317,6 @@ func (w *Writer) Sync() error {
 	}
 	w.stats.Syncs++
 	w.mSync.Inc()
-	if d := w.opts.Disk; d != nil {
-		if err := d.OnSync(w.segName); err != nil {
-			w.stats.SyncErrors++
-			w.mSyncErr.Inc()
-			return err
-		}
-	}
 	if err := w.file.Sync(); err != nil {
 		w.stats.SyncErrors++
 		w.mSyncErr.Inc()

@@ -2,11 +2,11 @@ package wal
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
+	"syscall"
 	"testing"
-
-	"gullible/internal/faults"
 )
 
 type testRec struct {
@@ -155,23 +155,37 @@ func TestParseSyncPolicy(t *testing.T) {
 	}
 }
 
-// TestShortWriteNeverCorruptsCommitted injects torn writes and requires that
-// every record the writer reports as committed is recoverable, that losses
-// are counted, and that committed + lost == appended (no silent loss).
+// TestShortWriteNeverCorruptsCommitted cuts writes short and requires that
+// every record the writer reports as committed is recoverable, that each
+// cut loses exactly the records it carried, counted, and that committed +
+// lost == appended (no silent loss).
 func TestShortWriteNeverCorruptsCommitted(t *testing.T) {
-	inj := faults.NewDiskInjector(7, faults.DiskProfile{ShortWritePerMille: 300})
-	fs := NewMemFS()
-	w, err := NewWriter(fs, Options{Sync: SyncAlways, Disk: inj, SegmentBytes: 512})
+	// Under SyncAlways every Append is one write, so write i carries record
+	// i, behind a fresh segment's header when it is the first write to that
+	// segment. The cuts land nothing, part of a frame header, part of a
+	// payload, exactly a segment header, and part of one.
+	cuts := map[int]int{0: 12, 3: 0, 17: 5, 40: 20, 41: headerSize, 42: 4, 150: 30}
+	fs := NewFaultFS(FaultPlan{Cuts: cuts})
+	w, err := NewWriter(fs, Options{Sync: SyncAlways, SegmentBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 200; i++ {
-		_ = w.Append("test", testRec{N: i}) // errors expected: faults are on
+	const n = 200
+	for i := 0; i < n; i++ {
+		err := w.Append("test", testRec{N: i})
+		if _, cut := cuts[i]; cut != (err != nil) {
+			t.Fatalf("append %d: error %v, cut %v", i, err, cut)
+		}
 	}
-	_ = w.Close()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 	st := w.Stats()
-	if st.Lost == 0 || st.WriteErrors == 0 {
-		t.Fatalf("fault profile injected nothing (stats %+v) — seed drift?", st)
+	if st.Lost != len(cuts) || st.WriteErrors != len(cuts) {
+		t.Fatalf("%d cuts cost %d records in %d write errors, want %d each", len(cuts), st.Lost, st.WriteErrors, len(cuts))
+	}
+	if cut, _, _, frames := fs.FaultCounts(); cut != len(cuts) || frames != st.Lost {
+		t.Fatalf("FS cut %d writes carrying %d frames; writer lost %d records", cut, frames, st.Lost)
 	}
 	if st.Committed+st.Lost != st.Appended {
 		t.Fatalf("records unaccounted: %d committed + %d lost != %d appended", st.Committed, st.Lost, st.Appended)
@@ -183,16 +197,26 @@ func TestShortWriteNeverCorruptsCommitted(t *testing.T) {
 	if len(recs) != st.Committed {
 		t.Fatalf("recovered %d records but writer committed %d", len(recs), st.Committed)
 	}
-	// committed records must come back in order even across damaged segments
+	// committed records must come back in order even across damaged
+	// segments: exactly the records no cut carried
+	var want []int
+	for i := 0; i < n; i++ {
+		if _, cut := cuts[i]; !cut {
+			want = append(want, i)
+		}
+	}
 	prev := -1
 	seen := map[int]bool{}
-	for _, r := range recs {
+	for i, r := range recs {
 		var tr testRec
 		if err := json.Unmarshal(r.Data, &tr); err != nil {
 			t.Fatalf("recovered record does not decode: %v", err)
 		}
 		if tr.N <= prev || seen[tr.N] {
 			t.Fatalf("recovered stream reorders or duplicates record %d", tr.N)
+		}
+		if tr.N != want[i] {
+			t.Fatalf("recovered record %d is N=%d, want %d", i, tr.N, want[i])
 		}
 		seen[tr.N] = true
 		prev = tr.N
@@ -205,19 +229,25 @@ func TestShortWriteNeverCorruptsCommitted(t *testing.T) {
 // TestFsyncFailureKeepsData: a failed fsync is an error and a counter, never
 // a rollback.
 func TestFsyncFailureKeepsData(t *testing.T) {
-	inj := faults.NewDiskInjector(3, faults.DiskProfile{FsyncFailPerMille: 1000})
-	fs := NewMemFS()
-	w, err := NewWriter(fs, Options{Sync: SyncAlways, Disk: inj})
+	fails := map[int]bool{}
+	for i := 0; i < 10; i++ {
+		fails[i] = true
+	}
+	fs := NewFaultFS(FaultPlan{SyncFails: fails})
+	w, err := NewWriter(fs, Options{Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := w.Append("test", testRec{N: i}); err == nil {
-			t.Fatal("every fsync fails; Append under SyncAlways must surface that")
+		if err := w.Append("test", testRec{N: i}); !errors.Is(err, syscall.EIO) {
+			t.Fatalf("every fsync fails; Append under SyncAlways must surface that, got %v", err)
 		}
 	}
 	if w.Stats().SyncErrors != 10 {
 		t.Fatalf("got %d sync errors, want 10", w.Stats().SyncErrors)
+	}
+	if st := w.Stats(); st.Lost != 0 || st.Committed != 10 {
+		t.Fatalf("fsync failures cost records: %+v", st)
 	}
 	if got := len(scanKinds(t, fs)); got != 10 {
 		t.Fatalf("fsync failure unwrote data: %d/10 records recovered", got)

@@ -2,7 +2,9 @@
 # Full verification: vet, build, wpmlint (repo run + self-tests + SARIF
 # smoke), the daemon's event-stream test three times and its admission and
 # drain tests five times under race, the realm stamp and image tests ten
-# times under race, CLI smokes and fuzzers, then every
+# times under race, CLI smokes and fuzzers (FuzzWriterFaults among them:
+# the WAL writer over a file layer that cuts writes, fills the device and
+# fails fsyncs), then every
 # package's tests under the race detector in one run
 # (the WAL kill-and-recover tests included). Only the experiments package
 # reads -short: its full synthetic-web crawls are skipped in that mode; set
@@ -190,6 +192,9 @@ go test -run '^$' -fuzz '^FuzzEncode$' -fuzztime 10s -fuzzminimizetime 1s -paral
 
 echo "== wal FuzzScan (hostile segments: Scan and RecoverShard never panic; longest intact prefix or a typed error; Scan is deterministic)"
 go test -run '^$' -fuzz '^FuzzScan$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/wal
+
+echo "== wal FuzzWriterFaults (planned short writes, ENOSPC and fsync failures: committed + lost == appended, losses match the failed writes, Scan returns exactly the committed records in order)"
+go test -run '^$' -fuzz '^FuzzWriterFaults$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/wal
 
 echo "== daemon FuzzCanonicalize (hostile job specs: no panic; canonical specs are fixed points with the same content address)"
 go test -run '^$' -fuzz '^FuzzCanonicalize$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/daemon
